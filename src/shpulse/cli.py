@@ -15,7 +15,7 @@ override the file.  Output is deterministic: fixed float formats, no
 timestamps.
 
 Exit codes: 0 on success, 1 on a numerical failure (Newton divergence,
-integration error, unreadable pulse file), 2 on a usage error.
+non-finite transport, unreadable pulse file), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .conjugate import (DEGENERACY_TOL, SIMPLICITY_THRESHOLD, format_report,
 from .model import Params
 from .pulse import (NewtonError, PulseFileError, evaluate, load, newton_solve,
                     save, seed_from_normal_form)
-from .shooting import ShootingSettings, integrate_frame, write_trajectory
+from .shooting import (ShootingSettings, TransportError, integrate_frame,
+                       write_trajectory)
 from .spectrum import DEFAULT_THRESHOLD, count_unstable
 from .verify import run_all
 
@@ -47,10 +48,11 @@ class RunConfig:
 
     Groups: model parameters (``nu``, ``mu``, ``phi``, ``scale``), Fourier
     discretization (``L_f``, ``N``, ``newton_tol``), plane transport
-    (``L_cp``, ``rtol``, ``atol``, ``renorm_every``, ``sample_dx``) and
-    decision thresholds (``unstable_threshold``, ``degeneracy_tol``,
-    ``simplicity_threshold``).  ``nu``/``mu``/``phi`` stay ``None`` until a
-    command that needs them checks for their presence.
+    (``L_cp``, ``sample_dx``: window half-width and sample spacing, which is
+    also the Magnus step up to 0.05) and decision thresholds
+    (``unstable_threshold``, ``degeneracy_tol``, ``simplicity_threshold``).
+    ``nu``/``mu``/``phi`` stay ``None`` until a command that needs them
+    checks for their presence.
     """
 
     nu: float | None = None
@@ -61,32 +63,27 @@ class RunConfig:
     N: int = 128
     newton_tol: float = 1e-12
     L_cp: float = 60.0
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    renorm_every: int = 5
     sample_dx: float = 0.05
     unstable_threshold: float = DEFAULT_THRESHOLD
     degeneracy_tol: float = DEGENERACY_TOL
     simplicity_threshold: float = SIMPLICITY_THRESHOLD
 
     def __post_init__(self) -> None:
-        positive = ("scale", "L_f", "newton_tol", "L_cp", "rtol", "atol",
-                    "sample_dx", "unstable_threshold", "degeneracy_tol",
+        positive = ("scale", "L_f", "newton_tol", "L_cp", "sample_dx",
+                    "unstable_threshold", "degeneracy_tol",
                     "simplicity_threshold")
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.N < 1 or self.renorm_every < 1:
-            raise ValueError("N and renorm_every must be at least 1")
+        if self.N < 1:
+            raise ValueError("N must be at least 1")
         if self.L_cp > self.L_f:
             raise ValueError(
                 f"L_cp = {self.L_cp:g} exceeds the profile half-period "
                 f"L_f = {self.L_f:g}")
 
     def settings(self) -> ShootingSettings:
-        return ShootingSettings(
-            window=(-self.L_cp, self.L_cp), dx=self.sample_dx,
-            rtol=self.rtol, atol=self.atol, renorm_every=self.renorm_every)
+        return ShootingSettings(window=(-self.L_cp, self.L_cp), dx=self.sample_dx)
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
@@ -264,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonError, PulseFileError) as exc:
+    except (NewtonError, PulseFileError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

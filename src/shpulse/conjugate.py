@@ -23,9 +23,9 @@ Trust horizon
 At ``lam = 0`` the transported plane carries the pulse's translation mode,
 an exponentially decaying direction whose weight inside the plane shrinks
 like ``exp(-2 alpha x)``.  Once that weight falls under the noise floor of
-the computation (Fourier tail of the pulse, integrator tolerances, machine
-epsilon), the numerical plane detaches from the true one and can produce a
-spurious determinant zero.  The scan therefore stops at the horizon
+the computation (Fourier tail of the pulse, accuracy of the transport), the
+numerical plane detaches from the true one and can produce a spurious
+determinant zero.  The scan therefore stops at the horizon
 
     ``x_h = ln(1/eps) / (2 alpha) - 2 pi / beta``
 
@@ -42,7 +42,8 @@ import numpy as np
 
 from .model import Params, asymptotic_frames, lambda_infinity_bound
 from .pulse import FourierPulse, potential
-from .shooting import FrameTrajectory, ShootingSettings, integrate_frame, sandwich_determinant
+from .shooting import (TRANSPORT_NOISE, FrameTrajectory, ShootingSettings,
+                       integrate_frame, sandwich_determinant)
 from .spectrum import DEFAULT_THRESHOLD, count_unstable
 
 SIMPLICITY_THRESHOLD = 1e-3
@@ -51,18 +52,17 @@ DIP_TOL = 1e-6
 BRACKET_TOL = 1e-8
 
 
-def trust_horizon(pulse: FourierPulse, lam: float = 0.0,
-                  settings: ShootingSettings = ShootingSettings()) -> float:
+def trust_horizon(pulse: FourierPulse, lam: float = 0.0) -> float:
     """Forward position beyond which the transported plane is untrustworthy.
 
-    Uses the largest of the pulse's relative Fourier-tail floor, the
-    integrator tolerances and machine epsilon as the effective noise level.
+    Uses the larger of the pulse's relative Fourier-tail floor and the
+    transport's noise level ``TRANSPORT_NOISE`` as the effective noise level.
     """
     data = asymptotic_frames(lam, pulse.params)
     alpha, beta = data.gamma1.real, data.gamma1.imag
     peak = float(np.max(np.abs(pulse.a)))
     tail_floor = float(np.abs(pulse.a[-1])) / peak if peak > 0 else 0.0
-    eps = max(tail_floor, settings.rtol, settings.atol, np.finfo(float).eps)
+    eps = max(tail_floor, TRANSPORT_NOISE)
     return float(np.log(1.0 / eps) / (2.0 * alpha) - 2.0 * np.pi / beta)
 
 
@@ -125,13 +125,13 @@ def scan_and_refine(traj: FrameTrajectory,
     """Locate the zeros of the sandwich determinant along the trajectory.
 
     Sign changes between samples are refined by bisection, re-evaluating
-    the determinant through local re-integration, until the bracket is
-    narrower than ``bracket_tol``.  Local minima of ``|detA|`` below
-    ``dip_tol`` that do not change sign are reported separately as
+    the determinant by a partial step from the nearest sample, until the
+    bracket is narrower than ``bracket_tol``.  Local minima of ``|detA|``
+    below ``dip_tol`` that do not change sign are reported separately as
     suspected even-order touches (they contribute nothing to the count).
     An empty result is a valid outcome.
     """
-    horizon = trust_horizon(traj.pulse, traj.lam, traj.settings)
+    horizon = trust_horizon(traj.pulse, traj.lam)
     xs, d = traj.xs, traj.deta
     keep = xs <= horizon
     clipped = bool(np.any(~keep))

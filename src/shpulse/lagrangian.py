@@ -24,11 +24,9 @@ export and for the membership test of the train of the sandwich plane
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -236,47 +234,6 @@ def sandwich_train_contains(point, atol: float = 1e-9) -> bool:
     if abs(z) > atol:
         return False
     return min((x - 0.5) ** 2, (x + 0.5) ** 2) + y * y <= 0.25 + atol
-
-
-def write_plucker_trajectory(ts, frames, destination, deta=None) -> None:
-    """Write rows ``t, P12..P34[, detA]`` as comma-separated text.
-
-    The sign ambiguity of the coordinates is resolved by continuity: the
-    first row has its first nonzero coordinate positive, and every later row
-    is flipped if needed to align with its predecessor.
-    """
-    ts = [float(t) for t in ts]
-    rows = [plucker(F) for F in frames]
-    if len(ts) != len(rows):
-        raise ValueError("ts and frames must have equal length")
-    if deta is not None and len(deta) != len(rows):
-        raise ValueError("deta must match the number of frames")
-    if rows:
-        first = rows[0]
-        nz = np.flatnonzero(np.abs(first) > 1e-12)
-        if nz.size and first[nz[0]] < 0:
-            rows[0] = -first
-        for k in range(1, len(rows)):
-            if rows[k - 1] @ rows[k] < 0:
-                rows[k] = -rows[k]
-
-    def _write(fh) -> None:
-        writer = csv.writer(fh)
-        header = ["t", "P12", "P13", "P14", "P23", "P24", "P34"]
-        if deta is not None:
-            header.append("detA")
-        writer.writerow(header)
-        for k, (t, P) in enumerate(zip(ts, rows)):
-            row = [repr(t)] + [repr(float(p)) for p in P]
-            if deta is not None:
-                row.append(repr(float(deta[k])))
-            writer.writerow(row)
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(Path(destination), "w", newline="") as fh:
-            _write(fh)
 
 
 # ---------------------------------------------------------------------------

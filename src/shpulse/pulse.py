@@ -86,9 +86,11 @@ class FourierPulse:
             raise ValueError(
                 f"expected {self.N + 1} coefficients a_0..a_N, got shape {a.shape}"
             )
+        if not np.all(np.isfinite(a)):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "a", a)
-        if self.L_f <= 0:
-            raise ValueError("L_f must be positive")
+        if not (np.isfinite(self.L_f) and self.L_f > 0):
+            raise ValueError("L_f must be positive and finite")
 
     def full(self) -> np.ndarray:
         """Full coefficient vector a_{-N}..a_N via the even extension."""
@@ -287,18 +289,17 @@ def load(path) -> FourierPulse:
     if missing:
         raise PulseFileError(f"{path}: missing field(s): {', '.join(missing)}")
     try:
-        params = Params(nu=float(doc["nu"]), mu=float(doc["mu"]))
-    except ValueError as exc:
-        raise PulseFileError(f"{path}: {exc}") from exc
-    try:
-        a = np.asarray(doc["coefficients"], dtype=float)
+        scalars = {f: float(doc[f]) for f in ("nu", "mu", "phi", "L_f", "residual_norm")}
+        bad = [f for f, v in scalars.items() if not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite value(s) for {', '.join(bad)}")
         pulse = FourierPulse(
-            params=params,
-            phi=float(doc["phi"]),
-            L_f=float(doc["L_f"]),
+            params=Params(nu=scalars["nu"], mu=scalars["mu"]),
+            phi=scalars["phi"],
+            L_f=scalars["L_f"],
             N=int(doc["N"]),
-            a=a,
-            residual_norm=float(doc["residual_norm"]),
+            a=np.asarray(doc["coefficients"], dtype=float),
+            residual_norm=scalars["residual_norm"],
         )
     except (TypeError, ValueError) as exc:
         raise PulseFileError(f"{path}: {exc}") from exc

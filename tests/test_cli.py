@@ -194,6 +194,28 @@ def test_conjugate_report_is_deterministic(phi0_file, capsys):
     assert first == second
 
 
+def _with_coefficient(src, dst, value):
+    doc = json.loads(src.read_text())
+    doc["coefficients"][3] = value
+    dst.write_text(json.dumps(doc))
+    return dst
+
+
+def test_conjugate_rejects_non_finite_pulse_file(phi0_file, tmp_path, capsys):
+    bad = _with_coefficient(phi0_file, tmp_path / "nan.json", float("nan"))
+    assert cli.main(["conjugate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_conjugate_overflowing_pulse_exits_one(phi0_file, tmp_path, capsys):
+    bad = _with_coefficient(phi0_file, tmp_path / "huge.json", 1e200)
+    assert cli.main(["conjugate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # plucker command
 # ---------------------------------------------------------------------------
@@ -302,6 +324,15 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"window": 60}))
     with pytest.raises(UsageError, match="unknown config key"):
         build_config(str(cfg), {})
+
+
+@pytest.mark.parametrize("key", ["rtol", "atol", "renorm_every"])
+def test_config_removed_transport_knobs_exit_two(tmp_path, capsys, key):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({key: 1}))
+    rc = cli.main(["conjugate", "whatever.json", "--config", str(cfg)])
+    assert rc == 2
+    assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
 
 def test_config_invalid_values_exit_two(tmp_path, capsys):

@@ -5,8 +5,6 @@ numerical knob (stencils, Richardson extrapolation, kernel extraction,
 signature bookkeeping) is pinned against exact values.
 """
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,34 +174,6 @@ def test_plucker_norm_relation_and_orientation():
             assert np.allclose(Q, P, atol=1e-11)
         else:
             assert np.allclose(Q, -P, atol=1e-11)
-
-
-def test_write_plucker_trajectory(tmp_path):
-    ell1, _ = lg.fixture_paths()
-    ts = np.linspace(-1.0, 1.0, 41)
-    frames = [ell1.frame(t) for t in ts]
-    out = tmp_path / "trajectory.csv"
-    lg.write_plucker_trajectory(ts, frames, out, deta=list(ts))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,P12,P13,P14,P23,P24,P34,detA"
-    assert len(lines) == 42
-    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    # detA column round-trips
-    assert np.array_equal(rows[:, 7], ts)
-    P = rows[:, 1:7]
-    # unit norm, sign continuity, and the initial-sample sign convention
-    assert np.allclose(np.linalg.norm(P, axis=1), 1.0, atol=1e-12)
-    assert all(P[i] @ P[i + 1] > 0 for i in range(len(P) - 1))
-    first_nonzero = P[0][np.flatnonzero(np.abs(P[0]) > 1e-12)[0]]
-    assert first_nonzero > 0
-    # without detA the header shrinks
-    buf = io.StringIO()
-    lg.write_plucker_trajectory(ts[:2], frames[:2], buf)
-    assert buf.getvalue().splitlines()[0] == "t,P12,P13,P14,P23,P24,P34"
-    with pytest.raises(ValueError, match="equal length"):
-        lg.write_plucker_trajectory(ts[:3], frames[:2], io.StringIO())
-    with pytest.raises(ValueError, match="deta"):
-        lg.write_plucker_trajectory(ts[:2], frames[:2], io.StringIO(), deta=[0.0])
 
 
 def test_sandwich_train_membership():

@@ -291,8 +291,34 @@ def test_load_rejects_wrong_coefficient_count(tmp_path):
         sp.load(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coefficients", [0.0, float("nan")]),
+    ("coefficients", [float("inf"), 0.0]),
+    ("L_f", float("inf")),
+    ("residual_norm", float("nan")),
+    ("nu", float("-inf")),
+])
+def test_load_rejects_non_finite_values(tmp_path, field, value):
+    doc = {
+        "nu": 1.6,
+        "mu": 0.05,
+        "phi": 0.0,
+        "L_f": 100.0,
+        "N": 1,
+        "coefficients": [0.0, 0.0],
+        "residual_norm": 0.0,
+    }
+    doc[field] = value
+    path = tmp_path / "pulse.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PulseFileError, match="finite"):
+        sp.load(path)
+
+
 def test_pulse_validation():
     with pytest.raises(ValueError):
         make_pulse([0.0, 0.0], L_f=-1.0)
     with pytest.raises(ValueError):
         FourierPulse(params=P, phi=0.0, L_f=100.0, N=3, a=np.zeros(2), residual_norm=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        make_pulse([0.0, np.nan])

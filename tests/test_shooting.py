@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, subspace_angles
 
+from shpulse.conjugate import scan_and_refine
 from shpulse.model import Params, asymptotic_frames, coefficient_matrix
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
+    TRANSPORT_NOISE,
     FrameTrajectory,
     ShootingSettings,
+    TransportError,
     initial_frame,
     integrate_frame,
     sandwich_determinant,
@@ -33,8 +36,6 @@ def test_settings_validation():
         ShootingSettings(window=(0.0, np.inf))
     with pytest.raises(ValueError):
         ShootingSettings(dx=0.0)
-    with pytest.raises(ValueError):
-        ShootingSettings(renorm_every=0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -104,24 +105,52 @@ def test_deta_is_the_p14_coordinate(traj_phipi):
     assert np.allclose(traj_phipi.deta, p14, atol=1e-12)
 
 
-def test_renormalization_is_transparent(pulse_phi0):
-    """Different renorm cadences give the same plane and crossing location."""
-    runs = {}
-    for every in (1, 5, 20):
-        st = ShootingSettings(window=(-20.0, 20.0), renorm_every=every)
-        runs[every] = integrate_frame(pulse_phi0, settings=st)
-    base = runs[5]
-    for every in (1, 20):
-        assert np.max(np.abs(runs[every].deta - base.deta)) < 1e-7
+def test_step_size_is_transparent(pulse_phi0):
+    """Finer steps and coarser sampling give the same plane and crossing."""
+    runs = {dx: integrate_frame(pulse_phi0,
+                                settings=ShootingSettings(window=(-20.0, 20.0), dx=dx))
+            for dx in (0.025, 0.05, 0.1)}
+    base = runs[0.1]
+    for dx, traj in runs.items():
+        stride = int(round(0.1 / dx))
+        assert np.array_equal(traj.xs[::stride], base.xs)
+        assert np.max(np.abs(traj.deta[::stride] - base.deta)) < 1e-7
+    locs = [scan_and_refine(traj).locations for traj in runs.values()]
+    assert all(len(loc) == 1 for loc in locs)
+    crossings = [loc[0] for loc in locs]
+    assert max(crossings) - min(crossings) < 1e-6
 
-    def crossing(traj):
-        d = traj.deta
-        i = int(np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0][0])
-        x0, x1 = traj.xs[i], traj.xs[i + 1]
-        return x0 - d[i] * (x1 - x0) / (d[i + 1] - d[i])
 
-    locs = [crossing(runs[e]) for e in (1, 5, 20)]
-    assert max(locs) - min(locs) < 1e-6
+def test_step_halving_accuracy(pulse_phi0, traj_phi0):
+    """The default step agrees with half the step to 1e-10 up to the core.
+
+    This is the transport's noise level behind ``TRANSPORT_NOISE`` and the
+    trust horizon.
+    """
+    fine = integrate_frame(pulse_phi0, settings=ShootingSettings(dx=0.025))
+    upstream = traj_phi0.xs <= 0.0
+    err = np.abs(fine.plucker[::2] - traj_phi0.plucker)[upstream]
+    assert err.max() < TRANSPORT_NOISE
+
+
+def test_coarse_sampling_takes_sub_steps(pulse_phi0, traj_phi0):
+    """A sample spacing above the step cap is covered by equal sub-steps:
+    dx = 0.1 is the default transport sampled at every other step."""
+    coarse = integrate_frame(pulse_phi0, settings=ShootingSettings(dx=0.1))
+    assert len(coarse.samples) == 1201
+    assert np.array_equal(coarse.frames, traj_phi0.frames[::2])
+
+
+@pytest.mark.parametrize("coefficient, what", [(1e200, "potential"),
+                                               (1e20, "frame")])
+def test_overflow_raises_transport_error(coefficient, what):
+    """An overflowing potential, or a finite one whose step maps overflow,
+    stops the transport instead of yielding a NaN trajectory."""
+    a = np.zeros(9)
+    a[3] = coefficient
+    pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
+    with pytest.raises(TransportError, match=f"{what}.* is not finite"):
+        integrate_frame(pulse, settings=ShootingSettings(window=(-5.0, 5.0)))
 
 
 def test_frame_at_anchor_and_midpoint(traj_phi0):
