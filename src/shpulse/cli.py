@@ -148,7 +148,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             print(f"  {ev:.4f}  ({ev:.12f})")
     else:
         print("  none")
-    print(f"translation-mode eigenvalue: {report.zero_mode.real:+.3e}")
+    print(f"translation-mode eigenvalue: {report.zero_mode:+.3e}")
     return 0
 
 
@@ -164,7 +164,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     print(format_report(report))
     if args.out:
         write_trajectory(trajectory, args.out)
-        print(f"wrote {args.out} ({len(trajectory.samples)} rows)")
+        print(f"wrote {args.out} ({len(trajectory.xs)} rows)")
     return 0
 
 
@@ -174,7 +174,7 @@ def cmd_plucker(args: argparse.Namespace) -> int:
     trajectory = integrate_frame(pulse, lam=0.0, settings=cfg.settings())
     if args.out:
         write_trajectory(trajectory, args.out)
-        print(f"wrote {args.out} ({len(trajectory.samples)} rows)")
+        print(f"wrote {args.out} ({len(trajectory.xs)} rows)")
     else:
         write_trajectory(trajectory, sys.stdout)
     return 0

@@ -277,8 +277,8 @@ def stability_report(pulse: FourierPulse,
     if scan.clipped:
         warnings.append(
             f"scan clipped at the trust horizon x = {scan.horizon:.2f} "
-            f"(window extends to {b:g}); raise the mode count or tighten "
-            "tolerances to push the horizon out")
+            f"(window extends to {b:g}); raise the mode count to push the "
+            "horizon out")
     if scan.suspected_even:
         warnings.append(
             "suspected even-order touches (no sign change) at "

@@ -153,37 +153,17 @@ class LagrangianPath:
     parameter where the family is defined; ``domain`` bounds the interval
     that scanning routines cover.  Derivative stencils may evaluate the
     family slightly outside the domain, so ``frame_fn`` should tolerate a
-    small overhang when possible.  Optional precomputed ``samples`` are
-    ``(t, Frame)`` pairs with strictly increasing parameters; each sampled
-    frame must pass the Lagrangian check.
+    small overhang when possible.
     """
 
     frame_fn: Callable[[float], np.ndarray]
     domain: tuple[float, float]
-    samples: tuple | None = None
 
     def __post_init__(self) -> None:
         a, b = (float(self.domain[0]), float(self.domain[1]))
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
         object.__setattr__(self, "domain", (a, b))
-        if self.samples is not None:
-            cleaned = []
-            previous = -np.inf
-            for t, fr in self.samples:
-                t = float(t)
-                if t <= previous:
-                    raise ValueError("sample parameters must be strictly increasing")
-                previous = t
-                fr = fr if isinstance(fr, Frame) else Frame(np.asarray(fr, dtype=float))
-                check = is_lagrangian(fr)
-                if not check:
-                    raise ValueError(
-                        f"sample at t = {t:.6g} is not Lagrangian "
-                        f"(rank {check.rank}, residual {check.residual:.3e})"
-                    )
-                cleaned.append((t, fr))
-            object.__setattr__(self, "samples", tuple(cleaned))
 
     def frame(self, t: float) -> Frame:
         F = self.frame_fn(float(t))

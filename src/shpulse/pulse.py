@@ -31,6 +31,7 @@ __all__ = [
     "convolve3",
     "residual",
     "jacobian",
+    "parity_blocks",
     "newton_solve",
     "seed_from_normal_form",
     "evaluate",
@@ -82,6 +83,8 @@ class FourierPulse:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
+        if self.N < 0:
+            raise ValueError(f"N must be non-negative, got {self.N}")
         if a.shape != (self.N + 1,):
             raise ValueError(
                 f"expected {self.N + 1} coefficients a_0..a_N, got shape {a.shape}"
@@ -150,6 +153,25 @@ def _half_to_full(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h[:0:-1], h])
 
 
+def parity_blocks(a: np.ndarray, p: Params, L_f: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fold DF at the even half vector a_0..a_N into its parity blocks.
+
+    DF commutes with k -> -k at an even pulse, so it maps even vectors
+    (b_{-k} = b_k) and odd vectors (b_{-k} = -b_k, b_0 = 0) to themselves.
+    Substituting b_{-j} = +-b_j into rows k >= 0 gives the even block on
+    b_0..b_N (size N+1; the Newton matrix of the half vector) and the odd
+    block on b_1..b_N (size N, symmetric).  The even block is self-adjoint
+    for the weights (1, 2, 2, ...) that count each pair of modes once.
+    """
+    N = len(a) - 1
+    J = jacobian(_half_to_full(a), p, L_f)
+    mirror = J[N:, :N][:, ::-1]  # columns -1, -2, ..., -N
+    even = J[N:, N:].copy()
+    even[:, 1:] += mirror
+    odd = J[N + 1 :, N + 1 :] - mirror[1:]
+    return even, odd
+
+
 def newton_solve(
     seed: FourierPulse,
     tol: float = 1e-12,
@@ -158,8 +180,9 @@ def newton_solve(
 ) -> FourierPulse:
     """Refine a seed pulse by Newton's method on the half vector.
 
-    The reduced system substitutes a_{-k} = a_k into F_k for k = 0..N, so
-    the iteration acts on N+1 unknowns and never sees the translational
+    The reduced system substitutes a_{-k} = a_k into F_k for k = 0..N (its
+    matrix is the even block of `parity_blocks`), so the iteration acts on
+    N+1 unknowns and never sees the translational
     zero mode of the full system.  Convergence is declared on the sup-norm
     of the full residual.
 
@@ -186,12 +209,9 @@ def newton_solve(
             history.append(res_norm)
         if res_norm <= tol:
             return replace(seed, a=h, residual_norm=res_norm)
-        J = jacobian(full, seed.params, seed.L_f)
-        # columns of the reduced Jacobian: j and -j act together for j >= 1
-        Jh = J[N:, N:].copy()
-        Jh[:, 1:] += J[N:, N - 1 :: -1]
+        even, _ = parity_blocks(h, seed.params, seed.L_f)
         try:
-            step = np.linalg.solve(Jh, -F[N:])
+            step = np.linalg.solve(even, -F[N:])
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular Newton system: {exc}", res_norm) from exc
         h = h + step
@@ -293,11 +313,14 @@ def load(path) -> FourierPulse:
         bad = [f for f, v in scalars.items() if not np.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite value(s) for {', '.join(bad)}")
+        N = int(doc["N"])
+        if N < 1:
+            raise ValueError(f"N must be at least 1, got {N}")
         pulse = FourierPulse(
             params=Params(nu=scalars["nu"], mu=scalars["mu"]),
             phi=scalars["phi"],
             L_f=scalars["L_f"],
-            N=int(doc["N"]),
+            N=N,
             a=np.asarray(doc["coefficients"], dtype=float),
             residual_norm=scalars["residual_norm"],
         )

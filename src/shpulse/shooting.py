@@ -239,11 +239,7 @@ class FrameTrajectory:
         return Frame(out[-1])
 
     def path(self) -> LagrangianPath:
-        return LagrangianPath(
-            frame_fn=self.frame_at,
-            domain=self.settings.window,
-            samples=tuple((s.x, s.frame) for s in self.samples),
-        )
+        return LagrangianPath(self.frame_at, self.settings.window)
 
 
 def integrate_frame(pulse: FourierPulse, lam: float = 0.0,

@@ -1,11 +1,14 @@
-"""Point spectrum of the linearization from the dense Fourier Jacobian.
+"""Point spectrum of the linearization from the parity-split Fourier Jacobian.
 
 Linearizing the stationarity map F about a converged coefficient vector
 gives DF(a) on the full 2N+1 modes; its eigenvalues approximate the point
-spectrum of the linearized operator L = -(1+d_xx)^2 - mu + f'(phi).  The
-translational mode phi'(x) shows up as a near-zero eigenvalue with
-coefficient vector proportional to k*a_k, and is excluded from the
-unstable count.
+spectrum of the linearized operator L = -(1+d_xx)^2 - mu + f'(phi).  At a
+symmetric pulse DF is symmetric and commutes with k -> -k, so it splits
+into an even block (size N+1) and an odd block (size N), both symmetric
+after a diagonal rescaling, and the spectrum is the union of two real
+symmetric eigenvalue problems.  The translational mode phi'(x) is odd, with
+coefficients proportional to k*a_k: it is the odd-block eigenvalue nearest
+zero, and it is excluded from the unstable count.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pulse import FourierPulse, jacobian
+from .pulse import FourierPulse, parity_blocks
 
-__all__ = ["SpectrumReport", "eigenvalues_dense", "count_unstable"]
+__all__ = ["SpectrumReport", "count_unstable"]
 
 DEFAULT_THRESHOLD = 1e-4
 
@@ -25,14 +28,16 @@ DEFAULT_THRESHOLD = 1e-4
 class SpectrumReport:
     """Eigenvalue summary of DF(a) for one pulse.
 
-    `unstable` holds the real parts counted as unstable (real part above
-    `threshold`, translational near-zero mode excluded), sorted ascending.
-    `zero_mode` is the eigenvalue closest to 0.
+    `eigenvalues` is the full spectrum (2N+1 real values, ascending).
+    `unstable` holds the eigenvalues counted as unstable (above `threshold`,
+    translational mode excluded), sorted ascending.  `zero_mode` is the
+    translational eigenvalue and `zero_mode_vector` its full coefficient
+    vector b_{-N}..b_N.
     """
 
     eigenvalues: np.ndarray
     unstable: list[float]
-    zero_mode: complex
+    zero_mode: float
     threshold: float
     zero_mode_vector: np.ndarray = field(repr=False, default=None)
 
@@ -41,45 +46,36 @@ class SpectrumReport:
         return len(self.unstable)
 
 
-def eigenvalues_dense(M: np.ndarray) -> np.ndarray:
-    """Full spectrum (with multiplicity) of a dense real square matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] == 0:
-        raise ValueError("empty matrix has no spectrum")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
-    return np.linalg.eigvals(M)
-
-
 def count_unstable(
     pulse: FourierPulse, threshold: float = DEFAULT_THRESHOLD
 ) -> SpectrumReport:
     """Count unstable eigenvalues of the full-mode Jacobian at a pulse.
 
-    The Jacobian of a symmetric pulse is symmetric (diagonal plus a
-    symmetric convolution stencil), so its spectrum is real; eigenvalues
-    with real part above `threshold` are reported, except the one nearest
-    zero (the discretized translation mode phi', whose coefficients are
-    proportional to k*a_k).
+    The even block is symmetrized by the square roots of its weights
+    (1, 2, 2, ...); the odd block is symmetric as it stands.  Eigenvalues
+    above `threshold` are reported, except the translational one.
+
+    Raises
+    ------
+    ValueError
+        If the pulse has fewer than one mode besides a_0: a constant state
+        has no translation mode.
     """
-    a_full = pulse.full()
-    J = jacobian(a_full, pulse.params, pulse.L_f)
-    ev = eigenvalues_dense(J)
-    # eigenvector of the eigenvalue nearest zero, for diagnostics
-    i0 = int(np.argmin(np.abs(ev)))
-    zero_mode = complex(ev[i0])
-    w, V = np.linalg.eig(J)
-    j0 = int(np.argmin(np.abs(w - ev[i0])))
-    vec = np.real_if_close(V[:, j0])
+    if pulse.N < 1:
+        raise ValueError(f"the spectrum needs N >= 1 modes, got N = {pulse.N}")
+    even, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
+    s = np.sqrt(np.r_[1.0, np.full(pulse.N, 2.0)])
+    ev_even = np.linalg.eigvalsh(s[:, None] * even / s[None, :])
+    ev_odd, V = np.linalg.eigh(odd)
+    i0 = int(np.argmin(np.abs(ev_odd)))
+    v = V[:, i0]
     unstable = sorted(
-        float(e.real) for k, e in enumerate(ev) if e.real > threshold and k != i0
+        float(e) for e in np.r_[ev_even, np.delete(ev_odd, i0)] if e > threshold
     )
     return SpectrumReport(
-        eigenvalues=ev,
+        eigenvalues=np.sort(np.r_[ev_even, ev_odd]),
         unstable=unstable,
-        zero_mode=zero_mode,
+        zero_mode=float(ev_odd[i0]),
         threshold=threshold,
-        zero_mode_vector=np.asarray(vec, dtype=float),
+        zero_mode_vector=np.r_[-v[::-1], 0.0, v],
     )

@@ -151,6 +151,19 @@ def test_spectrum_missing_file_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N, coefficients", [(0, [-1.0]), (-1, [])])
+def test_spectrum_degenerate_mode_count_exits_one(phi0_file, tmp_path, capsys,
+                                                 N, coefficients):
+    doc = json.loads(phi0_file.read_text())
+    doc.update(N=N, coefficients=coefficients)
+    bad = tmp_path / "degenerate.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["spectrum", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "N must be at least 1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # conjugate command
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from shpulse.lagrangian import Frame, crossing_form, sandwich_plane
 from shpulse.model import Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
+from shpulse.verify import REFERENCE_PULSES
 
 
 class _StubTrajectory:
@@ -214,3 +215,64 @@ def test_record_counts_property():
                                case="III", Q1=0.0, Q3=None,
                                simplicity_norm=0.0, refined_tol=1e-8)
     assert not rec.counts
+
+
+GOLDEN_REPORTS = {
+    "phi0": """\
+pulse: phi=0 nu=1.6 mu=0.05 (L_f=100, N=192)
+
+unstable eigenvalues (spectral route):
+  +0.120898093
+
+conjugate points (geometric route):
+            x*  case            Q1            Q3  simplicity
+      1.239897     I      0.939251             -      0.8193
+
+lambda_infinity bound: 1.638558
+asymptotic plane off the sandwich plane: yes
+potential tail at the window edge: 1.545e-03
+
+verdict: 1 unstable eigenvalue(s) vs 1 conjugate point(s) -> MATCH""",
+    "phipi": """\
+pulse: phi=3.14159 nu=1.6 mu=0.05 (L_f=100, N=192)
+
+unstable eigenvalues (spectral route):
+  +0.005832115
+  +0.117893285
+
+conjugate points (geometric route):
+            x*  case            Q1            Q3  simplicity
+     -0.631220     I      0.333801             -      0.7464
+     17.588697     I      0.806582             -      0.8816
+
+lambda_infinity bound: 1.595827
+asymptotic plane off the sandwich plane: yes
+potential tail at the window edge: 1.586e-03
+
+verdict: 2 unstable eigenvalue(s) vs 2 conjugate point(s) -> MATCH""",
+    "snaking": """\
+pulse: phi=0 nu=1.6 mu=0.2 (L_f=100, N=256)
+
+unstable eigenvalues (spectral route):
+  none
+
+conjugate points (geometric route):
+  none
+
+lambda_infinity bound: 1.653322
+asymptotic plane off the sandwich plane: yes
+potential tail at the window edge: 5.006e-05
+warning: scan clipped at the trust horizon x = 46.56 (window extends to 60); \
+raise the mode count to push the horizon out
+
+verdict: 0 unstable eigenvalue(s) vs 0 conjugate point(s) -> MATCH""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_text_is_pinned(name):
+    """The text `shpulse conjugate` prints for each reference pulse, byte for byte."""
+    ref = REFERENCE_PULSES[name]
+    pulse = newton_solve(seed_from_normal_form(
+        ref["params"], ref["phi"], scale=ref["scale"], N=ref["N"]))
+    assert format_report(stability_report(pulse)) == GOLDEN_REPORTS[name]

@@ -275,6 +275,23 @@ def test_load_rejects_nonpositive_mu(tmp_path):
         sp.load(path)
 
 
+@pytest.mark.parametrize("N, coefficients", [(0, [0.5]), (-1, [])])
+def test_load_rejects_degenerate_mode_count(tmp_path, N, coefficients):
+    doc = {
+        "nu": 1.6,
+        "mu": 0.05,
+        "phi": 0.0,
+        "L_f": 100.0,
+        "N": N,
+        "coefficients": coefficients,
+        "residual_norm": 0.0,
+    }
+    path = tmp_path / "pulse.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PulseFileError, match="N must be at least 1"):
+        sp.load(path)
+
+
 def test_load_rejects_wrong_coefficient_count(tmp_path):
     doc = {
         "nu": 1.6,
@@ -322,3 +339,5 @@ def test_pulse_validation():
         FourierPulse(params=P, phi=0.0, L_f=100.0, N=3, a=np.zeros(2), residual_norm=0.0)
     with pytest.raises(ValueError, match="finite"):
         make_pulse([0.0, np.nan])
+    with pytest.raises(ValueError, match="non-negative"):
+        FourierPulse(params=P, phi=0.0, L_f=100.0, N=-1, a=np.zeros(0), residual_norm=0.0)

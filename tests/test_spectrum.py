@@ -1,28 +1,38 @@
-"""Dense-Jacobian spectrum and unstable-eigenvalue counting."""
+"""Parity-split Jacobian spectrum and unstable-eigenvalue counting."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shpulse.pulse import jacobian
-from shpulse.spectrum import count_unstable, eigenvalues_dense
+from shpulse.model import Params
+from shpulse.pulse import (FourierPulse, NewtonError, jacobian, newton_solve,
+                           parity_blocks, residual)
+from shpulse.spectrum import count_unstable
 
 
-def test_eigenvalues_dense_known_spectra():
-    assert np.allclose(sorted(eigenvalues_dense(np.eye(3)).real), [1, 1, 1])
-    ev = sorted(eigenvalues_dense(np.diag([1.0, -2.0, 5.0])).real)
-    assert np.allclose(ev, [-2, 1, 5])
-    companion = np.array([[0.0, -1.0], [1.0, 0.0]])  # t^2 + 1
-    ev = eigenvalues_dense(companion)
-    assert np.allclose(sorted(ev.imag), [-1, 1]) and np.allclose(ev.real, 0)
-
-
-def test_eigenvalues_dense_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigenvalues_dense(np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        eigenvalues_dense(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigenvalues_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_parity_blocks_split_the_full_spectrum():
+    rng = np.random.default_rng(7)
+    p, L_f, N = Params(nu=1.6, mu=0.05), 20.0, 12
+    seed = FourierPulse(params=p, phi=0.0, L_f=L_f, N=N,
+                        a=rng.normal(scale=0.3, size=N + 1), residual_norm=np.nan)
+    even, odd = parity_blocks(seed.a, p, L_f)
+    assert even.shape == (N + 1, N + 1) and odd.shape == (N, N)
+    s = np.sqrt(np.r_[1.0, np.full(N, 2.0)])
+    union = np.sort(np.r_[np.linalg.eigvalsh(s[:, None] * even / s[None, :]),
+                          np.linalg.eigvalsh(odd)])
+    J = jacobian(seed.full(), p, L_f)
+    assert np.abs(union - np.linalg.eigvalsh(J)).max() < 1e-12
+    # the even block is the Jacobian of the half-vector residual (chain rule
+    # through the even extension) and is the matrix Newton steps with
+    E = np.vstack([np.eye(N + 1)[:0:-1], np.eye(N + 1)])
+    assert np.array_equal(even, J[N:] @ E)
+    step = np.linalg.solve(even, -residual(seed.full(), p, L_f)[N:])
+    stepped = replace(seed, a=seed.a + step)
+    history = []
+    with pytest.raises(NewtonError):
+        newton_solve(seed, tol=0.0, max_iter=1, history=history)
+    assert history[1] == np.abs(residual(stepped.full(), p, L_f)).max()
 
 
 def test_unstable_counts_for_reference_pulses(pulse_phi0, pulse_phipi, pulse_snaking):
