@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .conjugate import (DEGENERACY_TOL, SIMPLICITY_THRESHOLD, format_report,
                         stability_report)
@@ -52,7 +52,8 @@ class RunConfig:
     also the Magnus step up to 0.05) and decision thresholds
     (``unstable_threshold``, ``degeneracy_tol``, ``simplicity_threshold``).
     ``nu``/``mu``/``phi`` stay ``None`` until a command that needs them
-    checks for their presence.
+    checks for their presence.  ``N`` must be an integer and every other
+    field a finite real number; booleans are neither.
     """
 
     nu: float | None = None
@@ -69,6 +70,16 @@ class RunConfig:
     simplicity_threshold: float = SIMPLICITY_THRESHOLD
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "N":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"N must be an integer, got {value!r}")
+            elif value is None and f.default is None:
+                continue
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         positive = ("scale", "L_f", "newton_tol", "L_cp", "sample_dx",
                     "unstable_threshold", "degeneracy_tol",
                     "simplicity_threshold")
@@ -129,11 +140,9 @@ def cmd_pulse(args: argparse.Namespace) -> int:
     solved = newton_solve(seed, tol=cfg.newton_tol)
     out = args.out or (f"pulse_nu{cfg.nu:g}_mu{cfg.mu:g}_phi{cfg.phi:g}.json")
     save(solved, out)
-    peak = float(np.max(np.abs(solved.a)))
-    tail = float(abs(solved.a[-1])) / peak if peak > 0 else 0.0
     print(f"wrote {out}")
     print(f"residual sup-norm: {solved.residual_norm:.3e}")
-    print(f"coefficient tail |a_N|/max|a_k|: {tail:.3e}")
+    print(f"coefficient tail |a_N|/max|a_k|: {solved.tail_floor:.3e}")
     print(f"value at the origin: {evaluate(solved, 0.0):.9f}")
     return 0
 

@@ -60,9 +60,7 @@ def trust_horizon(pulse: FourierPulse, lam: float = 0.0) -> float:
     """
     data = asymptotic_frames(lam, pulse.params)
     alpha, beta = data.gamma1.real, data.gamma1.imag
-    peak = float(np.max(np.abs(pulse.a)))
-    tail_floor = float(np.abs(pulse.a[-1])) / peak if peak > 0 else 0.0
-    eps = max(tail_floor, TRANSPORT_NOISE)
+    eps = max(pulse.tail_floor, TRANSPORT_NOISE)
     return float(np.log(1.0 / eps) / (2.0 * alpha) - 2.0 * np.pi / beta)
 
 
@@ -74,7 +72,6 @@ class ScanResult:
     suspected_even: tuple[float, ...]
     horizon: float
     clipped: bool
-    bracket_tol: float
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class ConjugatePointRecord:
     Q1: float
     Q3: float | None
     simplicity_norm: float
-    refined_tol: float
 
     @property
     def counts(self) -> bool:
@@ -119,15 +115,13 @@ def _deta_at(traj: FrameTrajectory, x: float) -> float:
     return sandwich_determinant(traj.frame_at(x))
 
 
-def scan_and_refine(traj: FrameTrajectory,
-                    bracket_tol: float = BRACKET_TOL,
-                    dip_tol: float = DIP_TOL) -> ScanResult:
+def scan_and_refine(traj: FrameTrajectory) -> ScanResult:
     """Locate the zeros of the sandwich determinant along the trajectory.
 
     Sign changes between samples are refined by bisection, re-evaluating
     the determinant by a partial step from the nearest sample, until the
-    bracket is narrower than ``bracket_tol``.  Local minima of ``|detA|``
-    below ``dip_tol`` that do not change sign are reported separately as
+    bracket is narrower than ``BRACKET_TOL``.  Local minima of ``|detA|``
+    below ``DIP_TOL`` that do not change sign are reported separately as
     suspected even-order touches (they contribute nothing to the count).
     An empty result is a valid outcome.
     """
@@ -143,7 +137,7 @@ def scan_and_refine(traj: FrameTrajectory,
     for i in np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]:
         lo, hi = float(xs[i]), float(xs[i + 1])
         dlo = d[i]
-        while hi - lo > bracket_tol:
+        while hi - lo > BRACKET_TOL:
             mid = 0.5 * (lo + hi)
             dmid = _deta_at(traj, mid)
             if dmid == 0.0:
@@ -159,7 +153,7 @@ def scan_and_refine(traj: FrameTrajectory,
     suspected = [
         float(xs[i])
         for i in range(1, len(d) - 1)
-        if absd[i] < dip_tol
+        if absd[i] < DIP_TOL
         and absd[i] <= absd[i - 1]
         and absd[i] <= absd[i + 1]
         and np.sign(d[i - 1]) == np.sign(d[i + 1])
@@ -170,24 +164,21 @@ def scan_and_refine(traj: FrameTrajectory,
         suspected_even=tuple(suspected),
         horizon=horizon,
         clipped=clipped,
-        bracket_tol=bracket_tol,
     )
 
 
 def classify(x_star: float, traj: FrameTrajectory,
-             degeneracy_tol: float = DEGENERACY_TOL,
-             refined_tol: float = BRACKET_TOL) -> ConjugatePointRecord:
+             degeneracy_tol: float = DEGENERACY_TOL) -> ConjugatePointRecord:
     """Classify the crossing at ``x_star`` from the frame's kernel vector.
 
-    The kernel direction of the rows-(1,4) submatrix is lifted through the
-    frame to the intersection vector ``p`` (unit norm, first and last
-    entries vanish at a true crossing), and the closed-form crossing values
-    ``Q1 = p2^2`` and, when that degenerates, ``Q3 = 2 p3^2`` decide the
-    case.  ``simplicity_norm`` is the surviving singular value of the
+    The kernel direction of the rows-(1,4) submatrix of the orthonormal
+    frame ``traj.frame_at(x_star)`` is lifted through the frame to the
+    intersection vector ``p`` (unit norm, first and last entries vanish at
+    a true crossing), and the closed-form crossing values ``Q1 = p2^2``
+    and, when that degenerates, ``Q3 = 2 p3^2`` decide the case.  ``simplicity_norm`` is the surviving singular value of the
     submatrix; a crossing is accepted as simple only above 1e-3.
     """
-    F = traj.frame_at(x_star)
-    M = F.orthonormalized().M
+    M = traj.frame_at(x_star)
     sub = M[[0, 3], :]
     _, s, vt = np.linalg.svd(sub)
     simplicity = float(s[0])
@@ -196,7 +187,6 @@ def classify(x_star: float, traj: FrameTrajectory,
         return ConjugatePointRecord(
             x_star=float(x_star), kernel_vector=np.zeros(4), case="III",
             Q1=0.0, Q3=None, simplicity_norm=simplicity,
-            refined_tol=refined_tol,
         )
     u = vt[1]  # right-singular vector of the smaller singular value
     p = M @ u
@@ -208,12 +198,10 @@ def classify(x_star: float, traj: FrameTrajectory,
         return ConjugatePointRecord(
             x_star=float(x_star), kernel_vector=p, case="I",
             Q1=Q1, Q3=None, simplicity_norm=simplicity,
-            refined_tol=refined_tol,
         )
     return ConjugatePointRecord(
         x_star=float(x_star), kernel_vector=p, case="II",
         Q1=Q1, Q3=float(2.0 * p[2] ** 2), simplicity_norm=simplicity,
-        refined_tol=refined_tol,
     )
 
 

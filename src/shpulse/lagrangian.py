@@ -2,13 +2,15 @@
 
 A plane of dimension ``n`` in ``R^{2n}`` is Lagrangian when the standard
 symplectic form ``omega(u, v) = <u, J v>`` vanishes identically on it.  This
-module represents planes by ``2n``-by-``n`` frame matrices and provides the
+module represents planes by plain ``2n``-by-``n`` float arrays (frames), a
+sequence of planes by one ``(..., 2n, n)`` array, and provides the
 machinery needed to count how a one-parameter family of planes crosses a
 fixed reference plane:
 
 * graph coordinates: near ``t0`` every plane of the family is the graph
   ``{v + A(t) v : v in ell(t0)}`` of a matrix family ``A(t)`` taking values
-  in a chosen complement ``W``, with ``A(t0) = 0``;
+  in a complement ``W`` (``J ell(t0)`` unless a caller of
+  :func:`quadratic_form` supplies another), with ``A(t0) = 0``;
 * crossing forms: the order-``j`` form on the intersection with the
   reference plane is the raw derivative ``Q_j(v) = d^j/dt^j omega(v, A(t) v)``
   at ``t0`` (no factorial normalisation), evaluated here by central finite
@@ -65,45 +67,14 @@ def omega(u, v) -> float:
     return float(u[:n] @ v[n:] - u[n:] @ v[:n])
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """A ``2n``-by-``n`` matrix whose columns span a plane in ``R^{2n}``."""
-
-    M: np.ndarray
-
-    def __post_init__(self) -> None:
-        M = np.asarray(self.M, dtype=float)
-        if M.ndim != 2 or M.shape[1] == 0 or M.shape[0] != 2 * M.shape[1]:
-            raise ValueError(f"frame must be 2n-by-n, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("frame entries must be finite")
-        object.__setattr__(self, "M", M)
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[1]
-
-    @property
-    def X(self) -> np.ndarray:
-        """Top n-by-n block."""
-        return self.M[: self.n]
-
-    @property
-    def Y(self) -> np.ndarray:
-        """Bottom n-by-n block."""
-        return self.M[self.n :]
-
-    def orthonormalized(self) -> "Frame":
-        """Same span, orthonormal columns (QR with positive diagonal)."""
-        q, _ = _qr_positive(self.M)
-        return Frame(q)
-
-
-def _frame_matrix(obj) -> np.ndarray:
-    """Accept a Frame or a plain array and return the 2n-by-n matrix."""
-    if isinstance(obj, Frame):
-        return obj.M
-    return Frame(np.asarray(obj, dtype=float)).M
+def _frame_matrix(frame) -> np.ndarray:
+    """Validate a 2n-by-n frame with finite entries; return it as floats."""
+    M = np.asarray(frame, dtype=float)
+    if M.ndim != 2 or M.shape[1] == 0 or M.shape[0] != 2 * M.shape[1]:
+        raise ValueError(f"frame must be 2n-by-n, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("frame entries must be finite")
+    return M
 
 
 def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,42 +89,15 @@ def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, r * s[:, None]
 
 
-@dataclass(frozen=True)
-class LagrangianCheck:
-    """Outcome of the Lagrangian test; truthy iff the plane passes."""
-
-    ok: bool
-    residual: float
-    rank: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_lagrangian(frame, tol: float = 1e-9) -> LagrangianCheck:
-    """Check that a frame has full rank and isotropic span.
-
-    The residual is ``max |X^T Y - Y^T X|`` evaluated on the orthonormalized
-    frame, so it is invariant under column scaling.
-    """
-    M = _frame_matrix(frame)
-    n = M.shape[1]
-    rank = int(np.linalg.matrix_rank(M))
-    q, _ = _qr_positive(M)
-    S = q[:n].T @ q[n:]
-    residual = float(np.max(np.abs(S - S.T)))
-    return LagrangianCheck(ok=(rank == n and residual < tol), residual=residual, rank=rank)
-
-
 @dataclass(frozen=True, eq=False)
 class LagrangianPath:
     """A one-parameter family of Lagrangian planes.
 
-    ``frame_fn`` must return a 2n-by-n frame matrix (or Frame) for any
-    parameter where the family is defined; ``domain`` bounds the interval
-    that scanning routines cover.  Derivative stencils may evaluate the
-    family slightly outside the domain, so ``frame_fn`` should tolerate a
-    small overhang when possible.
+    ``frame_fn`` must return a 2n-by-n frame matrix for any parameter where
+    the family is defined; ``domain`` bounds the interval that scanning
+    routines cover.  Derivative stencils may evaluate the family slightly
+    outside the domain, so ``frame_fn`` should tolerate a small overhang
+    when possible.
     """
 
     frame_fn: Callable[[float], np.ndarray]
@@ -165,9 +109,8 @@ class LagrangianPath:
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
         object.__setattr__(self, "domain", (a, b))
 
-    def frame(self, t: float) -> Frame:
-        F = self.frame_fn(float(t))
-        return F if isinstance(F, Frame) else Frame(np.asarray(F, dtype=float))
+    def frame(self, t: float) -> np.ndarray:
+        return _frame_matrix(self.frame_fn(float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,30 +120,37 @@ class LagrangianPath:
 PLUCKER_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def plucker(frame) -> np.ndarray:
+def plucker(frames) -> np.ndarray:
     """Unit-norm Plücker coordinates ``(P12, P13, P14, P23, P24, P34)``.
 
-    The overall sign is inherited from the column orientation of the frame;
-    right-multiplying by a matrix with positive determinant leaves the
-    result unchanged, a negative determinant flips it.
+    Accepts one 4-by-2 frame or a stack of shape ``(..., 4, 2)`` and
+    returns coordinates of shape ``(..., 6)``.  The overall sign is
+    inherited from the column orientation of the frame; right-multiplying
+    by a matrix with positive determinant leaves the result unchanged, a
+    negative determinant flips it.  With singular values s1 >= s2 of a
+    frame, ``|P| = s1 s2`` and ``|M|_F^2 = s1^2 + s2^2``, so the rank test
+    ``|P| <= 1e-12 |M|_F^2`` is ``s2 <= 1e-12 s1`` up to rounding.
     """
-    M = _frame_matrix(frame)
-    if M.shape != (4, 2):
+    M = np.asarray(frames, dtype=float)
+    if M.shape[-2:] != (4, 2):
         raise ValueError(f"the Plücker chart requires a 4-by-2 frame, got {M.shape}")
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[1] <= 1e-12 * sv[0]:
+    if not np.all(np.isfinite(M)):
+        raise ValueError("frame entries must be finite")
+    a, b = M[..., 0], M[..., 1]
+    i, j = np.array(PLUCKER_PAIRS).T
+    P = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    norm = np.linalg.norm(P, axis=-1, keepdims=True)
+    if np.any(norm <= 1e-12 * np.sum(M * M, axis=(-2, -1))[..., None]):
         raise ValueError("rank-deficient frame has no Plücker image")
-    a, b = M[:, 0], M[:, 1]
-    P = np.array([a[i] * b[j] - a[j] * b[i] for i, j in PLUCKER_PAIRS])
-    return P / np.linalg.norm(P)
+    return P / norm
 
 
-def sandwich_plane() -> Frame:
-    """The reference plane ``span{e2, e3}``."""
+def sandwich_plane() -> np.ndarray:
+    """Frame of the reference plane ``span{e2, e3}``."""
     M = np.zeros((4, 2))
     M[1, 0] = 1.0
     M[2, 1] = 1.0
-    return Frame(M)
+    return M
 
 
 def sandwich_train_contains(point, atol: float = 1e-9) -> bool:
@@ -221,8 +171,20 @@ def sandwich_train_contains(point, atol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _graph_images(L: np.ndarray, W: np.ndarray, V: np.ndarray, t: float,
-                  cond_max: float = 1e10) -> np.ndarray:
+# Base step of the finite-difference stencils and the number of Richardson
+# levels applied to them.
+FD_STEP = 0.01
+FD_LEVELS = 2
+# Largest condition number of the graph-coordinate system that still counts
+# as transverse.
+MAX_CONDITION = 1e10
+# Crossing-form eigenvalues at or below this size count as zero.
+FORM_DEGENERACY_TOL = 1e-6
+# Relative singular-value cut-off of the intersection with the reference.
+KERNEL_TOL = 1e-8
+
+
+def _graph_images(L: np.ndarray, W: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     """Apply the graph map onto span(W) to the columns of V.
 
     For each column v the system ``[L | -W] (c; w) = v`` expresses
@@ -231,31 +193,13 @@ def _graph_images(L: np.ndarray, W: np.ndarray, V: np.ndarray, t: float,
     n = L.shape[1]
     S = np.hstack([L, -W])
     cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise TransversalityError(
             f"graph coordinates break down at t = {t:.6g}: "
-            f"condition number {cond:.3e} exceeds {cond_max:.1e}"
+            f"condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
         )
     z = np.linalg.solve(S, V)
     return W @ z[n:]
-
-
-def graph_matrix(path: LagrangianPath, t0: float, t: float, W=None,
-                 cond_max: float = 1e10) -> np.ndarray:
-    """Matrix of the graph map representing ``ell(t)`` over ``ell(t0)``.
-
-    Returns the 2n-by-2n matrix A(t) with
-    ``ell(t) = {v + A(t) v : v in ell(t0)}`` whose range lies in span(W),
-    extended by zero on the orthogonal complement of ``ell(t0)``.  By
-    construction ``A(t0) = 0``.  ``W`` defaults to ``J ell(t0)``, the
-    orthogonal complement of a Lagrangian plane.
-    """
-    L0 = path.frame(t0).M
-    n = L0.shape[1]
-    W = standard_symplectic_matrix(n) @ L0 if W is None else _frame_matrix(W)
-    L = path.frame(t).M
-    Z = _graph_images(L, W, L0, t, cond_max)
-    return Z @ np.linalg.pinv(L0)
 
 
 @lru_cache(maxsize=None)
@@ -277,12 +221,13 @@ def _stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fd_derivative(g: Callable[[float], np.ndarray], t0: float, order: int,
-                   h: float, levels: int) -> np.ndarray:
+                   h: float) -> np.ndarray:
     """Derivative of ``g`` at ``t0`` by central differences plus Richardson.
 
     The symmetric stencil has error terms in even powers of h starting at
-    h^(order+1) for odd orders and h^(order+2) for even ones; each
-    Richardson level halves the step and cancels the current leading term.
+    h^(order+1) for odd orders and h^(order+2) for even ones; each of the
+    ``FD_LEVELS`` Richardson levels halves the step and cancels the current
+    leading term.
     """
     m, w = _stencil(order)
     p = order + 1 if order % 2 else order + 2
@@ -291,34 +236,32 @@ def _fd_derivative(g: Callable[[float], np.ndarray], t0: float, order: int,
         vals = np.stack([np.asarray(g(t0 + k * step), dtype=float) for k in m])
         return np.tensordot(w, vals, axes=1) / step**order
 
-    ests = [estimate(h / 2**k) for k in range(levels + 1)]
-    for level in range(levels):
+    ests = [estimate(h / 2**k) for k in range(FD_LEVELS + 1)]
+    for level in range(FD_LEVELS):
         f = 2.0 ** (p + 2 * level)
         ests = [(f * ests[k + 1] - ests[k]) / (f - 1.0) for k in range(len(ests) - 1)]
     return ests[0]
 
 
 def _effective_step(W: np.ndarray, V: np.ndarray,
-                    path: LagrangianPath, t0: float, h: float,
-                    cond_max: float) -> float:
-    """Widen the base step for slowly moving families.
+                    path: LagrangianPath, t0: float) -> float:
+    """Widen the base step ``FD_STEP`` for slowly moving families.
 
     The graph map vanishes at t0, so ||A|| near t0 scales like speed * dt;
     a slow family would otherwise bury the finite differences in roundoff.
     The step is never shrunk and is capped at twenty times the base.
     """
+    h = FD_STEP
     norms = []
     for t in (t0 - h, t0 + h):
-        norms.append(np.linalg.norm(_graph_images(path.frame(t).M, W, V, t, cond_max)))
+        norms.append(np.linalg.norm(_graph_images(path.frame(t), W, V, t)))
     speed = (norms[0] + norms[1]) / (2.0 * h * max(1.0, np.linalg.norm(V)))
     if speed <= 0.0:
         return 20.0 * h
     return h * min(max(1.0, 1.0 / speed), 20.0)
 
 
-def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None,
-                   h: float = 0.01, richardson: int = 2,
-                   cond_max: float = 1e10) -> float:
+def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> float:
     """Raw crossing form ``Q_order(v) = d^order/dt^order omega(v, A(t) v)``.
 
     ``v`` must lie in the plane at ``t0``; it is used as given, without
@@ -334,24 +277,23 @@ def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None,
         raise ValueError("order must be a positive integer")
     v = np.asarray(v, dtype=float)
     F0 = path.frame(t0)
-    n = F0.n
+    n = F0.shape[1]
     if v.shape != (2 * n,):
         raise ValueError(f"vector must have length {2 * n}")
-    W = standard_symplectic_matrix(n) @ F0.M if W is None else _frame_matrix(W)
-    coeff, *_ = np.linalg.lstsq(F0.M, v, rcond=None)
-    if np.linalg.norm(F0.M @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
+    W = standard_symplectic_matrix(n) @ F0 if W is None else _frame_matrix(W)
+    coeff, *_ = np.linalg.lstsq(F0, v, rcond=None)
+    if np.linalg.norm(F0 @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise ValueError("vector does not lie in the plane at t0")
     V = v[:, None]
 
     def g(t: float) -> float:
-        image = _graph_images(path.frame(t).M, W, V, t, cond_max)
+        image = _graph_images(path.frame(t), W, V, t)
         return omega(v, image[:, 0])
 
-    h_eff = _effective_step(W, V, path, t0, h, cond_max)
-    return float(_fd_derivative(g, t0, order, h_eff, richardson))
+    return float(_fd_derivative(g, t0, order, _effective_step(W, V, path, t0)))
 
 
-def intersection_basis(frame_a, frame_b, tol: float = 1e-8) -> np.ndarray:
+def intersection_basis(frame_a, frame_b, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal basis (2n-by-k) of the intersection of two spans."""
     A, _ = _qr_positive(_frame_matrix(frame_a))
     B, _ = _qr_positive(_frame_matrix(frame_b))
@@ -363,6 +305,25 @@ def intersection_basis(frame_a, frame_b, tol: float = 1e-8) -> np.ndarray:
     coeffs = vt[small.nonzero()[0]].T[: A.shape[1]]
     basis, _ = _qr_positive(A @ coeffs)
     return basis
+
+
+def _kernel_form(path: LagrangianPath, t0: float, reference, kernel_tol: float,
+                 purpose: str):
+    """Crossing kernel ``U`` at ``t0``, the complement ``W = J ell(t0)`` and
+    the kernel-projected graph flow ``t -> U^T J A(t) U``."""
+    F0 = path.frame(t0)
+    U = intersection_basis(F0, reference, kernel_tol)
+    if U.shape[1] == 0:
+        raise NotACrossingError(
+            f"the planes are transverse at t = {t0:.6g}; there is no {purpose}"
+        )
+    J = standard_symplectic_matrix(F0.shape[1])
+    W = J @ F0
+
+    def form_at(t: float) -> np.ndarray:
+        return U.T @ J @ _graph_images(path.frame(t), W, U, t)
+
+    return U, W, form_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,43 +353,31 @@ class CrossingFormResult:
 
 
 def crossing_form(path: LagrangianPath, t0: float, reference, max_order: int = 3,
-                  W=None, h: float = 0.01, richardson: int = 2,
-                  degeneracy_tol: float = 1e-6, kernel_tol: float = 1e-8,
-                  cond_max: float = 1e10) -> CrossingFormResult:
+                  kernel_tol: float = KERNEL_TOL) -> CrossingFormResult:
     """Classify a crossing by its first nondegenerate form.
 
     The kernel of the crossing is the intersection of the plane at ``t0``
     with the reference plane, orthonormalized.  For each order j the form
-    matrix ``d^j/dt^j omega(u_a, A(t) u_b)`` is evaluated on that basis; the
-    first order whose eigenvalues all clear the degeneracy tolerance
-    determines the result.  A form that is nonzero on part of the kernel
-    only is outside the supported theory and raises CrossingError, as does
-    full degeneracy through ``max_order``.
+    matrix ``d^j/dt^j omega(u_a, A(t) u_b)`` is evaluated on that basis with
+    the complement ``J ell(t0)``; the first order whose eigenvalues all
+    clear ``FORM_DEGENERACY_TOL`` determines the result.  A form that is
+    nonzero on part of the kernel only is outside the supported theory and
+    raises CrossingError, as does full degeneracy through ``max_order``.
     """
     if max_order < 1:
         raise ValueError("max_order must be a positive integer")
-    F0 = path.frame(t0)
-    n = F0.n
-    U = intersection_basis(F0, reference, kernel_tol)
+    U, W, form_at = _kernel_form(path, t0, reference, kernel_tol,
+                                 "crossing to classify")
     k = U.shape[1]
-    if k == 0:
-        raise NotACrossingError(
-            f"the planes are transverse at t = {t0:.6g}; there is no crossing to classify"
-        )
-    W = standard_symplectic_matrix(n) @ F0.M if W is None else _frame_matrix(W)
-    J = standard_symplectic_matrix(n)
-    h_eff = _effective_step(W, U, path, t0, h, cond_max)
-
-    def form_at(t: float) -> np.ndarray:
-        return U.T @ J @ _graph_images(path.frame(t).M, W, U, t, cond_max)
+    h_eff = _effective_step(W, U, path, t0)
 
     lower: list[float] = []
     for order in range(1, max_order + 1):
-        G = _fd_derivative(form_at, t0, order, h_eff, richardson)
+        G = _fd_derivative(form_at, t0, order, h_eff)
         G = 0.5 * (G + G.T)
         eigenvalues = np.linalg.eigvalsh(G)
-        p = int(np.sum(eigenvalues > degeneracy_tol))
-        q = int(np.sum(eigenvalues < -degeneracy_tol))
+        p = int(np.sum(eigenvalues > FORM_DEGENERACY_TOL))
+        q = int(np.sum(eigenvalues < -FORM_DEGENERACY_TOL))
         if p + q == 0:
             lower.append(float(np.max(np.abs(eigenvalues))))
             continue
@@ -450,9 +399,8 @@ def crossing_form(path: LagrangianPath, t0: float, reference, max_order: int = 3
 
 
 def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
-                      half_width: float = 0.3, num: int = 61, W=None,
-                      kernel_tol: float = 1e-8,
-                      cond_max: float = 1e10) -> tuple[np.ndarray, np.ndarray]:
+                      half_width: float = 0.3,
+                      num: int = 61) -> tuple[np.ndarray, np.ndarray]:
     """Small eigenvalues of the kernel-projected graph flow near a crossing.
 
     Returns ``(ts, lams)`` where ``lams[i]`` holds the ascending eigenvalues
@@ -460,19 +408,12 @@ def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
     (shape ``(num, kernel_dim)``).  These are the eigenvalue branches whose
     signs and derivatives the crossing forms summarize.
     """
-    F0 = path.frame(t0)
-    n = F0.n
-    U = intersection_basis(F0, reference, kernel_tol)
-    if U.shape[1] == 0:
-        raise NotACrossingError(
-            f"the planes are transverse at t = {t0:.6g}; there is no eigenvalue branch to track"
-        )
-    W = standard_symplectic_matrix(n) @ F0.M if W is None else _frame_matrix(W)
-    J = standard_symplectic_matrix(n)
+    U, _, form_at = _kernel_form(path, t0, reference, KERNEL_TOL,
+                                 "eigenvalue branch to track")
     ts = np.linspace(t0 - half_width, t0 + half_width, num)
     lams = np.empty((num, U.shape[1]))
     for i, t in enumerate(ts):
-        G = U.T @ J @ _graph_images(path.frame(t).M, W, U, t, cond_max)
+        G = form_at(t)
         lams[i] = np.linalg.eigvalsh(0.5 * (G + G.T))
     return ts, lams
 
@@ -480,6 +421,14 @@ def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
 # ---------------------------------------------------------------------------
 # Maslov index
 # ---------------------------------------------------------------------------
+
+
+# Relative size of |det| that counts as a crossing, relative size below
+# which a local minimum of |det| is searched for an even-order touch, and
+# the location accuracy of both searches.
+DET_TOL = 1e-8
+DIP_TOL = 1e-6
+REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -505,15 +454,14 @@ class MaslovResult:
 
 
 def maslov_index(path: LagrangianPath, reference, a: float | None = None,
-                 b: float | None = None, num: int = 1001, max_order: int = 3,
-                 det_tol: float = 1e-8, dip_tol: float = 1e-6,
-                 refine_tol: float = 1e-10, **form_kwargs) -> MaslovResult:
+                 b: float | None = None, num: int = 1001,
+                 max_order: int = 3) -> MaslovResult:
     """Maslov index of the family against a reference plane on [a, b].
 
     Crossings are located as sign changes of ``det [Q(t) | Q_ref]`` built
-    from orthonormalized frames (refined by bisection), plus isolated dips
-    of ``|det|`` below ``dip_tol`` that reach ``det_tol`` after local
-    minimisation (even-order crossings touch zero without a sign change).
+    from orthonormalized frames (refined by bisection to ``REFINE_TOL``),
+    plus isolated dips of ``|det|`` below ``DIP_TOL`` that reach
+    ``DET_TOL`` after local minimisation (even-order crossings touch zero without a sign change).
     Each crossing is classified with :func:`crossing_form`; interior
     crossings of odd order contribute their signature, interior even-order
     crossings contribute nothing, and endpoint crossings contribute half
@@ -528,7 +476,7 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
     ref_q, _ = _qr_positive(ref_q)
 
     def det_fn(t: float) -> float:
-        q, _ = _qr_positive(path.frame(t).M)
+        q, _ = _qr_positive(path.frame(t))
         return float(np.linalg.det(np.hstack([q, ref_q])))
 
     ts = np.linspace(a, b, num)
@@ -541,9 +489,9 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
         )
 
     crossing_ts: list[float] = []
-    if abs(dets[0]) < det_tol * scale:
+    if abs(dets[0]) < DET_TOL * scale:
         crossing_ts.append(a)
-    if abs(dets[-1]) < det_tol * scale:
+    if abs(dets[-1]) < DET_TOL * scale:
         crossing_ts.append(b)
     for i in range(num - 1):
         if dets[i] == 0.0:
@@ -551,9 +499,9 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
                 crossing_ts.append(float(ts[i]))
             continue
         if dets[i] * dets[i + 1] < 0.0:
-            crossing_ts.append(float(brentq(det_fn, ts[i], ts[i + 1], xtol=refine_tol)))
+            crossing_ts.append(float(brentq(det_fn, ts[i], ts[i + 1], xtol=REFINE_TOL)))
     for i in range(1, num - 1):
-        if (abs(dets[i]) < dip_tol * scale
+        if (abs(dets[i]) < DIP_TOL * scale
                 and abs(dets[i]) <= abs(dets[i - 1])
                 and abs(dets[i]) <= abs(dets[i + 1])
                 and dets[i - 1] * dets[i + 1] > 0.0
@@ -561,13 +509,13 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
             res = minimize_scalar(lambda t: abs(det_fn(t)),
                                   bounds=(float(ts[i - 1]), float(ts[i + 1])),
                                   method="bounded",
-                                  options={"xatol": refine_tol})
-            if abs(res.fun) < det_tol * scale:
+                                  options={"xatol": REFINE_TOL})
+            if abs(res.fun) < DET_TOL * scale:
                 crossing_ts.append(float(res.x))
 
     crossing_ts.sort()
     merged: list[float] = []
-    merge_tol = max(100.0 * refine_tol, 1e-9 * (b - a))
+    merge_tol = max(100.0 * REFINE_TOL, 1e-9 * (b - a))
     for t in crossing_ts:
         if not merged or t - merged[-1] > merge_tol:
             merged.append(min(max(t, a), b))
@@ -576,7 +524,7 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
     total = 0.0
     end_tol = max(merge_tol, 1e-9 * (b - a))
     for t in merged:
-        cf = crossing_form(path, t, reference, max_order=max_order, **form_kwargs)
+        cf = crossing_form(path, t, reference, max_order=max_order)
         sig = cf.signature
         if abs(t - a) <= end_tol or abs(t - b) <= end_tol:
             endpoint = "left" if abs(t - a) <= end_tol else "right"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .model import Params, nonlinearity, nonlinearity_deriv, normal_form
+from .model import Params, nonlinearity_deriv, normal_form
 
 __all__ = [
     "FourierPulse",
@@ -94,6 +94,13 @@ class FourierPulse:
         object.__setattr__(self, "a", a)
         if not (np.isfinite(self.L_f) and self.L_f > 0):
             raise ValueError("L_f must be positive and finite")
+
+    @property
+    def tail_floor(self) -> float:
+        """Relative size ``|a_N| / max |a_k|`` of the last coefficient (0 for
+        the zero vector)."""
+        peak = float(np.max(np.abs(self.a)))
+        return float(abs(self.a[-1])) / peak if peak > 0 else 0.0
 
     def full(self) -> np.ndarray:
         """Full coefficient vector a_{-N}..a_N via the even extension."""

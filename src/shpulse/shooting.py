@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .lagrangian import PLUCKER_PAIRS, Frame, LagrangianPath, _qr_positive
+from .lagrangian import _qr_positive, plucker
 from .model import Params, asymptotic_frames, coefficient_matrix
 from .pulse import FourierPulse, potential
 
@@ -81,16 +81,19 @@ def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:
     return q
 
 
-def sandwich_determinant(frame) -> float:
-    """Determinant of rows (1, 4) of a 4-by-2 frame.
+def sandwich_determinant(frames):
+    """Determinant of rows (1, 4) of a 4-by-2 frame, or of each frame of a
+    stack ``(..., 4, 2)``.
 
     Vanishes exactly when the spanned plane meets ``span{e2, e3}``
-    nontrivially, which makes its sign changes the crossing detector.
+    nontrivially, which makes its sign changes the crossing detector.  One
+    frame gives a float, a stack an array of shape ``(...)``.
     """
-    M = frame.M if isinstance(frame, Frame) else np.asarray(frame, dtype=float)
-    if M.shape != (4, 2):
+    M = np.asarray(frames, dtype=float)
+    if M.shape[-2:] != (4, 2):
         raise ValueError(f"expected a 4-by-2 frame, got shape {M.shape}")
-    return float(M[0, 0] * M[3, 1] - M[0, 1] * M[3, 0])
+    d = M[..., 0, 0] * M[..., 3, 1] - M[..., 0, 1] * M[..., 3, 0]
+    return float(d) if d.ndim == 0 else d
 
 
 def tail_rotation_period(p: Params, lam: float = 0.0) -> float:
@@ -171,7 +174,7 @@ class PathSample:
     """Diagnostics of the transported plane at one grid point."""
 
     x: float
-    frame: Frame
+    frame: np.ndarray
     deta: float
     plucker: np.ndarray = field(repr=False)
     omega_drift: float
@@ -181,12 +184,13 @@ class PathSample:
 class FrameTrajectory:
     """The transported unstable plane, sampled on a uniform grid.
 
-    ``frames`` holds the orthonormal frame at each grid point ``xs``; the
-    sandwich determinant ``deta``, unit Plücker coordinates ``plucker`` and
-    symplectic-form drift ``omega_drift = |P13 + P24|`` are computed for all
-    samples at once.  ``frame_at`` takes one partial Magnus step from the
-    nearest sample, which keeps arbitrary-point evaluation cheap and as
-    accurate as the stored samples.
+    ``frames`` holds the orthonormal frame at each grid point ``xs`` as one
+    read-only ``(len(xs), 4, 2)`` array; the sandwich determinant ``deta``,
+    unit Plücker coordinates ``plucker`` and symplectic-form drift
+    ``omega_drift = |P13 + P24|`` are computed for all samples at once.
+    ``frame_at`` takes one partial Magnus step from the nearest sample,
+    which keeps arbitrary-point evaluation cheap and as accurate as the
+    stored samples.
     """
 
     pulse: FourierPulse
@@ -197,15 +201,11 @@ class FrameTrajectory:
 
     @cached_property
     def deta(self) -> np.ndarray:
-        F = self.frames
-        return F[:, 0, 0] * F[:, 3, 1] - F[:, 0, 1] * F[:, 3, 0]
+        return sandwich_determinant(self.frames)
 
     @cached_property
     def plucker(self) -> np.ndarray:
-        a, b = self.frames[:, :, 0], self.frames[:, :, 1]
-        i, j = np.array(PLUCKER_PAIRS).T
-        P = a[:, i] * b[:, j] - a[:, j] * b[:, i]
-        return P / np.linalg.norm(P, axis=1, keepdims=True)
+        return plucker(self.frames)
 
     @cached_property
     def omega_drift(self) -> np.ndarray:
@@ -215,12 +215,13 @@ class FrameTrajectory:
     def samples(self) -> tuple[PathSample, ...]:
         """Per-sample view of the arrays, built on first use."""
         return tuple(
-            PathSample(x=float(x), frame=Frame(F), deta=float(d), plucker=P,
+            PathSample(x=float(x), frame=F, deta=float(d), plucker=P,
                        omega_drift=float(w))
             for x, F, d, P, w in zip(self.xs, self.frames, self.deta,
                                      self.plucker, self.omega_drift))
 
-    def frame_at(self, x: float) -> Frame:
+    def frame_at(self, x: float) -> np.ndarray:
+        """Orthonormal frame at ``x`` (a read-only view at a grid point)."""
         x = float(x)
         a, b = self.settings.window
         dx = self.settings.dx
@@ -231,15 +232,12 @@ class FrameTrajectory:
         i = min(max(round((x - a) / dx), 0), len(self.xs) - 1)
         anchor = float(self.xs[i])
         if abs(anchor - x) < 1e-13:
-            return Frame(self.frames[i])
+            return self.frames[i]
         nsteps = math.ceil(abs(x - anchor) / MAX_STEP)
         h = (x - anchor) / nsteps
         out = _transport(self.pulse, self.lam, anchor, h, nsteps, self.frames[i],
                          every=nsteps)
-        return Frame(out[-1])
-
-    def path(self) -> LagrangianPath:
-        return LagrangianPath(self.frame_at, self.settings.window)
+        return out[-1]
 
 
 def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
@@ -266,6 +264,7 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
     every = math.ceil(settings.dx / MAX_STEP - 1e-9)
     frames = _transport(pulse, lam, a, settings.dx / every, nsamples * every,
                         initial_frame(pulse.params, lam), every=every)
+    frames.setflags(write=False)
     return FrameTrajectory(pulse=pulse, lam=lam, settings=settings,
                            xs=a + settings.dx * np.arange(nsamples + 1),
                            frames=frames)

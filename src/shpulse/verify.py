@@ -254,12 +254,12 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
 
     def pushforward(path):
         return lg.LagrangianPath(
-            frame_fn=lambda t, _p=path: Psi @ lg._frame_matrix(_p.frame(t)),
+            frame_fn=lambda t, _p=path: Psi @ _p.frame(t),
             domain=path.domain)
 
     # invariance transforms the whole picture: path, vector and complement
-    W1 = Psi @ (J4 @ ell1.frame(0.0).M)
-    W2 = Psi @ (J4 @ ell2.frame(0.0).M)
+    W1 = Psi @ (J4 @ ell1.frame(0.0))
+    W2 = Psi @ (J4 @ ell2.frame(0.0))
     inv_err = max(
         abs(lg.quadratic_form(pushforward(ell1), 0.0, Psi @ v1, 1, W=W1) - base1),
         abs(lg.quadratic_form(pushforward(ell2), 0.0, Psi @ v2, 3, W=W2) - base2),

@@ -356,6 +356,20 @@ def test_config_invalid_values_exit_two(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [{"N": 64.5}, {"N": True}, {"nu": "abc"},
+                                   {"phi": "x"}],
+                         ids=["N=64.5", "N=true", "nu=abc", "phi=x"])
+def test_config_wrong_value_type_exits_two(tmp_path, capsys, entry):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"nu": 1.6, "mu": 0.05, "phi": 0.0, **entry}))
+    rc = cli.main(["pulse", "--config", str(cfg), "--out",
+                   str(tmp_path / "never.json")])
+    assert rc == 2
+    (key,) = entry
+    assert f"usage error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
+
+
 def test_lcp_flag_shrinks_window(phi0_file, capsys):
     assert cli.main(["plucker", str(phi0_file), "--Lcp", "20"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -12,7 +12,7 @@ from shpulse.conjugate import (
     stability_report,
     trust_horizon,
 )
-from shpulse.lagrangian import Frame, crossing_form, sandwich_plane
+from shpulse.lagrangian import LagrangianPath, crossing_form, sandwich_plane
 from shpulse.model import Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
@@ -23,7 +23,7 @@ class _StubTrajectory:
     """Minimal stand-in so classify can be fed a synthetic frame."""
 
     def __init__(self, M):
-        self._F = Frame(np.asarray(M, dtype=float))
+        self._F = np.asarray(M, dtype=float)
 
     def frame_at(self, x):
         return self._F
@@ -88,8 +88,8 @@ def test_crossing_value_matches_generic_form(traj_phi0):
     """The closed-form Q1 agrees with the finite-difference crossing form."""
     (x_star,) = scan_and_refine(traj_phi0).locations
     rec = classify(x_star, traj_phi0)
-    res = crossing_form(traj_phi0.path(), x_star, sandwich_plane(),
-                        kernel_tol=1e-6)
+    path = LagrangianPath(traj_phi0.frame_at, traj_phi0.settings.window)
+    res = crossing_form(path, x_star, sandwich_plane(), kernel_tol=1e-6)
     assert res.order == 1
     assert res.value == pytest.approx(rec.Q1, rel=1e-3)
 
@@ -213,7 +213,7 @@ def test_format_report_mentions_everything(pulse_phi0, traj_phi0):
 def test_record_counts_property():
     rec = ConjugatePointRecord(x_star=0.0, kernel_vector=np.zeros(4),
                                case="III", Q1=0.0, Q3=None,
-                               simplicity_norm=0.0, refined_tol=1e-8)
+                               simplicity_norm=0.0)
     assert not rec.counts
 
 

@@ -74,38 +74,28 @@ def test_omega_rejects_bad_shapes():
 
 
 def test_frame_validation_and_blocks():
-    F = lg.Frame(np.arange(8.0).reshape(4, 2))
-    assert F.n == 2
-    assert np.array_equal(F.X, [[0.0, 1.0], [2.0, 3.0]])
-    assert np.array_equal(F.Y, [[4.0, 5.0], [6.0, 7.0]])
+    # a path hands its frames back as validated float arrays
+    F = lg.LagrangianPath(lambda t: np.arange(8).reshape(4, 2), (0.0, 1.0)).frame(0.5)
+    assert F.dtype == float
+    assert np.array_equal(F, np.arange(8.0).reshape(4, 2))
     with pytest.raises(ValueError, match="2n-by-n"):
-        lg.Frame(np.zeros((3, 2)))
+        lg.LagrangianPath(lambda t: np.zeros((3, 2)), (0.0, 1.0)).frame(0.5)
     with pytest.raises(ValueError, match="finite"):
-        lg.Frame(np.full((4, 2), np.nan))
+        lg.LagrangianPath(lambda t: np.full((4, 2), np.nan), (0.0, 1.0)).frame(0.5)
 
 
 def test_orthonormalized_keeps_span_and_sign():
     rng = np.random.default_rng(0)
     M = rng.normal(size=(4, 2))
-    Q = lg.Frame(M).orthonormalized()
-    assert np.allclose(Q.M.T @ Q.M, np.eye(2), atol=1e-13)
+    Q, R = lg._qr_positive(M)
+    assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-13)
+    assert np.allclose(Q @ R, M, atol=1e-13)
     # same span: original columns reproduce through the projector
-    proj = Q.M @ Q.M.T
+    proj = Q @ Q.T
     assert np.allclose(proj @ M, M, atol=1e-12)
-
-
-def test_is_lagrangian_examples():
-    check = lg.is_lagrangian(np.column_stack([basis(1), basis(2)]))
-    assert check and check.rank == 2 and check.residual < 1e-15
-    bad = lg.is_lagrangian(np.column_stack([basis(0), basis(2)]))
-    assert not bad
-    assert bad.residual == pytest.approx(1.0)
-    # rank deficiency fails the check even though the span is isotropic
-    v = np.array([1.0, 0.0, 0.0, 0.0])
-    assert not lg.is_lagrangian(np.column_stack([v, 2 * v]))
-    # the residual is computed on the orthonormalized frame: scale invariant
-    scaled = lg.is_lagrangian(np.column_stack([1e6 * basis(0), 1e-6 * basis(2)]))
-    assert scaled.residual == pytest.approx(1.0)
+    # positive diagonal of R: the change of basis keeps the orientation
+    assert np.all(np.diag(R) > 0)
+    assert np.allclose(lg.plucker(Q), lg.plucker(M), atol=1e-13)
 
 
 def test_fixture_families_solve_the_flow():
@@ -113,17 +103,18 @@ def test_fixture_families_solve_the_flow():
     for path in (ell1, ell2):
         for s in np.linspace(-1.0, 1.0, 21):
             F = path.frame(s)
-            assert lg.is_lagrangian(F)
+            # full rank and isotropic span: a Lagrangian plane
+            assert np.linalg.matrix_rank(F) == 2
+            assert np.allclose(F.T @ J4 @ F, 0.0, atol=1e-12)
             # derivative of each polynomial column equals B_FLOW times it
             h = 1e-4
-            dF = (path.frame(s + h).M - path.frame(s - h).M) / (2 * h)
             # columns are cubic in s, so the central difference is exact up
             # to the h^2 term of the cubic: correct it with a wider stencil
-            dF4 = (8 * (path.frame(s + h).M - path.frame(s - h).M)
-                   - (path.frame(s + 2 * h).M - path.frame(s - 2 * h).M)) / (12 * h)
-            assert np.allclose(dF4, B_FLOW @ F.M, atol=1e-10)
-    assert np.array_equal(ell1.frame(0.0).M[:, 0], V1_AT_0)
-    assert np.array_equal(ell1.frame(0.0).M[:, 1], V2_AT_0)
+            dF4 = (8 * (path.frame(s + h) - path.frame(s - h))
+                   - (path.frame(s + 2 * h) - path.frame(s - 2 * h))) / (12 * h)
+            assert np.allclose(dF4, B_FLOW @ F, atol=1e-10)
+    assert np.array_equal(ell1.frame(0.0)[:, 0], V1_AT_0)
+    assert np.array_equal(ell1.frame(0.0)[:, 1], V2_AT_0)
 
 
 def test_path_validation():
@@ -185,40 +176,12 @@ def test_sandwich_train_membership():
 # ---------------------------------------------------------------------------
 
 
-def test_graph_matrix_entries_against_closed_form():
-    _, ell2 = lg.fixture_paths()
-    W = np.column_stack([basis(2), basis(3)])
-    for s in (0.3, -0.45, 0.8):
-        A = lg.graph_matrix(ell2, 0.0, s, W=W)
-        expected = np.zeros((4, 4))
-        expected[2, 1] = -s
-        expected[3, 0] = -s
-        expected[3, 1] = -s**3 / 3.0
-        assert np.allclose(A, expected, atol=1e-12)
-    assert np.allclose(lg.graph_matrix(ell2, 0.0, 0.0, W=W), 0.0, atol=1e-13)
-
-
-def test_graph_matrix_reproduces_the_family():
-    ell1, _ = lg.fixture_paths()
-    rng = np.random.default_rng(5)
-    for t in (-0.6, 0.2, 0.9):
-        A = lg.graph_matrix(ell1, 0.0, t)
-        L = ell1.frame(t).M
-        for _ in range(3):
-            v = ell1.frame(0.0).M @ rng.normal(size=2)
-            image = v + A @ v
-            c, *_ = np.linalg.lstsq(L, image, rcond=None)
-            assert np.linalg.norm(L @ c - image) < 1e-10 * max(1.0, np.linalg.norm(image))
-
-
 def test_graph_matrix_tangent_complement_fails():
     # a complement that meets the base plane makes the coordinates singular
     # near t0, which is exactly where the graph map is defined
     ell1, _ = lg.fixture_paths()
     with pytest.raises(lg.TransversalityError, match="condition number"):
-        lg.graph_matrix(ell1, 0.0, 0.0, W=ell1.frame(0.0).M)
-    with pytest.raises(lg.TransversalityError, match="condition number"):
-        lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=ell1.frame(0.0).M)
+        lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=ell1.frame(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +246,8 @@ def test_form_symplectic_invariance(seed):
         (ell2, basis(1), 3, -2.0),
     ):
         moved = lg.LagrangianPath(
-            lambda s, p=path: Psi @ p.frame(s).M, path.domain)
-        W0 = J4 @ path.frame(0.0).M
+            lambda s, p=path: Psi @ p.frame(s), path.domain)
+        W0 = J4 @ path.frame(0.0)
         value = lg.quadratic_form(moved, 0.0, Psi @ v, order, W=Psi @ W0)
         assert value == pytest.approx(expected, abs=1e-7)
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm, subspace_angles
 
 from shpulse.conjugate import scan_and_refine
+from shpulse.lagrangian import plucker
 from shpulse.model import Params, asymptotic_frames, coefficient_matrix
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
@@ -76,7 +77,7 @@ def test_constant_coefficients_match_matrix_exponential():
     F0 = initial_frame(P05)
     for s in traj.samples[::20]:
         exact = expm(B * (s.x + 10.0)) @ F0
-        assert subspace_angles(s.frame.M, exact).max() < 1e-8
+        assert subspace_angles(s.frame, exact).max() < 1e-8
 
 
 def test_constant_coefficients_plane_is_invariant():
@@ -155,13 +156,13 @@ def test_overflow_raises_transport_error(coefficient, what):
 
 def test_frame_at_anchor_and_midpoint(traj_phi0):
     s = traj_phi0.samples[100]
-    assert np.array_equal(traj_phi0.frame_at(s.x).M, s.frame.M)
+    assert np.array_equal(traj_phi0.frame_at(s.x), s.frame)
     mid = s.x + 0.025
     F = traj_phi0.frame_at(mid)
     # consistency with an independent integration straddling the midpoint
     G = traj_phi0.frame_at(traj_phi0.samples[101].x)
-    assert np.array_equal(G.M, traj_phi0.samples[101].frame.M)
-    assert subspace_angles(F.M, _advance(traj_phi0, s, 0.025)).max() < 1e-9
+    assert np.array_equal(G, traj_phi0.samples[101].frame)
+    assert subspace_angles(F, _advance(traj_phi0, s, 0.025)).max() < 1e-9
 
 
 def _advance(traj, sample, h):
@@ -173,7 +174,7 @@ def _advance(traj, sample, h):
         B = coefficient_matrix(potential(traj.pulse, x), traj.lam).B
         return (B @ y.reshape(4, 2)).ravel()
 
-    sol = solve_ivp(rhs, (sample.x, sample.x + h), sample.frame.M.ravel(),
+    sol = solve_ivp(rhs, (sample.x, sample.x + h), sample.frame.ravel(),
                     rtol=1e-12, atol=1e-12)
     return sol.y[:, -1].reshape(4, 2)
 
@@ -203,11 +204,27 @@ def test_tail_oscillation_has_the_predicted_period(traj_phi0):
     assert abs(peak - T) / T < 0.02
 
 
-def test_path_wraps_trajectory(traj_phi0):
-    path = traj_phi0.path()
-    assert path.domain == traj_phi0.settings.window
-    F = path.frame(1.0)
-    assert F.M.shape == (4, 2)
+def test_batched_plane_quantities_match_per_frame_calls(traj_phi0):
+    frames = traj_phi0.frames
+    P = plucker(frames)
+    d = sandwich_determinant(frames)
+    assert P.shape == (len(frames), 6) and d.shape == (len(frames),)
+    assert np.array_equal(P, np.array([plucker(F) for F in frames]))
+    assert np.array_equal(d, np.array([sandwich_determinant(F) for F in frames]))
+    assert np.array_equal(P, traj_phi0.plucker)
+    assert np.array_equal(d, traj_phi0.deta)
+    bad = frames[:5].copy()
+    bad[3, :, 1] = 2.0 * bad[3, :, 0]
+    with pytest.raises(ValueError, match="rank-deficient"):
+        plucker(bad)
+
+
+def test_anchor_frames_are_read_only(traj_phi0):
+    F = traj_phi0.frame_at(traj_phi0.xs[100])
+    assert type(F) is np.ndarray and F.shape == (4, 2)
+    assert not F.flags.writeable
+    with pytest.raises(ValueError):
+        F[0, 0] = 1.0
 
 
 def test_write_trajectory_roundtrip(tmp_path, traj_phi0):
