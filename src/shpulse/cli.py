@@ -53,7 +53,8 @@ class RunConfig:
     (``unstable_threshold``, ``degeneracy_tol``, ``simplicity_threshold``).
     ``nu``/``mu``/``phi`` stay ``None`` until a command that needs them
     checks for their presence.  ``N`` must be an integer and every other
-    field a finite real number; booleans are neither.
+    field a finite real number; booleans are neither.  The transport window
+    ``2 L_cp`` must be an integer multiple of ``sample_dx``.
     """
 
     nu: float | None = None
@@ -92,6 +93,7 @@ class RunConfig:
             raise ValueError(
                 f"L_cp = {self.L_cp:g} exceeds the profile half-period "
                 f"L_f = {self.L_f:g}")
+        self.settings()
 
     def settings(self) -> ShootingSettings:
         return ShootingSettings(window=(-self.L_cp, self.L_cp), dx=self.sample_dx)

@@ -40,15 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lagrangian import DIP_TOL, locate_zeros
 from .model import Params, asymptotic_frames, lambda_infinity_bound
 from .pulse import FourierPulse, potential
-from .shooting import (TRANSPORT_NOISE, FrameTrajectory, ShootingSettings,
-                       integrate_frame, sandwich_determinant)
+from .shooting import TRANSPORT_NOISE, FrameTrajectory, sandwich_determinant
 from .spectrum import DEFAULT_THRESHOLD, count_unstable
 
 SIMPLICITY_THRESHOLD = 1e-3
 DEGENERACY_TOL = 1e-6
-DIP_TOL = 1e-6
 BRACKET_TOL = 1e-8
 
 
@@ -111,59 +110,28 @@ class StabilityReport:
         return (len(self.unstable_eigenvalues), counted)
 
 
-def _deta_at(traj: FrameTrajectory, x: float) -> float:
-    return sandwich_determinant(traj.frame_at(x))
-
-
 def scan_and_refine(traj: FrameTrajectory) -> ScanResult:
     """Locate the zeros of the sandwich determinant along the trajectory.
 
-    Sign changes between samples are refined by bisection, re-evaluating
-    the determinant by a partial step from the nearest sample, until the
-    bracket is narrower than ``BRACKET_TOL``.  Local minima of ``|detA|``
-    below ``DIP_TOL`` that do not change sign are reported separately as
-    suspected even-order touches (they contribute nothing to the count).
-    An empty result is a valid outcome.
+    The samples up to the trust horizon go through
+    :func:`~shpulse.lagrangian.locate_zeros`: sign changes are bisected,
+    re-evaluating the determinant by a partial step from the nearest
+    sample, until the bracket is narrower than ``BRACKET_TOL``; local
+    minima of ``|detA|`` below ``DIP_TOL`` that do not change sign are
+    reported separately as suspected even-order touches (they contribute
+    nothing to the count).  An empty result is a valid outcome.
     """
     horizon = trust_horizon(traj.pulse, traj.lam)
     xs, d = traj.xs, traj.deta
     keep = xs <= horizon
-    clipped = bool(np.any(~keep))
-    xs, d = xs[keep], d[keep]
-
-    locations: list[float] = []
-    for i in np.where(d == 0.0)[0]:
-        locations.append(float(xs[i]))
-    for i in np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]:
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        dlo = d[i]
-        while hi - lo > BRACKET_TOL:
-            mid = 0.5 * (lo + hi)
-            dmid = _deta_at(traj, mid)
-            if dmid == 0.0:
-                lo = hi = mid
-                break
-            if np.sign(dlo) * np.sign(dmid) < 0:
-                hi = mid
-            else:
-                lo, dlo = mid, dmid
-        locations.append(0.5 * (lo + hi))
-
-    absd = np.abs(d)
-    suspected = [
-        float(xs[i])
-        for i in range(1, len(d) - 1)
-        if absd[i] < DIP_TOL
-        and absd[i] <= absd[i - 1]
-        and absd[i] <= absd[i + 1]
-        and np.sign(d[i - 1]) == np.sign(d[i + 1])
-        and d[i] != 0.0
-    ]
+    locations, suspected = locate_zeros(
+        xs[keep], d[keep], lambda x: sandwich_determinant(traj.frame_at(x)),
+        BRACKET_TOL, DIP_TOL)
     return ScanResult(
-        locations=tuple(sorted(locations)),
+        locations=tuple(locations),
         suspected_even=tuple(suspected),
         horizon=horizon,
-        clipped=clipped,
+        clipped=bool(np.any(~keep)),
     )
 
 
@@ -226,10 +194,7 @@ def _pulse_id(pulse: FourierPulse) -> str:
             f"(L_f={pulse.L_f:g}, N={pulse.N})")
 
 
-def stability_report(pulse: FourierPulse,
-                     settings: ShootingSettings = ShootingSettings(),
-                     trajectory: FrameTrajectory | None = None,
-                     *,
+def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
                      unstable_threshold: float = DEFAULT_THRESHOLD,
                      degeneracy_tol: float = DEGENERACY_TOL,
                      simplicity_threshold: float = SIMPLICITY_THRESHOLD
@@ -237,16 +202,13 @@ def stability_report(pulse: FourierPulse,
     """Count instabilities two independent ways and compare.
 
     The spectral route counts unstable eigenvalues of the Fourier-residual
-    Jacobian; the geometric route integrates the unstable plane at
-    ``lam = 0`` (reusing ``trajectory`` when the caller already has one)
-    and counts classified conjugate points.  The two computations share no
-    intermediate data.
+    Jacobian; the geometric route counts classified conjugate points of
+    ``trajectory``, the unstable plane transported at ``lam = 0``.  The two
+    computations share no intermediate data.
     """
     spectral = count_unstable(pulse, threshold=unstable_threshold)
 
-    if trajectory is None:
-        trajectory = integrate_frame(pulse, lam=0.0, settings=settings)
-    elif trajectory.lam != 0.0:
+    if trajectory.lam != 0.0:
         raise ValueError("the conjugate-point count is defined at lam = 0")
     scan = scan_and_refine(trajectory)
     records = tuple(

@@ -1,11 +1,11 @@
 """Lagrangian-plane geometry: frames, crossing forms, and the Maslov index.
 
-A plane of dimension ``n`` in ``R^{2n}`` is Lagrangian when the standard
+A plane of dimension 2 in ``R^4`` is Lagrangian when the standard
 symplectic form ``omega(u, v) = <u, J v>`` vanishes identically on it.  This
-module represents planes by plain ``2n``-by-``n`` float arrays (frames), a
-sequence of planes by one ``(..., 2n, n)`` array, and provides the
-machinery needed to count how a one-parameter family of planes crosses a
-fixed reference plane:
+module represents planes by plain 4-by-2 float arrays (frames), a sequence
+of planes by one ``(..., 4, 2)`` array, and provides the machinery needed
+to count how a one-parameter family of planes crosses a fixed reference
+plane:
 
 * graph coordinates: near ``t0`` every plane of the family is the graph
   ``{v + A(t) v : v in ell(t0)}`` of a matrix family ``A(t)`` taking values
@@ -15,13 +15,14 @@ fixed reference plane:
   reference plane is the raw derivative ``Q_j(v) = d^j/dt^j omega(v, A(t) v)``
   at ``t0`` (no factorial normalisation), evaluated here by central finite
   differences with Richardson extrapolation;
+* crossing search: :func:`locate_zeros` finds the zeros of a sampled
+  crossing detector, for the Maslov index here and for the conjugate-point
+  scan of a pulse;
 * Maslov index: each isolated crossing contributes the signature of its
   first nondegenerate form when that order is odd, nothing when it is even,
   and boundary crossings are weighted by one half.
 
-For ``n = 2`` the Plücker coordinates give a global chart used for trajectory
-export and for the membership test of the train of the sandwich plane
-``span{e2, e3}``.
+The Plücker coordinates give a global chart used for trajectory export.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
+
+from .model import J4
 
 
 class TransversalityError(RuntimeError):
@@ -47,16 +50,6 @@ class NotACrossingError(ValueError):
     """The plane family does not meet the reference at the given parameter."""
 
 
-def standard_symplectic_matrix(n: int) -> np.ndarray:
-    """Return ``J = [[0, I], [-I, 0]]`` acting on ``R^{2n}``."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
-
-
 def omega(u, v) -> float:
     """Standard symplectic form ``<u, J v>`` on ``R^{2n}``."""
     u = np.asarray(u, dtype=float)
@@ -68,10 +61,10 @@ def omega(u, v) -> float:
 
 
 def _frame_matrix(frame) -> np.ndarray:
-    """Validate a 2n-by-n frame with finite entries; return it as floats."""
+    """Validate a 4-by-2 frame with finite entries; return it as floats."""
     M = np.asarray(frame, dtype=float)
-    if M.ndim != 2 or M.shape[1] == 0 or M.shape[0] != 2 * M.shape[1]:
-        raise ValueError(f"frame must be 2n-by-n, got shape {M.shape}")
+    if M.shape != (4, 2):
+        raise ValueError(f"frame must be 4-by-2, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("frame entries must be finite")
     return M
@@ -93,7 +86,7 @@ def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LagrangianPath:
     """A one-parameter family of Lagrangian planes.
 
-    ``frame_fn`` must return a 2n-by-n frame matrix for any parameter where
+    ``frame_fn`` must return a 4-by-2 frame matrix for any parameter where
     the family is defined; ``domain`` bounds the interval that scanning
     routines cover.  Derivative stencils may evaluate the family slightly
     outside the domain, so ``frame_fn`` should tolerate a small overhang
@@ -114,7 +107,7 @@ class LagrangianPath:
 
 
 # ---------------------------------------------------------------------------
-# Plücker chart (n = 2)
+# Plücker chart
 # ---------------------------------------------------------------------------
 
 PLUCKER_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -151,19 +144,6 @@ def sandwich_plane() -> np.ndarray:
     M[1, 0] = 1.0
     M[2, 1] = 1.0
     return M
-
-
-def sandwich_train_contains(point, atol: float = 1e-9) -> bool:
-    """Membership test for the projected train of ``span{e2, e3}``.
-
-    Projected into the first three Plücker coordinates, the set of planes
-    meeting ``span{e2, e3}`` nontrivially fills the two closed discs of
-    radius 1/2 centred at ``(±1/2, 0)`` in the plane ``P14 = 0``.
-    """
-    x, y, z = (float(c) for c in point)
-    if abs(z) > atol:
-        return False
-    return min((x - 0.5) ** 2, (x + 0.5) ** 2) + y * y <= 0.25 + atol
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +257,9 @@ def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> fl
         raise ValueError("order must be a positive integer")
     v = np.asarray(v, dtype=float)
     F0 = path.frame(t0)
-    n = F0.shape[1]
-    if v.shape != (2 * n,):
-        raise ValueError(f"vector must have length {2 * n}")
-    W = standard_symplectic_matrix(n) @ F0 if W is None else _frame_matrix(W)
+    if v.shape != (4,):
+        raise ValueError("vector must have length 4")
+    W = J4 @ F0 if W is None else _frame_matrix(W)
     coeff, *_ = np.linalg.lstsq(F0, v, rcond=None)
     if np.linalg.norm(F0 @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise ValueError("vector does not lie in the plane at t0")
@@ -294,7 +273,7 @@ def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> fl
 
 
 def intersection_basis(frame_a, frame_b, tol: float = KERNEL_TOL) -> np.ndarray:
-    """Orthonormal basis (2n-by-k) of the intersection of two spans."""
+    """Orthonormal basis (4-by-k) of the intersection of two spans."""
     A, _ = _qr_positive(_frame_matrix(frame_a))
     B, _ = _qr_positive(_frame_matrix(frame_b))
     stacked = np.hstack([A, -B])
@@ -317,11 +296,10 @@ def _kernel_form(path: LagrangianPath, t0: float, reference, kernel_tol: float,
         raise NotACrossingError(
             f"the planes are transverse at t = {t0:.6g}; there is no {purpose}"
         )
-    J = standard_symplectic_matrix(F0.shape[1])
-    W = J @ F0
+    W = J4 @ F0
 
     def form_at(t: float) -> np.ndarray:
-        return U.T @ J @ _graph_images(path.frame(t), W, U, t)
+        return U.T @ J4 @ _graph_images(path.frame(t), W, U, t)
 
     return U, W, form_at
 
@@ -419,6 +397,55 @@ def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
 
 
 # ---------------------------------------------------------------------------
+# Crossing search
+# ---------------------------------------------------------------------------
+
+
+def locate_zeros(ts: np.ndarray, values: np.ndarray,
+                 value_at: Callable[[float], float], tol: float,
+                 dip_level: float) -> tuple[list[float], list[float]]:
+    """Zeros and sign-preserving dips of a crossing detector sampled at ``ts``.
+
+    Returns ``(zeros, dips)``.  ``zeros`` holds, in ascending order, the
+    samples where the detector is exactly zero and one point per sign
+    change between neighbouring samples, bisected with ``value_at`` until
+    the bracket is narrower than ``tol``.  ``dips`` holds the interior
+    samples where ``|value|`` has a local minimum below ``dip_level``
+    without a sign change across it: candidate even-order touches, which
+    contribute nothing to a count and which the caller examines further.
+    """
+    zeros: list[float] = []
+    for i in np.where(values == 0.0)[0]:
+        zeros.append(float(ts[i]))
+    for i in np.where(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        dlo = values[i]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            dmid = value_at(mid)
+            if dmid == 0.0:
+                lo = hi = mid
+                break
+            if np.sign(dlo) * np.sign(dmid) < 0:
+                hi = mid
+            else:
+                lo, dlo = mid, dmid
+        zeros.append(0.5 * (lo + hi))
+
+    absd = np.abs(values)
+    dips = [
+        float(ts[i])
+        for i in range(1, len(values) - 1)
+        if absd[i] < dip_level
+        and absd[i] <= absd[i - 1]
+        and absd[i] <= absd[i + 1]
+        and np.sign(values[i - 1]) == np.sign(values[i + 1])
+        and values[i] != 0.0
+    ]
+    return sorted(zeros), dips
+
+
+# ---------------------------------------------------------------------------
 # Maslov index
 # ---------------------------------------------------------------------------
 
@@ -458,10 +485,12 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
                  max_order: int = 3) -> MaslovResult:
     """Maslov index of the family against a reference plane on [a, b].
 
-    Crossings are located as sign changes of ``det [Q(t) | Q_ref]`` built
-    from orthonormalized frames (refined by bisection to ``REFINE_TOL``),
-    plus isolated dips of ``|det|`` below ``DIP_TOL`` that reach
-    ``DET_TOL`` after local minimisation (even-order crossings touch zero without a sign change).
+    The detector ``det [Q(t) | Q_ref]`` of orthonormalized frames is
+    sampled at ``num`` points and searched by :func:`locate_zeros`: its
+    zeros are bisected to ``REFINE_TOL``, and each dip below ``DIP_TOL``
+    (relative to the largest sample) is minimised locally and kept when it
+    reaches ``DET_TOL`` (even-order crossings touch zero without a sign
+    change); an end sample below ``DET_TOL`` is an endpoint crossing.
     Each crossing is classified with :func:`crossing_form`; interior
     crossings of odd order contribute their signature, interior even-order
     crossings contribute nothing, and endpoint crossings contribute half
@@ -488,30 +517,15 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
             "interval; crossings are not isolated"
         )
 
-    crossing_ts: list[float] = []
-    if abs(dets[0]) < DET_TOL * scale:
-        crossing_ts.append(a)
-    if abs(dets[-1]) < DET_TOL * scale:
-        crossing_ts.append(b)
-    for i in range(num - 1):
-        if dets[i] == 0.0:
-            if ts[i] != a and ts[i] != b:
-                crossing_ts.append(float(ts[i]))
-            continue
-        if dets[i] * dets[i + 1] < 0.0:
-            crossing_ts.append(float(brentq(det_fn, ts[i], ts[i + 1], xtol=REFINE_TOL)))
-    for i in range(1, num - 1):
-        if (abs(dets[i]) < DIP_TOL * scale
-                and abs(dets[i]) <= abs(dets[i - 1])
-                and abs(dets[i]) <= abs(dets[i + 1])
-                and dets[i - 1] * dets[i + 1] > 0.0
-                and dets[i] != 0.0):
-            res = minimize_scalar(lambda t: abs(det_fn(t)),
-                                  bounds=(float(ts[i - 1]), float(ts[i + 1])),
-                                  method="bounded",
-                                  options={"xatol": REFINE_TOL})
-            if abs(res.fun) < DET_TOL * scale:
-                crossing_ts.append(float(res.x))
+    zeros, dips = locate_zeros(ts, dets, det_fn, REFINE_TOL, DIP_TOL * scale)
+    crossing_ts = [t for t, d in ((a, dets[0]), (b, dets[-1]))
+                   if abs(d) < DET_TOL * scale] + zeros
+    for t in dips:
+        h = ts[1] - ts[0]
+        res = minimize_scalar(lambda s: abs(det_fn(s)), bounds=(t - h, t + h),
+                              method="bounded", options={"xatol": REFINE_TOL})
+        if abs(res.fun) < DET_TOL * scale:
+            crossing_ts.append(float(res.x))
 
     crossing_ts.sort()
     merged: list[float] = []

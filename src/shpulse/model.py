@@ -6,9 +6,10 @@ q' = B(x, lam) q on R^4 in the symplectic coordinates
 
     q = (u, u_xx, u_xxx + 2 u_x, u_x),
 
-which is Hamiltonian: B = J C with J the standard symplectic matrix and C
-symmetric. The potential f'(phi(x)) enters B only through its scalar value, so
-this module never touches the pulse representation itself.
+which is Hamiltonian: B^T J + J B = 0 with J the standard symplectic matrix
+``J4``, so the flow preserves the symplectic form. The potential f'(phi(x))
+enters B only through its scalar value, so this module never touches the
+pulse representation itself.
 """
 
 from __future__ import annotations
@@ -70,19 +71,10 @@ def normal_form(x, phi: float, p: Params):
     return amp / np.cosh(x * np.sqrt(p.mu) / 2.0) * np.cos(x + phi)
 
 
-@dataclass(frozen=True)
-class CoefficientMatrices:
-    """B = J C for the first-order system at one (x, lam); C is symmetric."""
-
-    B: np.ndarray
-    J: np.ndarray
-    C: np.ndarray
-
-
-def coefficient_matrix(fprime_value: float, lam: float) -> CoefficientMatrices:
-    """Coefficient matrices of q' = B q at a point where f'(phi(x)) = fprime_value."""
+def coefficient_matrix(fprime_value: float, lam: float) -> np.ndarray:
+    """Coefficient matrix B of q' = B q at a point where f'(phi(x)) = fprime_value."""
     fp = float(fprime_value)
-    B = np.array(
+    return np.array(
         [
             [0.0, 0.0, 0.0, 1.0],
             [0.0, 0.0, 1.0, -2.0],
@@ -90,20 +82,11 @@ def coefficient_matrix(fprime_value: float, lam: float) -> CoefficientMatrices:
             [0.0, 1.0, 0.0, 0.0],
         ]
     )
-    C = np.array(
-        [
-            [lam + 1.0 - fp, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0, -2.0],
-        ]
-    )
-    return CoefficientMatrices(B=B, J=J4.copy(), C=C)
 
 
 def asymptotic_matrix(lam: float, p: Params) -> np.ndarray:
     """B_inf(lam): the coefficient matrix with the potential at its tail value f'(0) = -mu."""
-    return coefficient_matrix(nonlinearity_deriv(0.0, p), lam).B
+    return coefficient_matrix(nonlinearity_deriv(0.0, p), lam)
 
 
 @dataclass(frozen=True)

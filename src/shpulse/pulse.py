@@ -104,7 +104,7 @@ class FourierPulse:
 
     def full(self) -> np.ndarray:
         """Full coefficient vector a_{-N}..a_N via the even extension."""
-        return np.concatenate([self.a[:0:-1], self.a])
+        return _half_to_full(self.a)
 
 
 def convolve2(a: np.ndarray) -> np.ndarray:
@@ -299,6 +299,11 @@ def save(pulse: FourierPulse, path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number (an int or a float, not a boolean)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load(path) -> FourierPulse:
     """Read a pulse file written by `save`, validating all invariants."""
     with open(path) as fh:
@@ -316,11 +321,19 @@ def load(path) -> FourierPulse:
     if missing:
         raise PulseFileError(f"{path}: missing field(s): {', '.join(missing)}")
     try:
+        for f in ("nu", "mu", "phi", "L_f", "residual_norm"):
+            if not _is_number(doc[f]):
+                raise ValueError(f"{f} must be a number, got {doc[f]!r}")
+        if isinstance(doc["N"], bool) or not isinstance(doc["N"], int):
+            raise ValueError(f"N must be an integer, got {doc['N']!r}")
+        coefficients = doc["coefficients"]
+        if not (isinstance(coefficients, list) and all(map(_is_number, coefficients))):
+            raise ValueError("coefficients must be a list of numbers")
         scalars = {f: float(doc[f]) for f in ("nu", "mu", "phi", "L_f", "residual_norm")}
         bad = [f for f, v in scalars.items() if not np.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite value(s) for {', '.join(bad)}")
-        N = int(doc["N"])
+        N = doc["N"]
         if N < 1:
             raise ValueError(f"N must be at least 1, got {N}")
         pulse = FourierPulse(
@@ -328,9 +341,9 @@ def load(path) -> FourierPulse:
             phi=scalars["phi"],
             L_f=scalars["L_f"],
             N=N,
-            a=np.asarray(doc["coefficients"], dtype=float),
+            a=np.asarray(coefficients, dtype=float),
             residual_norm=scalars["residual_norm"],
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PulseFileError(f"{path}: {exc}") from exc
     return pulse

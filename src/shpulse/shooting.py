@@ -57,7 +57,10 @@ class TransportError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShootingSettings:
-    """Numerical policy for the frame transport: window and sample spacing."""
+    """Numerical policy for the frame transport: window and sample spacing.
+
+    The window length must be an integer multiple of ``dx``.
+    """
 
     window: tuple[float, float] = (-60.0, 60.0)
     dx: float = 0.05
@@ -67,8 +70,12 @@ class ShootingSettings:
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"window must be a finite interval, got {self.window}")
         object.__setattr__(self, "window", (a, b))
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not 0 < self.dx < np.inf:
+            raise ValueError("dx must be positive and finite")
+        if abs(a + round((b - a) / self.dx) * self.dx - b) > 1e-9 * max(1.0, abs(b)):
+            raise ValueError(
+                f"window [{a:g}, {b:g}] of length {b - a:g} is not an integer "
+                f"multiple of dx = {self.dx:g}")
 
 
 def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:
@@ -96,15 +103,6 @@ def sandwich_determinant(frames):
     return float(d) if d.ndim == 0 else d
 
 
-def tail_rotation_period(p: Params, lam: float = 0.0) -> float:
-    """Period with which the transported plane rotates in the far field.
-
-    Individual tail solutions spiral with angular rate ``Im gamma``; a plane
-    returns to itself after a half turn, so the period is ``pi / Im gamma``.
-    """
-    return float(np.pi / asymptotic_frames(lam, p).gamma1.imag)
-
-
 def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
@@ -129,7 +127,7 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
         if bad.any():
             raise TransportError(
                 f"the potential f'(phi(x)) is not finite at x = {nodes[bad][0]:.6g}")
-        A = coefficient_matrix(0.0, lam).B + v.reshape(-1, 3, 1, 1) * _E31
+        A = coefficient_matrix(0.0, lam) + v.reshape(-1, 3, 1, 1) * _E31
         a1 = h * A[:, 1]
         a2 = (math.sqrt(15.0) * h / 3.0) * (A[:, 2] - A[:, 0])
         a3 = (10.0 * h / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0])
@@ -259,8 +257,6 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
             f"window [{a:g}, {b:g}] exceeds the pulse's half-period {pulse.L_f:g}"
         )
     nsamples = int(round((b - a) / settings.dx))
-    if abs(a + nsamples * settings.dx - b) > 1e-9 * max(1.0, abs(b)):
-        raise ValueError("window length must be an integer multiple of dx")
     every = math.ceil(settings.dx / MAX_STEP - 1e-9)
     frames = _transport(pulse, lam, a, settings.dx / every, nsamples * every,
                         initial_frame(pulse.params, lam), every=every)

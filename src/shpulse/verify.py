@@ -72,12 +72,10 @@ class PulseBundle:
     elapsed: float
 
 
-def bundle_from(name: str, pulse: FourierPulse,
-                trajectory: FrameTrajectory | None = None) -> PulseBundle:
+def bundle_from(name: str, pulse: FourierPulse) -> PulseBundle:
     """Assemble the per-pulse pipeline (integration + both counts), timed."""
     start = time.perf_counter()
-    if trajectory is None:
-        trajectory = integrate_frame(pulse, lam=0.0)
+    trajectory = integrate_frame(pulse, lam=0.0)
     report = stability_report(pulse, trajectory=trajectory)
     return PulseBundle(name=name, pulse=pulse, trajectory=trajectory,
                        report=report, elapsed=time.perf_counter() - start)
@@ -286,7 +284,7 @@ def check_constant_coefficient_oracle() -> CheckResult:
     pulse = FourierPulse(params=p, phi=0.0, L_f=100.0, N=8,
                          a=np.zeros(9), residual_norm=0.0)
     traj = integrate_frame(pulse, settings=ShootingSettings(window=(-10.0, 10.0)))
-    B = coefficient_matrix(-p.mu, 0.0).B
+    B = coefficient_matrix(-p.mu, 0.0)
     F0 = initial_frame(p)
     worst = max(
         subspace_angles(F, expm(B * (x + 10.0)) @ F0).max()

@@ -20,7 +20,6 @@ import pytest
 from shpulse import cli
 from shpulse.cli import RunConfig, UsageError, build_config
 from shpulse.conjugate import trust_horizon
-from shpulse.lagrangian import sandwich_train_contains
 from shpulse.pulse import load
 
 EXPECTED_HEADER = "x,detA,P12,P13,P14,P23,P24,P34,omega_drift"
@@ -164,6 +163,17 @@ def test_spectrum_degenerate_mode_count_exits_one(phi0_file, tmp_path, capsys,
     assert captured.err.startswith("error:") and "N must be at least 1" in captured.err
 
 
+def test_spectrum_wrong_value_type_exits_one(phi0_file, tmp_path, capsys):
+    doc = json.loads(phi0_file.read_text())
+    doc["nu"] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["spectrum", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nu must be a number" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # conjugate command
 # ---------------------------------------------------------------------------
@@ -266,7 +276,10 @@ def test_plucker_train_entries_match_conjugate_counts(plucker_csvs):
         entries = _train_entries(x, P)
         assert len(entries) == expected
         for _, pt in entries:
-            assert sandwich_train_contains((pt[0], pt[1], 0.0), atol=1e-2)
+            # in the slice P14 = 0 the train of span{e2, e3} projects onto the
+            # two closed discs of radius 1/2 centred at (P12, P13) = (+-1/2, 0)
+            p12, p13 = pt[0], pt[1]
+            assert min((p12 - 0.5) ** 2, (p12 + 0.5) ** 2) + p13**2 <= 0.25 + 1e-2
 
 
 def test_plucker_stable_sign_changes_only_past_horizon(plucker_csvs,
@@ -354,6 +367,18 @@ def test_config_invalid_values_exit_two(tmp_path, capsys):
     rc = cli.main(["conjugate", "whatever.json", "--config", str(cfg)])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config", [(["--Lcp", "0.01"], {}),
+                                           ([], {"sample_dx": 0.07})],
+                         ids=["Lcp=0.01", "sample_dx=0.07"])
+def test_window_not_a_multiple_of_dx_exits_two(tmp_path, capsys, flags, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main(["conjugate", "whatever.json", "--config", str(cfg), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "not an integer multiple of dx" in err
 
 
 @pytest.mark.parametrize("entry", [{"N": 64.5}, {"N": True}, {"nu": "abc"},

@@ -12,7 +12,7 @@ from shpulse.conjugate import (
     stability_report,
     trust_horizon,
 )
-from shpulse.lagrangian import LagrangianPath, crossing_form, sandwich_plane
+from shpulse.lagrangian import LagrangianPath, crossing_form, maslov_index, sandwich_plane
 from shpulse.model import Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
@@ -177,6 +177,23 @@ def test_report_window_independence(pulse_phipi):
     assert locs[1] == pytest.approx(17.5887, abs=5e-2)
 
 
+@pytest.mark.parametrize("name, index", [("phi0", 1), ("phipi", 2), ("snaking", 0)])
+def test_maslov_index_of_the_clipped_trajectory_is_the_count(request, name, index):
+    """The generic Maslov engine on the trajectory up to the trust horizon
+    gives the report's count, with crossings where the pulse scan puts them."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    traj = request.getfixturevalue(f"traj_{name}")
+    a, b = traj.settings.window
+    path = LagrangianPath(traj.frame_at, (a, min(b, trust_horizon(pulse))))
+    result = maslov_index(path, sandwich_plane())
+    assert result.index == index
+    assert stability_report(pulse, traj).counts == (index, index)
+    scan = scan_and_refine(traj)
+    assert len(result.crossings) == len(scan.locations)
+    for record, x in zip(result.crossings, scan.locations):
+        assert abs(record.t - x) < 1e-7
+
+
 def test_coarse_tail_is_clipped_not_reported():
     """A pulse solved with too few modes must not yield phantom crossings.
 
@@ -275,4 +292,5 @@ def test_report_text_is_pinned(name):
     ref = REFERENCE_PULSES[name]
     pulse = newton_solve(seed_from_normal_form(
         ref["params"], ref["phi"], scale=ref["scale"], N=ref["N"]))
-    assert format_report(stability_report(pulse)) == GOLDEN_REPORTS[name]
+    report = stability_report(pulse, integrate_frame(pulse))
+    assert format_report(report) == GOLDEN_REPORTS[name]

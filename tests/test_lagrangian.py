@@ -37,16 +37,6 @@ def basis(i):
 # ---------------------------------------------------------------------------
 
 
-def test_standard_symplectic_matrix():
-    for n in (1, 2, 3):
-        J = lg.standard_symplectic_matrix(n)
-        assert np.array_equal(J @ J, -np.eye(2 * n))
-        assert np.array_equal(J.T, -J)
-    assert np.array_equal(lg.standard_symplectic_matrix(2), J4)
-    with pytest.raises(ValueError):
-        lg.standard_symplectic_matrix(0)
-
-
 def test_omega_on_standard_basis():
     assert lg.omega(basis(0), basis(2)) == 1.0
     assert lg.omega(basis(2), basis(0)) == -1.0
@@ -78,7 +68,7 @@ def test_frame_validation_and_blocks():
     F = lg.LagrangianPath(lambda t: np.arange(8).reshape(4, 2), (0.0, 1.0)).frame(0.5)
     assert F.dtype == float
     assert np.array_equal(F, np.arange(8.0).reshape(4, 2))
-    with pytest.raises(ValueError, match="2n-by-n"):
+    with pytest.raises(ValueError, match="4-by-2"):
         lg.LagrangianPath(lambda t: np.zeros((3, 2)), (0.0, 1.0)).frame(0.5)
     with pytest.raises(ValueError, match="finite"):
         lg.LagrangianPath(lambda t: np.full((4, 2), np.nan), (0.0, 1.0)).frame(0.5)
@@ -155,20 +145,6 @@ def test_plucker_norm_relation_and_orientation():
             assert np.allclose(Q, P, atol=1e-11)
         else:
             assert np.allclose(Q, -P, atol=1e-11)
-
-
-def test_sandwich_train_membership():
-    # the projected train is two closed discs touching at the origin
-    assert lg.sandwich_train_contains((0.0, 0.0, 0.0))
-    assert lg.sandwich_train_contains((-1.0, 0.0, 0.0))
-    assert lg.sandwich_train_contains((1.0, 0.0, 0.0))
-    assert lg.sandwich_train_contains((0.5, 0.49, 0.0))
-    assert not lg.sandwich_train_contains((0.0, 0.0, 0.5))
-    assert not lg.sandwich_train_contains((0.2, 0.5, 0.0))
-    assert not lg.sandwich_train_contains((0.0, 0.6, 0.0))
-    # points off the P14 = 0 slice are excluded no matter the disc test
-    assert not lg.sandwich_train_contains((0.5, 0.0, 1e-3))
-    assert lg.sandwich_train_contains((0.5, 0.0, 1e-3), atol=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,12 @@ def test_normal_form_rejects_undefined_amplitude():
 
 
 def test_coefficient_matrix_structure():
-    m = coefficient_matrix(-0.05, 0.0)
-    assert m.B[2, 0] == pytest.approx(-1.05)
-    assert m.B[0].tolist() == [0, 0, 0, 1]
-    assert m.B[1].tolist() == [0, 0, 1, -2]
-    assert m.B[3].tolist() == [0, 1, 0, 0]
-    assert coefficient_matrix(0.0, 1.0).B[2, 0] == pytest.approx(-2.0)
+    B = coefficient_matrix(-0.05, 0.0)
+    assert B[2, 0] == pytest.approx(-1.05)
+    assert B[0].tolist() == [0, 0, 0, 1]
+    assert B[1].tolist() == [0, 0, 1, -2]
+    assert B[3].tolist() == [0, 1, 0, 0]
+    assert coefficient_matrix(0.0, 1.0)[2, 0] == pytest.approx(-2.0)
 
 
 @given(
@@ -78,11 +78,11 @@ def test_coefficient_matrix_structure():
     lam=st.floats(-1, 5, allow_nan=False),
 )
 def test_hamiltonian_structure_exact(fp, lam):
-    m = coefficient_matrix(fp, lam)
-    assert np.array_equal(m.J @ m.C, m.B)
-    assert np.array_equal(m.C, m.C.T)
-    assert np.array_equal(m.J @ m.J, -np.eye(4))
-    assert np.array_equal(m.J.T, -m.J)
+    # B^T J + J B = 0 is B = J C with C = -J B symmetric
+    B = coefficient_matrix(fp, lam)
+    assert np.array_equal(B.T @ J4 + J4 @ B, np.zeros((4, 4)))
+    assert np.array_equal(J4 @ J4, -np.eye(4))
+    assert np.array_equal(J4.T, -J4)
 
 
 def test_asymptotic_matrix_entries_and_spectrum():

@@ -332,6 +332,50 @@ def test_load_rejects_non_finite_values(tmp_path, field, value):
         sp.load(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nu", True),
+    ("nu", "1.6"),
+    ("residual_norm", None),
+    ("N", 1.5),
+    ("N", True),
+    ("N", "1"),
+    ("coefficients", [0.0, "0.5"]),
+    ("coefficients", [0.0, False]),
+], ids=["nu=true", "nu=str", "residual_norm=null", "N=1.5", "N=true", "N=str",
+        "coefficients=str", "coefficients=false"])
+def test_load_rejects_values_of_the_wrong_type(tmp_path, field, value):
+    doc = {
+        "nu": 1.6,
+        "mu": 0.05,
+        "phi": 0.0,
+        "L_f": 100.0,
+        "N": 1,
+        "coefficients": [0.0, 0.0],
+        "residual_norm": 0.0,
+    }
+    doc[field] = value
+    path = tmp_path / "pulse.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PulseFileError, match=f"{field} must be"):
+        sp.load(path)
+
+
+def test_load_rejects_integer_beyond_float_range(tmp_path):
+    doc = {
+        "nu": 10**400,
+        "mu": 0.05,
+        "phi": 0.0,
+        "L_f": 100.0,
+        "N": 1,
+        "coefficients": [0.0, 0.0],
+        "residual_norm": 0.0,
+    }
+    path = tmp_path / "pulse.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PulseFileError, match="too large"):
+        sp.load(path)
+
+
 def test_pulse_validation():
     with pytest.raises(ValueError):
         make_pulse([0.0, 0.0], L_f=-1.0)

@@ -18,7 +18,6 @@ from shpulse.shooting import (
     initial_frame,
     integrate_frame,
     sandwich_determinant,
-    tail_rotation_period,
     write_trajectory,
 )
 
@@ -73,7 +72,7 @@ def test_constant_coefficients_match_matrix_exponential():
     """With no pulse the transport has a closed-form answer."""
     pulse = zero_pulse(P05)
     traj = integrate_frame(pulse, settings=ShootingSettings(window=(-10.0, 10.0)))
-    B = coefficient_matrix(-P05.mu, 0.0).B
+    B = coefficient_matrix(-P05.mu, 0.0)
     F0 = initial_frame(P05)
     for s in traj.samples[::20]:
         exact = expm(B * (s.x + 10.0)) @ F0
@@ -171,7 +170,7 @@ def _advance(traj, sample, h):
     from shpulse.pulse import potential
 
     def rhs(x, y):
-        B = coefficient_matrix(potential(traj.pulse, x), traj.lam).B
+        B = coefficient_matrix(potential(traj.pulse, x), traj.lam)
         return (B @ y.reshape(4, 2)).ravel()
 
     sol = solve_ivp(rhs, (sample.x, sample.x + h), sample.frame.ravel(),
@@ -186,17 +185,15 @@ def test_frame_at_rejects_points_outside_window(traj_phi0):
         traj_phi0.frame_at(-75.0)
 
 
-def test_tail_rotation_period_value():
-    assert tail_rotation_period(P05) == pytest.approx(3.1223749720795805, abs=1e-12)
-
-
 def test_tail_oscillation_has_the_predicted_period(traj_phi0):
     """Far from the pulse the detA samples oscillate with period pi/Im(gamma)."""
     xs, d = traj_phi0.xs, traj_phi0.deta
     m = (xs >= 25.0) & (xs <= 55.0)
     sig = d[m] - d[m].mean()
     ac = np.correlate(sig, sig, mode="full")[sig.size - 1:]
-    T = tail_rotation_period(P05)
+    # tail solutions spiral at rate Im gamma1; a plane returns after a half turn
+    T = np.pi / asymptotic_frames(0.0, P05).gamma1.imag
+    assert T == pytest.approx(3.1223749720795805, abs=1e-12)
     dx = traj_phi0.settings.dx
     lags = np.arange(ac.size) * dx
     search = (lags > 0.5 * T) & (lags < 1.5 * T)
