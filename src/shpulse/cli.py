@@ -15,7 +15,8 @@ override the file.  Output is deterministic: fixed float formats, no
 timestamps.
 
 Exit codes: 0 on success, 1 on a numerical failure (Newton divergence,
-non-finite transport, unreadable pulse file), 2 on a usage error.
+non-finite transport, a crossing outside the signature calculus,
+unreadable pulse file), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numbers
 import sys
 from dataclasses import dataclass, fields
 
-from .conjugate import (DEGENERACY_TOL, SIMPLICITY_THRESHOLD, format_report,
-                        stability_report)
+from .conjugate import SIMPLICITY_THRESHOLD, format_report, stability_report
+from .lagrangian import CrossingError, TransversalityError
 from .model import Params
 from .pulse import (NewtonError, PulseFileError, evaluate, load, newton_solve,
                     save, seed_from_normal_form)
@@ -49,8 +50,9 @@ class RunConfig:
     Groups: model parameters (``nu``, ``mu``, ``phi``, ``scale``), Fourier
     discretization (``L_f``, ``N``, ``newton_tol``), plane transport
     (``L_cp``, ``sample_dx``: window half-width and sample spacing, which is
-    also the Magnus step up to 0.05) and decision thresholds
-    (``unstable_threshold``, ``degeneracy_tol``, ``simplicity_threshold``).
+    also the Magnus step up to 0.05, defaulting to :class:`ShootingSettings`)
+    and decision thresholds (``unstable_threshold``, the eigenvalue cut-off,
+    and ``simplicity_threshold``, below which a crossing is flagged).
     ``nu``/``mu``/``phi`` stay ``None`` until a command that needs them
     checks for their presence.  ``N`` must be an integer and every other
     field a finite real number; booleans are neither.  The transport window
@@ -64,10 +66,9 @@ class RunConfig:
     L_f: float = 100.0
     N: int = 128
     newton_tol: float = 1e-12
-    L_cp: float = 60.0
-    sample_dx: float = 0.05
+    L_cp: float = ShootingSettings().window[1]
+    sample_dx: float = ShootingSettings().dx
     unstable_threshold: float = DEFAULT_THRESHOLD
-    degeneracy_tol: float = DEGENERACY_TOL
     simplicity_threshold: float = SIMPLICITY_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -82,8 +83,7 @@ class RunConfig:
                     or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         positive = ("scale", "L_f", "newton_tol", "L_cp", "sample_dx",
-                    "unstable_threshold", "degeneracy_tol",
-                    "simplicity_threshold")
+                    "unstable_threshold", "simplicity_threshold")
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -170,7 +170,6 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     report = stability_report(
         pulse, trajectory=trajectory,
         unstable_threshold=cfg.unstable_threshold,
-        degeneracy_tol=cfg.degeneracy_tol,
         simplicity_threshold=cfg.simplicity_threshold)
     print(format_report(report))
     if args.out:
@@ -272,7 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonError, PulseFileError, TransportError) as exc:
+    except (NewtonError, PulseFileError, TransportError, CrossingError,
+            TransversalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

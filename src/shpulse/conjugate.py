@@ -1,18 +1,14 @@
 """Conjugate points of a pulse and the two-route stability comparison.
 
 A conjugate point is a position ``x*`` where the transported unstable plane
-meets the sandwich plane ``span{e2, e3}``, detected as a zero of the
-rows-(1,4) determinant along the trajectory.  Each detected point is
-classified by the shape of the intersection vector ``p``:
-
-* case I — ``p2 != 0``: the first-order crossing value ``Q1 = p2^2`` is
-  positive, so the crossing is regular and counts once;
-* case II — ``p2 = 0`` but ``p3 != 0``: the first two values vanish and the
-  third-order value ``Q3 = 2 p3^2`` is positive, so the crossing still
-  counts once;
-* case III — the rows-(1,4) submatrix loses both singular values: the
-  intersection is two-dimensional, outside the simple-crossing theory, and
-  the report is flagged instead of counted.
+meets the sandwich plane ``span{e2, e3}``.  The geometric count is the
+Maslov index of the transported plane against that reference, computed by
+:func:`shpulse.lagrangian.maslov_index` on the trajectory's own samples:
+zeros and dips of the detector are located, and each crossing contributes
+the signature of its first nondegenerate crossing form when that form has
+odd order.  A regular crossing (order 1, ``Q1 > 0``) counts once; a fully
+degenerate one, such as a two-dimensional intersection whose third-order
+form is definite, contributes its signature instead of being skipped.
 
 The total is compared against the number of unstable eigenvalues of the
 Fourier-residual Jacobian, computed independently by :mod:`.spectrum`.
@@ -29,26 +25,24 @@ determinant zero.  The scan therefore stops at the horizon
 
     ``x_h = ln(1/eps) / (2 alpha) - 2 pi / beta``
 
-(`alpha`, ``beta`` the real and imaginary parts of the tail exponent, two
+(``alpha``, ``beta`` the real and imaginary parts of the tail exponent, two
 rotation periods subtracted as the width of the detachment), records the
 clip, and never reports crossings beyond it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import DIP_TOL, locate_zeros
+from .lagrangian import LagrangianPath, maslov_index, sandwich_plane
 from .model import Params, asymptotic_frames, lambda_infinity_bound
 from .pulse import FourierPulse, potential
 from .shooting import TRANSPORT_NOISE, FrameTrajectory, sandwich_determinant
 from .spectrum import DEFAULT_THRESHOLD, count_unstable
 
 SIMPLICITY_THRESHOLD = 1e-3
-DEGENERACY_TOL = 1e-6
-BRACKET_TOL = 1e-8
 
 
 def trust_horizon(pulse: FourierPulse, lam: float = 0.0) -> float:
@@ -64,113 +58,93 @@ def trust_horizon(pulse: FourierPulse, lam: float = 0.0) -> float:
 
 
 @dataclass(frozen=True)
-class ScanResult:
-    """Refined determinant zeros plus scan bookkeeping."""
-
-    locations: tuple[float, ...]
-    suspected_even: tuple[float, ...]
-    horizon: float
-    clipped: bool
-
-
-@dataclass(frozen=True)
 class ConjugatePointRecord:
-    """One classified crossing of the sandwich plane."""
+    """One crossing of the sandwich plane, as the Maslov engine classified it.
+
+    ``order`` is the order of the first nondegenerate crossing form,
+    ``kernel_dim`` the dimension of the intersection, ``signature`` that of
+    the form and ``value`` its value (see
+    :class:`shpulse.lagrangian.CrossingFormResult`).  ``simplicity_norm`` is
+    the largest singular value of rows (1, 4) of the frame at ``x_star``: it
+    vanishes when the whole plane lies in the sandwich plane.
+    """
 
     x_star: float
-    kernel_vector: np.ndarray = field(repr=False)
-    case: str
-    Q1: float
-    Q3: float | None
+    order: int
+    kernel_dim: int
+    signature: int
+    value: float
     simplicity_norm: float
 
     @property
-    def counts(self) -> bool:
-        return self.case in ("I", "II")
+    def case(self) -> str:
+        """Printed label: I regular, II higher order on a line, III a 2-D kernel."""
+        if self.kernel_dim > 1:
+            return "III"
+        return "I" if self.order == 1 else "II"
+
+    @property
+    def Q1(self) -> float:
+        """First-order form value; the lower orders of a degenerate crossing vanish."""
+        return self.value if self.order == 1 else 0.0
+
+    @property
+    def Q3(self) -> float | None:
+        return self.value if self.order == 3 else None
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Two independent instability counts for one pulse, side by side."""
+    """Two independent instability counts for one pulse, side by side.
+
+    ``geometric_count`` is the Maslov index of the trajectory up to
+    ``horizon``; ``clipped`` says whether the window extends past it.
+    """
 
     pulse_id: str
     unstable_eigenvalues: tuple[float, ...]
     conjugate_points: tuple[ConjugatePointRecord, ...]
+    geometric_count: float
     counts_match: bool
     hypothesis_degeneracy_ok: bool
     lambda_infinity: float
     asymptotic_crossings_ok: bool
     potential_tail: float
-    scan: ScanResult
+    horizon: float
+    clipped: bool
     warnings: tuple[str, ...]
 
     @property
-    def counts(self) -> tuple[int, int]:
-        counted = sum(1 for r in self.conjugate_points if r.counts)
-        return (len(self.unstable_eigenvalues), counted)
+    def counts(self) -> tuple[int, float]:
+        return (len(self.unstable_eigenvalues), self.geometric_count)
 
 
-def scan_and_refine(traj: FrameTrajectory) -> ScanResult:
-    """Locate the zeros of the sandwich determinant along the trajectory.
+def conjugate_points(traj: FrameTrajectory, horizon: float
+                     ) -> tuple[float, tuple[ConjugatePointRecord, ...]]:
+    """Maslov index and crossings of the trajectory's samples up to ``horizon``.
 
-    The samples up to the trust horizon go through
-    :func:`~shpulse.lagrangian.locate_zeros`: sign changes are bisected,
-    re-evaluating the determinant by a partial step from the nearest
-    sample, until the bracket is narrower than ``BRACKET_TOL``; local
-    minima of ``|detA|`` below ``DIP_TOL`` that do not change sign are
-    reported separately as suspected even-order touches (they contribute
-    nothing to the count).  An empty result is a valid outcome.
+    The stored samples ``traj.xs``/``traj.frames`` at or before ``horizon``
+    go to :func:`~shpulse.lagrangian.maslov_index` against the sandwich
+    plane; bisection, dip minimisation and the crossing forms evaluate
+    ``traj.frame_at`` between samples.  Returns the index, which is not
+    rounded (an endpoint crossing leaves a half), and one record per
+    crossing.  A horizon before the second sample is a ValueError: nothing
+    of the window could be checked.
     """
-    horizon = trust_horizon(traj.pulse, traj.lam)
-    xs, d = traj.xs, traj.deta
-    keep = xs <= horizon
-    locations, suspected = locate_zeros(
-        xs[keep], d[keep], lambda x: sandwich_determinant(traj.frame_at(x)),
-        BRACKET_TOL, DIP_TOL)
-    return ScanResult(
-        locations=tuple(locations),
-        suspected_even=tuple(suspected),
-        horizon=horizon,
-        clipped=bool(np.any(~keep)),
-    )
-
-
-def classify(x_star: float, traj: FrameTrajectory,
-             degeneracy_tol: float = DEGENERACY_TOL) -> ConjugatePointRecord:
-    """Classify the crossing at ``x_star`` from the frame's kernel vector.
-
-    The kernel direction of the rows-(1,4) submatrix of the orthonormal
-    frame ``traj.frame_at(x_star)`` is lifted through the frame to the
-    intersection vector ``p`` (unit norm, first and last entries vanish at
-    a true crossing), and the closed-form crossing values ``Q1 = p2^2``
-    and, when that degenerates, ``Q3 = 2 p3^2`` decide the case.  ``simplicity_norm`` is the surviving singular value of the
-    submatrix; a crossing is accepted as simple only above 1e-3.
-    """
-    M = traj.frame_at(x_star)
-    sub = M[[0, 3], :]
-    _, s, vt = np.linalg.svd(sub)
-    simplicity = float(s[0])
-    if simplicity < degeneracy_tol:
-        # the whole plane lies in the sandwich plane: two-dimensional kernel
-        return ConjugatePointRecord(
-            x_star=float(x_star), kernel_vector=np.zeros(4), case="III",
-            Q1=0.0, Q3=None, simplicity_norm=simplicity,
-        )
-    u = vt[1]  # right-singular vector of the smaller singular value
-    p = M @ u
-    p = p / np.linalg.norm(p)
-    if p[1] < 0 or (abs(p[1]) < 1e-12 and p[2] < 0):
-        p = -p
-    Q1 = float(p[1] ** 2)
-    if Q1 > degeneracy_tol:
-        return ConjugatePointRecord(
-            x_star=float(x_star), kernel_vector=p, case="I",
-            Q1=Q1, Q3=None, simplicity_norm=simplicity,
-        )
-    return ConjugatePointRecord(
-        x_star=float(x_star), kernel_vector=p, case="II",
-        Q1=Q1, Q3=float(2.0 * p[2] ** 2), simplicity_norm=simplicity,
-    )
+    keep = traj.xs <= horizon
+    if np.count_nonzero(keep) < 2:
+        raise ValueError(
+            f"the trust horizon x = {horizon:.2f} leaves fewer than two samples "
+            "of the window; raise the mode count to push the horizon out")
+    path = LagrangianPath(traj.frame_at, (traj.xs[0], traj.xs[-1]))
+    result = maslov_index(path, sandwich_plane(), traj.xs[keep], traj.frames[keep])
+    records = tuple(
+        ConjugatePointRecord(
+            x_star=c.t, order=c.order, kernel_dim=c.kernel_dim,
+            signature=c.positive - c.negative, value=c.value,
+            simplicity_norm=float(np.linalg.norm(traj.frame_at(c.t)[[0, 3]], 2)))
+        for c in result.crossings)
+    return result.index, records
 
 
 def check_no_asymptotic_crossings(p: Params, lambda_grid) -> bool:
@@ -196,24 +170,22 @@ def _pulse_id(pulse: FourierPulse) -> str:
 
 def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
                      unstable_threshold: float = DEFAULT_THRESHOLD,
-                     degeneracy_tol: float = DEGENERACY_TOL,
                      simplicity_threshold: float = SIMPLICITY_THRESHOLD
                      ) -> StabilityReport:
     """Count instabilities two independent ways and compare.
 
     The spectral route counts unstable eigenvalues of the Fourier-residual
-    Jacobian; the geometric route counts classified conjugate points of
-    ``trajectory``, the unstable plane transported at ``lam = 0``.  The two
-    computations share no intermediate data.
+    Jacobian; the geometric route is the Maslov index of ``trajectory``, the
+    unstable plane transported at ``lam = 0``, up to the trust horizon.  The
+    two computations share no intermediate data.
     """
     spectral = count_unstable(pulse, threshold=unstable_threshold)
 
     if trajectory.lam != 0.0:
         raise ValueError("the conjugate-point count is defined at lam = 0")
-    scan = scan_and_refine(trajectory)
-    records = tuple(
-        classify(x, trajectory, degeneracy_tol=degeneracy_tol)
-        for x in scan.locations)
+    horizon = trust_horizon(pulse, trajectory.lam)
+    clipped = bool(trajectory.xs[-1] > horizon)
+    index, records = conjugate_points(trajectory, horizon)
 
     a, b = trajectory.settings.window
     grid = np.linspace(a, b, 4001)
@@ -224,38 +196,29 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
     tail = float(max(abs(pot[0] + pulse.params.mu), abs(pot[-1] + pulse.params.mu)))
 
     warnings: list[str] = []
-    if scan.clipped:
+    if clipped:
         warnings.append(
-            f"scan clipped at the trust horizon x = {scan.horizon:.2f} "
+            f"scan clipped at the trust horizon x = {horizon:.2f} "
             f"(window extends to {b:g}); raise the mode count to push the "
             "horizon out")
-    if scan.suspected_even:
-        warnings.append(
-            "suspected even-order touches (no sign change) at "
-            + ", ".join(f"{x:.4f}" for x in scan.suspected_even))
-    degenerate = [r for r in records if r.case == "III"]
-    if degenerate:
-        warnings.append(
-            "two-dimensional crossing detected at "
-            + ", ".join(f"{r.x_star:.4f}" for r in degenerate)
-            + "; the simple-crossing count does not apply")
     weak = [r for r in records if r.simplicity_norm <= simplicity_threshold]
     if weak:
         warnings.append(
             f"crossing(s) below the simplicity threshold {simplicity_threshold:g} at "
             + ", ".join(f"{r.x_star:.4f}" for r in weak))
 
-    counted = [r for r in records if r.counts]
     return StabilityReport(
         pulse_id=_pulse_id(pulse),
         unstable_eigenvalues=tuple(spectral.unstable),
         conjugate_points=records,
-        counts_match=len(spectral.unstable) == len(counted),
-        hypothesis_degeneracy_ok=not degenerate,
+        geometric_count=index,
+        counts_match=len(spectral.unstable) == index,
+        hypothesis_degeneracy_ok=all(r.kernel_dim == 1 for r in records),
         lambda_infinity=float(lam_inf),
         asymptotic_crossings_ok=asym_ok,
         potential_tail=tail,
-        scan=scan,
+        horizon=horizon,
+        clipped=clipped,
         warnings=tuple(warnings),
     )
 

@@ -15,12 +15,12 @@ plane:
   reference plane is the raw derivative ``Q_j(v) = d^j/dt^j omega(v, A(t) v)``
   at ``t0`` (no factorial normalisation), evaluated here by central finite
   differences with Richardson extrapolation;
-* crossing search: :func:`locate_zeros` finds the zeros of a sampled
-  crossing detector, for the Maslov index here and for the conjugate-point
-  scan of a pulse;
+* crossing search: :func:`locate_zeros` finds the zeros and the
+  sign-preserving dips of a sampled crossing detector;
 * Maslov index: each isolated crossing contributes the signature of its
   first nondegenerate form when that order is odd, nothing when it is even,
-  and boundary crossings are weighted by one half.
+  and boundary crossings are weighted by one half.  The same computation
+  counts the conjugate points of a pulse (:mod:`shpulse.conjugate`).
 
 The Plücker coordinates give a global chart used for trajectory export.
 """
@@ -71,15 +71,16 @@ def _frame_matrix(frame) -> np.ndarray:
 
 
 def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the diagonal of R forced positive.
+    """Thin QR with the diagonal of R forced positive, of one matrix or of
+    each matrix of a stack ``(..., m, n)``.
 
     The sign fix makes Q depend smoothly on a smoothly varying full-rank M,
     so determinants of orthonormalized frames keep their sign along a path.
     """
     q, r = np.linalg.qr(M)
-    s = np.sign(np.diag(r))
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
-    return q * s, r * s[:, None]
+    return q * s[..., None, :], r * s[..., :, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +88,9 @@ class LagrangianPath:
     """A one-parameter family of Lagrangian planes.
 
     ``frame_fn`` must return a 4-by-2 frame matrix for any parameter where
-    the family is defined; ``domain`` bounds the interval that scanning
-    routines cover.  Derivative stencils may evaluate the family slightly
-    outside the domain, so ``frame_fn`` should tolerate a small overhang
-    when possible.
+    the family is defined; ``domain`` is that interval.  Derivative
+    stencils may evaluate the family slightly outside the domain, so
+    ``frame_fn`` should tolerate a small overhang when possible.
     """
 
     frame_fn: Callable[[float], np.ndarray]
@@ -345,7 +345,7 @@ def crossing_form(path: LagrangianPath, t0: float, reference, max_order: int = 3
     if max_order < 1:
         raise ValueError("max_order must be a positive integer")
     U, W, form_at = _kernel_form(path, t0, reference, kernel_tol,
-                                 "crossing to classify")
+                                 "crossing form to evaluate")
     k = U.shape[1]
     h_eff = _effective_step(W, U, path, t0)
 
@@ -480,15 +480,16 @@ class MaslovResult:
     crossings: tuple[CrossingRecord, ...]
 
 
-def maslov_index(path: LagrangianPath, reference, a: float | None = None,
-                 b: float | None = None, num: int = 1001,
+def maslov_index(path: LagrangianPath, reference, ts, frames,
                  max_order: int = 3) -> MaslovResult:
-    """Maslov index of the family against a reference plane on [a, b].
+    """Maslov index of the family against a reference plane on [ts[0], ts[-1]].
 
-    The detector ``det [Q(t) | Q_ref]`` of orthonormalized frames is
-    sampled at ``num`` points and searched by :func:`locate_zeros`: its
-    zeros are bisected to ``REFINE_TOL``, and each dip below ``DIP_TOL``
-    (relative to the largest sample) is minimised locally and kept when it
+    ``frames`` holds the family's frames at the increasing samples ``ts``
+    as one ``(len(ts), 4, 2)`` array.  The detector ``det [Q(t) | Q_ref]``
+    of orthonormalized frames is evaluated on that stack and searched by
+    :func:`locate_zeros`: its zeros are bisected to ``REFINE_TOL`` through
+    ``path.frame``, and each dip below ``DIP_TOL`` (relative to the largest
+    sample) is minimised between its neighbouring samples and kept when it
     reaches ``DET_TOL`` (even-order crossings touch zero without a sign
     change); an end sample below ``DET_TOL`` is an endpoint crossing.
     Each crossing is classified with :func:`crossing_form`; interior
@@ -496,20 +497,23 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
     crossings contribute nothing, and endpoint crossings contribute half
     their one-sided spectral flow.
     """
-    lo, hi = path.domain
-    a = lo if a is None else float(a)
-    b = hi if b is None else float(b)
-    if not a < b:
-        raise ValueError("empty parameter interval")
-    ref_q = _frame_matrix(reference)
-    ref_q, _ = _qr_positive(ref_q)
+    ts = np.asarray(ts, dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0):
+        raise ValueError("the sample grid must hold at least two increasing points")
+    if frames.shape != (ts.size, 4, 2) or not np.all(np.isfinite(frames)):
+        raise ValueError(
+            f"frames must be a finite ({ts.size}, 4, 2) stack, got shape {frames.shape}")
+    a, b = float(ts[0]), float(ts[-1])
+    ref_q, _ = _qr_positive(_frame_matrix(reference))
 
     def det_fn(t: float) -> float:
         q, _ = _qr_positive(path.frame(t))
         return float(np.linalg.det(np.hstack([q, ref_q])))
 
-    ts = np.linspace(a, b, num)
-    dets = np.array([det_fn(t) for t in ts])
+    q, _ = _qr_positive(frames)
+    dets = np.linalg.det(np.concatenate(
+        [q, np.broadcast_to(ref_q, q.shape)], axis=-1))
     scale = float(np.max(np.abs(dets)))
     if scale < 1e-12:
         raise CrossingError(
@@ -521,8 +525,8 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
     crossing_ts = [t for t, d in ((a, dets[0]), (b, dets[-1]))
                    if abs(d) < DET_TOL * scale] + zeros
     for t in dips:
-        h = ts[1] - ts[0]
-        res = minimize_scalar(lambda s: abs(det_fn(s)), bounds=(t - h, t + h),
+        i = int(np.searchsorted(ts, t))
+        res = minimize_scalar(lambda s: abs(det_fn(s)), bounds=(ts[i - 1], ts[i + 1]),
                               method="bounded", options={"xatol": REFINE_TOL})
         if abs(res.fun) < DET_TOL * scale:
             crossing_ts.append(float(res.x))
@@ -536,12 +540,11 @@ def maslov_index(path: LagrangianPath, reference, a: float | None = None,
 
     records: list[CrossingRecord] = []
     total = 0.0
-    end_tol = max(merge_tol, 1e-9 * (b - a))
     for t in merged:
         cf = crossing_form(path, t, reference, max_order=max_order)
         sig = cf.signature
-        if abs(t - a) <= end_tol or abs(t - b) <= end_tol:
-            endpoint = "left" if abs(t - a) <= end_tol else "right"
+        if abs(t - a) <= merge_tol or abs(t - b) <= merge_tol:
+            endpoint = "left" if abs(t - a) <= merge_tol else "right"
             contribution = 0.5 * sig
         else:
             endpoint = None

@@ -84,18 +84,14 @@ def coefficient_matrix(fprime_value: float, lam: float) -> np.ndarray:
     )
 
 
-def asymptotic_matrix(lam: float, p: Params) -> np.ndarray:
-    """B_inf(lam): the coefficient matrix with the potential at its tail value f'(0) = -mu."""
-    return coefficient_matrix(nonlinearity_deriv(0.0, p), lam)
-
-
 @dataclass(frozen=True)
 class AsymptoticData:
-    """Closed-form spectral data of B_inf(lam).
+    """Closed-form spectral data of B_inf(lam), the coefficient matrix with
+    the potential at its tail value f'(0) = -mu.
 
     The eigenvalues are the quadruple {+-gamma1, +-conj(gamma1)} with
-    gamma1 = sqrt(r)*exp(i*theta/2); (Ru1, Ru2) and (Rs1, Rs2) are real bases
-    of the unstable and stable invariant planes, both Lagrangian.
+    gamma1 = sqrt(r)*exp(i*theta/2); (Ru1, Ru2) is a real basis of the
+    unstable invariant plane, which is Lagrangian.
     """
 
     lam: float
@@ -103,8 +99,6 @@ class AsymptoticData:
     theta: float
     Ru1: np.ndarray
     Ru2: np.ndarray
-    Rs1: np.ndarray
-    Rs2: np.ndarray
 
     @property
     def gamma1(self) -> complex:
@@ -114,18 +108,14 @@ class AsymptoticData:
     def unstable_frame(self) -> np.ndarray:
         return np.column_stack([self.Ru1, self.Ru2])
 
-    @property
-    def stable_frame(self) -> np.ndarray:
-        return np.column_stack([self.Rs1, self.Rs2])
-
 
 def asymptotic_frames(lam: float, p: Params) -> AsymptoticData:
-    """Real eigenbases of the unstable/stable subspaces of B_inf(lam).
+    """Real eigenbasis of the unstable subspace of B_inf(lam).
 
     Writes the relevant root of the characteristic quartic as r*exp(i*theta)
     with r = sqrt(1 + lam + mu) and theta = pi - arctan(sqrt(lam + mu)), which
-    pins the branch inside (pi/2, pi). The four vectors are the real and
-    imaginary parts of the corresponding eigenvectors, scaled as in the
+    pins the branch inside (pi/2, pi). The two vectors are the real and
+    imaginary parts of the corresponding eigenvector, scaled as in the
     closed-form derivation (first component exp(-i*theta)/r).
     """
     if lam < 0:
@@ -137,9 +127,7 @@ def asymptotic_frames(lam: float, p: Params) -> AsymptoticData:
     ct, st = np.cos(theta), np.sin(theta)
     Ru1 = np.array([ct / r, 1.0, (2.0 / sr + sr) * c, c / sr])
     Ru2 = np.array([-st / r, 0.0, (sr - 2.0 / sr) * s, -s / sr])
-    Rs1 = np.array([ct / r, 1.0, (-2.0 / sr - sr) * c, -c / sr])
-    Rs2 = np.array([-st / r, 0.0, (2.0 / sr - sr) * s, s / sr])
-    return AsymptoticData(lam=lam, r=r, theta=theta, Ru1=Ru1, Ru2=Ru2, Rs1=Rs1, Rs2=Rs2)
+    return AsymptoticData(lam=lam, r=r, theta=theta, Ru1=Ru1, Ru2=Ru2)
 
 
 def lambda_infinity_bound(potential_samples) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm, subspace_angles
 
 from . import lagrangian as lg
-from .conjugate import StabilityReport, scan_and_refine, stability_report
+from .conjugate import StabilityReport, conjugate_points, stability_report, trust_horizon
 from .model import J4, Params, coefficient_matrix
 from .pulse import (
     FourierPulse,
@@ -178,12 +178,19 @@ def check_fixtures() -> CheckResult:
     ts, lams = lg.eigenvalue_motion(ell2, 0.0, sand)
     errs["branch"] = float(np.max(np.abs(lams[:, 0] + ts**3 / 3.0)))
 
-    m1 = lg.maslov_index(ell1, sand)
-    m2 = lg.maslov_index(ell2, sand)
+    # fully degenerate k = 2 crossing: the graph of t^3 diag(1, 2) over the
+    # sandwich plane, order 3 with signature -2
+    ell3 = lg.LagrangianPath(
+        lambda t: sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3]), (-1.0, 1.0))
+    grid = np.linspace(-1.0, 1.0, 1001)
+    m1, m2, m3 = (lg.maslov_index(path, sand, grid, np.stack([path.frame(t) for t in grid]))
+                  for path in (ell1, ell2, ell3))
     errs["maslov"] = max(abs(m1.index - (-1)), abs(m2.index - (-1)))
+    errs["k=2 maslov"] = abs(m3.index - (-2))
 
     worst = max(errs.values())
-    ok = worst < tol and cf2.order == 3 and cf1.order == 1
+    k2 = [(c.order, c.kernel_dim, c.positive - c.negative) for c in m3.crossings]
+    ok = worst < tol and cf2.order == 3 and cf1.order == 1 and k2 == [(3, 2, -2)]
     detail = ", ".join(f"{k} err {v:.1e}" for k, v in errs.items())
     return CheckResult("worked-examples", ok, detail + f" (tol {tol:g})")
 
@@ -296,11 +303,6 @@ def check_constant_coefficient_oracle() -> CheckResult:
 
 # --- criterion 8: robustness ---------------------------------------------
 
-def _scan_locations(pulse, settings):
-    traj = integrate_frame(pulse, lam=0.0, settings=settings)
-    return list(scan_and_refine(traj).locations)
-
-
 def check_robustness(bundles: dict[str, PulseBundle]) -> CheckResult:
     variants = {
         "dx=0.025": ShootingSettings(dx=0.025),
@@ -312,11 +314,14 @@ def check_robustness(bundles: dict[str, PulseBundle]) -> CheckResult:
     for b in bundles.values():
         base = [r.x_star for r in b.report.conjugate_points]
         for label, st in variants.items():
-            locs = _scan_locations(b.pulse, st)
-            if len(locs) != len(base):
+            traj = integrate_frame(b.pulse, lam=0.0, settings=st)
+            index, records = conjugate_points(traj, trust_horizon(b.pulse))
+            locs = [r.x_star for r in records]
+            if index != b.report.geometric_count or len(locs) != len(base):
                 return CheckResult(
                     "robustness", False,
-                    f"{b.name} {label}: count changed {len(base)} -> {len(locs)}")
+                    f"{b.name} {label}: index {b.report.geometric_count} -> {index}, "
+                    f"crossings {len(base)} -> {len(locs)}")
             if base:
                 drift = max(abs(g - w) for g, w in zip(sorted(locs), sorted(base)))
                 worst = max(worst, drift)

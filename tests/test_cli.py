@@ -20,6 +20,7 @@ import pytest
 from shpulse import cli
 from shpulse.cli import RunConfig, UsageError, build_config
 from shpulse.conjugate import trust_horizon
+from shpulse.lagrangian import CrossingError, TransversalityError
 from shpulse.pulse import load
 
 EXPECTED_HEADER = "x,detA,P12,P13,P14,P23,P24,P34,omega_drift"
@@ -239,6 +240,18 @@ def test_conjugate_overflowing_pulse_exits_one(phi0_file, tmp_path, capsys):
     assert captured.err.startswith("error:") and "not finite" in captured.err
 
 
+@pytest.mark.parametrize("error", [CrossingError, TransversalityError])
+def test_conjugate_crossing_failure_exits_one(phi0_file, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("crossing at t = 1.24 is degenerate")
+
+    monkeypatch.setattr(cli, "stability_report", fail)
+    assert cli.main(["conjugate", str(phi0_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: crossing at t = 1.24 is degenerate\n"
+
+
 # ---------------------------------------------------------------------------
 # plucker command
 # ---------------------------------------------------------------------------
@@ -326,8 +339,6 @@ def test_config_defaults_match_published_settings():
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         RunConfig(simplicity_threshold=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        RunConfig(degeneracy_tol=-1e-6)
     with pytest.raises(ValueError, match="exceeds"):
         RunConfig(L_cp=120.0, L_f=100.0)
 
@@ -352,7 +363,7 @@ def test_config_unknown_key_rejected(tmp_path):
         build_config(str(cfg), {})
 
 
-@pytest.mark.parametrize("key", ["rtol", "atol", "renorm_every"])
+@pytest.mark.parametrize("key", ["rtol", "atol", "renorm_every", "degeneracy_tol"])
 def test_config_removed_transport_knobs_exit_two(tmp_path, capsys, key):
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: 1}))

@@ -4,57 +4,58 @@ import numpy as np
 import pytest
 
 from shpulse.conjugate import (
-    ConjugatePointRecord,
     check_no_asymptotic_crossings,
-    classify,
+    conjugate_points,
     format_report,
-    scan_and_refine,
     stability_report,
     trust_horizon,
 )
-from shpulse.lagrangian import LagrangianPath, crossing_form, maslov_index, sandwich_plane
-from shpulse.model import Params
+from shpulse.lagrangian import fixture_paths, locate_zeros, sandwich_plane
+from shpulse.model import J4, Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
 from shpulse.verify import REFERENCE_PULSES
 
 
 class _StubTrajectory:
-    """Minimal stand-in so classify can be fed a synthetic frame."""
+    """The parts of a trajectory the pulse route reads, for an analytic family."""
 
-    def __init__(self, M):
-        self._F = np.asarray(M, dtype=float)
+    def __init__(self, frame_fn, num):
+        self.frame_at = frame_fn
+        self.xs = np.linspace(-1.0, 1.0, num)
+        self.frames = np.stack([frame_fn(x) for x in self.xs])
 
-    def frame_at(self, x):
-        return self._F
+
+def _points(traj):
+    return conjugate_points(traj, trust_horizon(traj.pulse, traj.lam))
 
 
 def test_scan_finds_the_single_crossing(traj_phi0):
-    scan = scan_and_refine(traj_phi0)
-    assert len(scan.locations) == 1
-    assert scan.locations[0] == pytest.approx(1.2400, abs=5e-2)
-    assert scan.suspected_even == ()
-    assert not scan.clipped
+    index, records = _points(traj_phi0)
+    assert index == 1
+    assert len(records) == 1
+    assert records[0].x_star == pytest.approx(1.2400, abs=5e-2)
+    assert trust_horizon(traj_phi0.pulse) > traj_phi0.xs[-1]
 
 
 def test_scan_finds_both_crossings(traj_phipi):
-    scan = scan_and_refine(traj_phipi)
-    assert len(scan.locations) == 2
-    assert scan.locations[0] == pytest.approx(-0.6310, abs=5e-2)
-    assert scan.locations[1] == pytest.approx(17.5887, abs=5e-2)
+    index, records = _points(traj_phipi)
+    assert index == 2
+    assert len(records) == 2
+    assert records[0].x_star == pytest.approx(-0.6310, abs=5e-2)
+    assert records[1].x_star == pytest.approx(17.5887, abs=5e-2)
 
 
 def test_scan_of_the_stable_pulse_is_empty(traj_snaking):
-    scan = scan_and_refine(traj_snaking)
-    assert scan.locations == ()
-    assert scan.suspected_even == ()
+    assert _points(traj_snaking) == (0, ())
     # double precision cannot hold the translation-mode direction out to 60
-    assert scan.clipped
-    assert 40.0 < scan.horizon < 55.0
+    horizon = trust_horizon(traj_snaking.pulse)
+    assert 40.0 < horizon < 55.0 < traj_snaking.xs[-1]
 
 
 def test_refined_zero_is_a_sign_change(traj_phi0):
-    (x_star,) = scan_and_refine(traj_phi0).locations
+    (record,) = _points(traj_phi0)[1]
+    x_star = record.x_star
     left = sandwich_determinant(traj_phi0.frame_at(x_star - 1e-3))
     right = sandwich_determinant(traj_phi0.frame_at(x_star + 1e-3))
     assert left * right < 0
@@ -62,55 +63,70 @@ def test_refined_zero_is_a_sign_change(traj_phi0):
 
 
 def test_classification_of_the_phi0_crossing(traj_phi0):
-    (x_star,) = scan_and_refine(traj_phi0).locations
-    rec = classify(x_star, traj_phi0)
+    (rec,) = _points(traj_phi0)[1]
+    assert (rec.order, rec.kernel_dim, rec.signature) == (1, 1, 1)
     assert rec.case == "I"
-    assert rec.Q1 > 1e-6
+    assert rec.Q1 == rec.value > 1e-6
     assert rec.Q3 is None
     assert rec.simplicity_norm > 1e-3
-    p = rec.kernel_vector
-    assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
-    assert abs(p[0]) < 1e-7 and abs(p[3]) < 1e-7
-    assert rec.counts
 
 
 def test_classification_of_both_phipi_crossings(traj_phipi):
-    for x_star in scan_and_refine(traj_phipi).locations:
-        rec = classify(x_star, traj_phipi)
-        assert rec.case in ("I", "II")
+    for rec in _points(traj_phipi)[1]:
+        assert (rec.order, rec.kernel_dim, rec.signature) == (1, 1, 1)
+        assert rec.case == "I"
         assert rec.simplicity_norm > 1e-3
-        assert max(rec.Q1, rec.Q3 or 0.0) > 0
-        p = rec.kernel_vector
-        assert abs(p[0]) < 1e-7 and abs(p[3]) < 1e-7
+        assert rec.Q1 > 0
 
 
 def test_crossing_value_matches_generic_form(traj_phi0):
-    """The closed-form Q1 agrees with the finite-difference crossing form."""
-    (x_star,) = scan_and_refine(traj_phi0).locations
-    rec = classify(x_star, traj_phi0)
-    path = LagrangianPath(traj_phi0.frame_at, traj_phi0.settings.window)
-    res = crossing_form(path, x_star, sandwich_plane(), kernel_tol=1e-6)
-    assert res.order == 1
-    assert res.value == pytest.approx(rec.Q1, rel=1e-3)
+    """The engine's Q1 agrees with the closed form p2^2 on the unit
+    intersection vector p, read off the frame's rows-(1,4) kernel."""
+    (rec,) = _points(traj_phi0)[1]
+    M = traj_phi0.frame_at(rec.x_star)
+    _, s, vt = np.linalg.svd(M[[0, 3], :])
+    p = M @ vt[1]
+    p /= np.linalg.norm(p)
+    assert abs(p[0]) < 1e-7 and abs(p[3]) < 1e-7
+    assert rec.simplicity_norm == pytest.approx(s[0], rel=1e-12)
+    assert rec.Q1 == pytest.approx(p[1] ** 2, rel=1e-6)
 
 
-def test_classify_synthetic_third_order_crossing():
-    stub = _StubTrajectory(np.column_stack([
-        [0.0, 0.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0, 1.0] / np.sqrt(2.0),
-    ]))
-    rec = classify(0.0, stub)
-    assert rec.case == "II"
-    assert rec.Q1 == pytest.approx(0.0, abs=1e-15)
-    assert rec.Q3 == pytest.approx(2.0, abs=1e-12)
+def test_pulse_route_labels_a_third_order_crossing_case_two():
+    """A crossing whose first two forms vanish is printed as case II with
+    its third-order value."""
+    _, ell2 = fixture_paths()
+    index, (rec,) = conjugate_points(_StubTrajectory(ell2.frame, 1001), np.inf)
+    assert index == -1
+    assert (rec.case, rec.order, rec.kernel_dim) == ("II", 3, 1)
+    assert rec.Q1 == 0.0
+    assert rec.Q3 == pytest.approx(-2.0, abs=1e-8)
 
 
-def test_classify_sandwich_plane_is_degenerate():
-    stub = _StubTrajectory(np.eye(4)[:, [1, 2]])
-    rec = classify(0.0, stub)
+@pytest.mark.parametrize("num", [1000, 1001])
+def test_pulse_route_counts_a_two_dimensional_crossing(num):
+    """The fully degenerate k = 2 crossing of the graph of t^3 diag(1, 2)
+    over the sandwich plane counts its signature, -2, on the pulse route.
+
+    The rows-(1,4) determinant is 2 t^6 there and never changes sign; on
+    1000 samples the crossing lies between two samples and is found only by
+    minimising the dip.
+    """
+    sand = sandwich_plane()
+    stub = _StubTrajectory(
+        lambda t: sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3]), num)
+    index, (rec,) = conjugate_points(stub, np.inf)
+    assert index == -2
+    assert (rec.order, rec.kernel_dim, rec.signature) == (3, 2, -2)
     assert rec.case == "III"
-    assert not rec.counts
+    assert abs(rec.x_star) < 1e-6
     assert rec.simplicity_norm < 1e-12
+
+
+def test_horizon_before_the_second_sample_is_an_error():
+    _, ell2 = fixture_paths()
+    with pytest.raises(ValueError, match="trust horizon x = -0.95 leaves fewer"):
+        conjugate_points(_StubTrajectory(ell2.frame, 11), -0.95)
 
 
 def test_asymptotic_plane_misses_the_sandwich_plane():
@@ -179,19 +195,19 @@ def test_report_window_independence(pulse_phipi):
 
 @pytest.mark.parametrize("name, index", [("phi0", 1), ("phipi", 2), ("snaking", 0)])
 def test_maslov_index_of_the_clipped_trajectory_is_the_count(request, name, index):
-    """The generic Maslov engine on the trajectory up to the trust horizon
-    gives the report's count, with crossings where the pulse scan puts them."""
+    """The report's count is the Maslov index, and its crossings lie where a
+    plain sign-change search of the rows-(1,4) determinant puts them."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     traj = request.getfixturevalue(f"traj_{name}")
-    a, b = traj.settings.window
-    path = LagrangianPath(traj.frame_at, (a, min(b, trust_horizon(pulse))))
-    result = maslov_index(path, sandwich_plane())
-    assert result.index == index
-    assert stability_report(pulse, traj).counts == (index, index)
-    scan = scan_and_refine(traj)
-    assert len(result.crossings) == len(scan.locations)
-    for record, x in zip(result.crossings, scan.locations):
-        assert abs(record.t - x) < 1e-7
+    report = stability_report(pulse, traj)
+    assert report.counts == (index, index)
+    keep = traj.xs <= trust_horizon(pulse)
+    zeros, _ = locate_zeros(traj.xs[keep], traj.deta[keep],
+                            lambda x: sandwich_determinant(traj.frame_at(x)),
+                            1e-10, 0.0)
+    assert len(report.conjugate_points) == len(zeros) == index
+    for record, x in zip(report.conjugate_points, zeros):
+        assert abs(record.x_star - x) < 1e-7
 
 
 def test_coarse_tail_is_clipped_not_reported():
@@ -207,10 +223,11 @@ def test_coarse_tail_is_clipped_not_reported():
     traj = integrate_frame(pulse, lam=0.0)
     raw = np.where(np.sign(traj.deta[:-1]) * np.sign(traj.deta[1:]) < 0)[0]
     assert raw.size > 0  # the artifact is really present in the samples
-    scan = scan_and_refine(traj)
-    assert scan.clipped
-    assert scan.horizon < traj.xs[raw[0]]
-    assert scan.locations == ()
+    report = stability_report(pulse, traj)
+    assert report.clipped
+    assert report.horizon < traj.xs[raw[0]]
+    assert report.counts == (0, 0)
+    assert report.conjugate_points == ()
 
 
 def test_horizon_scales_with_tail_floor(pulse_phi0, pulse_snaking):
@@ -225,13 +242,6 @@ def test_format_report_mentions_everything(pulse_phi0, traj_phi0):
     assert "0.120898" in text
     assert f"{rep.conjugate_points[0].x_star:.6f}" in text
     assert "case" in text and "simplicity" in text
-
-
-def test_record_counts_property():
-    rec = ConjugatePointRecord(x_star=0.0, kernel_vector=np.zeros(4),
-                               case="III", Q1=0.0, Q3=None,
-                               simplicity_norm=0.0)
-    assert not rec.counts
 
 
 GOLDEN_REPORTS = {

@@ -86,6 +86,12 @@ def test_orthonormalized_keeps_span_and_sign():
     # positive diagonal of R: the change of basis keeps the orientation
     assert np.all(np.diag(R) > 0)
     assert np.allclose(lg.plucker(Q), lg.plucker(M), atol=1e-13)
+    # a stack is factored frame by frame
+    stack = rng.normal(size=(5, 4, 2))
+    Qs, Rs = lg._qr_positive(stack)
+    for k in range(5):
+        Qk, Rk = lg._qr_positive(stack[k])
+        assert np.allclose(Qs[k], Qk, atol=1e-14) and np.allclose(Rs[k], Rk, atol=1e-14)
 
 
 def test_fixture_families_solve_the_flow():
@@ -348,9 +354,14 @@ def test_intersection_basis_dimensions():
 # ---------------------------------------------------------------------------
 
 
+def _maslov(path, reference, a=-1.0, b=1.0, num=1001):
+    ts = np.linspace(a, b, num)
+    return lg.maslov_index(path, reference, ts, np.stack([path.frame(t) for t in ts]))
+
+
 def test_maslov_index_regular_fixture():
     ell1, _ = lg.fixture_paths()
-    result = lg.maslov_index(ell1, lg.sandwich_plane())
+    result = _maslov(ell1, lg.sandwich_plane())
     assert result.index == -1
     assert len(result.crossings) == 1
     record = result.crossings[0]
@@ -362,7 +373,7 @@ def test_maslov_index_regular_fixture():
 
 def test_maslov_index_third_order_fixture():
     _, ell2 = lg.fixture_paths()
-    result = lg.maslov_index(ell2, lg.sandwich_plane())
+    result = _maslov(ell2, lg.sandwich_plane())
     assert result.index == -1
     assert len(result.crossings) == 1
     assert result.crossings[0].order == 3
@@ -374,7 +385,7 @@ def test_maslov_even_order_crossing_contributes_nothing(num):
     # with an odd grid count the node hits the crossing exactly; with an
     # even count the dip search has to find it between nodes
     path = _graph_path(lambda s: s * s, lambda s: s * s)
-    result = lg.maslov_index(path, HORIZONTAL, num=num)
+    result = _maslov(path, HORIZONTAL, num=num)
     assert result.index == 0
     assert len(result.crossings) == 1
     assert result.crossings[0].order == 2
@@ -385,17 +396,17 @@ def test_maslov_even_order_crossing_contributes_nothing(num):
 def test_maslov_endpoint_crossings_count_half():
     ell1, _ = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    left = lg.maslov_index(ell1, sand, a=0.0, b=1.0)
+    left = _maslov(ell1, sand, a=0.0, b=1.0)
     assert left.index == -0.5
     assert left.crossings[0].endpoint == "left"
-    right = lg.maslov_index(ell1, sand, a=-1.0, b=0.0)
+    right = _maslov(ell1, sand, a=-1.0, b=0.0)
     assert right.index == -0.5
     assert right.crossings[0].endpoint == "right"
 
 
 def test_maslov_without_crossings():
     ell1, _ = lg.fixture_paths()
-    result = lg.maslov_index(ell1, lg.sandwich_plane(), a=0.2, b=1.0)
+    result = _maslov(ell1, lg.sandwich_plane(), a=0.2, b=1.0)
     assert result.index == 0
     assert result.crossings == ()
 
@@ -404,4 +415,16 @@ def test_maslov_rejects_non_isolated_crossing():
     ref = np.column_stack([basis(1), basis(2)])
     path = lg.LagrangianPath(lambda t: ref, (-1.0, 1.0))
     with pytest.raises(lg.CrossingError, match="not isolated"):
-        lg.maslov_index(path, ref)
+        _maslov(path, ref)
+
+
+def test_maslov_rejects_a_bad_sample_grid():
+    ell1, _ = lg.fixture_paths()
+    sand = lg.sandwich_plane()
+    frames = np.stack([ell1.frame(t) for t in (0.0, 0.5)])
+    with pytest.raises(ValueError, match="increasing"):
+        lg.maslov_index(ell1, sand, [0.5, 0.0], frames)
+    with pytest.raises(ValueError, match="increasing"):
+        lg.maslov_index(ell1, sand, [0.0], frames[:1])
+    with pytest.raises(ValueError, match=r"\(2, 4, 2\) stack"):
+        lg.maslov_index(ell1, sand, [0.0, 0.5], frames[:1])

@@ -10,7 +10,6 @@ from shpulse.model import (
     J4,
     Params,
     asymptotic_frames,
-    asymptotic_matrix,
     coefficient_matrix,
     lambda_infinity_bound,
     nonlinearity,
@@ -86,7 +85,7 @@ def test_hamiltonian_structure_exact(fp, lam):
 
 
 def test_asymptotic_matrix_entries_and_spectrum():
-    B = asymptotic_matrix(0.0, P)
+    B = coefficient_matrix(-P.mu, 0.0)
     assert B[2, 0] == pytest.approx(-1.05)
     ev = np.linalg.eigvals(B)
     assert max(ev.real) == pytest.approx(ABSCISSA_EXPECTED, abs=1e-12)
@@ -102,7 +101,7 @@ def test_asymptotic_matrix_entries_and_spectrum():
 )
 @settings(max_examples=60)
 def test_hyperbolicity(lam, mu):
-    ev = np.linalg.eigvals(asymptotic_matrix(lam, Params(nu=1.6, mu=mu)))
+    ev = np.linalg.eigvals(coefficient_matrix(-mu, lam))
     assert np.abs(ev.real).min() > 1e-10
 
 
@@ -126,23 +125,22 @@ def test_asymptotic_frames_reject_negative_lambda():
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 2.5])
 def test_asymptotic_frames_are_invariant_lagrangian_planes(lam):
     data = asymptotic_frames(lam, P)
-    B = asymptotic_matrix(lam, P)
-    for frame, sign in [(data.unstable_frame, 1), (data.stable_frame, -1)]:
-        # invariance: B*frame lies in span(frame)
-        image = B @ frame
-        coeffs, *_ = np.linalg.lstsq(frame, image, rcond=None)
-        assert np.abs(image - frame @ coeffs).max() < 1e-12
-        # the plane carries the growth/decay sign of the eigenvalue pair
-        assert np.sign(np.linalg.eigvals(coeffs).real.mean()) == sign
-        # Lagrangian: omega of the two columns vanishes
-        assert abs(frame[:, 0] @ J4 @ frame[:, 1]) < 1e-13
-    assert np.linalg.matrix_rank(np.hstack([data.unstable_frame, data.stable_frame])) == 4
+    B = coefficient_matrix(-P.mu, lam)
+    frame = data.unstable_frame
+    # invariance: B*frame lies in span(frame)
+    image = B @ frame
+    coeffs, *_ = np.linalg.lstsq(frame, image, rcond=None)
+    assert np.abs(image - frame @ coeffs).max() < 1e-12
+    # the plane carries the growth of the eigenvalue pair
+    assert np.all(np.linalg.eigvals(coeffs).real > 0)
+    # Lagrangian: omega of the two columns vanishes
+    assert abs(frame[:, 0] @ J4 @ frame[:, 1]) < 1e-13
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
 def test_asymptotic_frames_match_eigensolver_subspace(lam):
     data = asymptotic_frames(lam, P)
-    w, V = np.linalg.eig(asymptotic_matrix(lam, P))
+    w, V = np.linalg.eig(coefficient_matrix(-P.mu, lam))
     vu = V[:, w.real > 0][:, 0]
     eig_frame = np.column_stack([vu.real, vu.imag])
     assert subspace_angles(data.unstable_frame, eig_frame).max() < 1e-8

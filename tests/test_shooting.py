@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, subspace_angles
 
-from shpulse.conjugate import scan_and_refine
+from shpulse.conjugate import conjugate_points, trust_horizon
 from shpulse.lagrangian import plucker
 from shpulse.model import Params, asymptotic_frames, coefficient_matrix
 from shpulse.pulse import FourierPulse
@@ -115,9 +115,9 @@ def test_step_size_is_transparent(pulse_phi0):
         stride = int(round(0.1 / dx))
         assert np.array_equal(traj.xs[::stride], base.xs)
         assert np.max(np.abs(traj.deta[::stride] - base.deta)) < 1e-7
-    locs = [scan_and_refine(traj).locations for traj in runs.values()]
-    assert all(len(loc) == 1 for loc in locs)
-    crossings = [loc[0] for loc in locs]
+    points = [conjugate_points(traj, trust_horizon(pulse_phi0)) for traj in runs.values()]
+    assert all(index == 1 and len(records) == 1 for index, records in points)
+    crossings = [records[0].x_star for _, records in points]
     assert max(crossings) - min(crossings) < 1e-6
 
 
