@@ -136,7 +136,7 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
         raise ValueError(
             f"the trust horizon x = {horizon:.2f} leaves fewer than two samples "
             "of the window; raise the mode count to push the horizon out")
-    path = LagrangianPath(traj.frame_at, (traj.xs[0], traj.xs[-1]))
+    path = LagrangianPath(traj.frame_at)
     result = maslov_index(path, sandwich_plane(), traj.xs[keep], traj.frames[keep])
     records = tuple(
         ConjugatePointRecord(

@@ -88,19 +88,12 @@ class LagrangianPath:
     """A one-parameter family of Lagrangian planes.
 
     ``frame_fn`` must return a 4-by-2 frame matrix for any parameter where
-    the family is defined; ``domain`` is that interval.  Derivative
-    stencils may evaluate the family slightly outside the domain, so
-    ``frame_fn`` should tolerate a small overhang when possible.
+    the family is defined.  Derivative stencils may evaluate the family
+    slightly beyond the sampled grid, so ``frame_fn`` should tolerate a
+    small overhang when possible.
     """
 
     frame_fn: Callable[[float], np.ndarray]
-    domain: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        a, b = (float(self.domain[0]), float(self.domain[1]))
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError(f"domain must be a finite interval, got {self.domain}")
-        object.__setattr__(self, "domain", (a, b))
 
     def frame(self, t: float) -> np.ndarray:
         return _frame_matrix(self.frame_fn(float(t)))
@@ -596,5 +589,4 @@ def fixture_paths() -> tuple[LagrangianPath, LagrangianPath]:
             [s**3 / 6.0, s**3 - s],
         ])
 
-    domain = (-1.0, 1.0)
-    return LagrangianPath(frame_one, domain), LagrangianPath(frame_two, domain)
+    return LagrangianPath(frame_one), LagrangianPath(frame_two)

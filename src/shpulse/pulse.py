@@ -252,26 +252,19 @@ def seed_from_normal_form(
     )
 
 
-def evaluate(pulse: FourierPulse, x, derivative: int = 0):
-    """Evaluate the profile (or a series derivative) at x in [-L_f, L_f].
+def evaluate(pulse: FourierPulse, x):
+    """Evaluate the profile at x in [-L_f, L_f].
 
-    phi(x) = a_0 + 2 sum_{k>=1} a_k cos(pi k x / L_f); derivatives are
-    taken term by term.
+    phi(x) = a_0 + 2 sum_{k>=1} a_k cos(pi k x / L_f), as one cosine table
+    (taken in place over the angle table) times the coefficient vector.
     """
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > pulse.L_f):
         raise ValueError(f"x outside the pulse domain [-{pulse.L_f}, {pulse.L_f}]")
     k = np.arange(1, pulse.N + 1)
-    rate = k * np.pi / pulse.L_f
-    angle = np.multiply.outer(x, rate)
-    d = derivative
-    if d % 2 == 0:
-        terms = (-1.0) ** (d // 2) * np.cos(angle)
-        head = pulse.a[0] if d == 0 else 0.0
-    else:
-        terms = (-1.0) ** ((d + 1) // 2) * np.sin(angle)
-        head = 0.0
-    out = head + 2.0 * (terms * rate**d) @ pulse.a[1:]
+    table = np.multiply.outer(x, k * np.pi / pulse.L_f)
+    np.cos(table, out=table)
+    out = pulse.a[0] + 2.0 * (table @ pulse.a[1:])
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,11 +21,15 @@ is re-orthonormalized after every step by a two-column Gram-Schmidt with
 positive diagonal.  That changes neither the spanned plane nor the sign of
 the sandwich determinant (the change of basis has positive determinant), so
 crossing locations are unaffected.
+
+The bytes of the trajectory CSV are pinned, and they depend on the exact
+floating-point operations of the transport.  So the potential is taken in
+chunks of the fixed length ``POTENTIAL_CHUNK``: the chunk length sets the
+rounding of the cosine-sum gemv in ``pulse.evaluate``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,6 +48,8 @@ MAX_STEP = 0.05
 # pinned by the step-halving test; it bounds the trust horizon.
 TRANSPORT_NOISE = 1e-10
 # Most potential evaluations per call: the grid ``stability_report`` uses.
+# Fixed, not tuned: the chunk length sets the rounding of the cosine-sum
+# gemv in ``pulse.evaluate``, and the trajectory CSV pins those bits.
 POTENTIAL_CHUNK = 4001
 
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
@@ -137,12 +143,17 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
                     + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
 
 
-def _orthonormalize(M: np.ndarray) -> np.ndarray:
-    """Two-column Gram-Schmidt with positive diagonal (same span as ``M``)."""
+def _orthonormalize(M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Two-column Gram-Schmidt with positive diagonal (same span as ``M``),
+    written into the 4-by-2 ``out``, which is returned."""
     a, b = M[:, 0], M[:, 1]
+    # fresh arrays, not in-place updates of the strided columns: a dot
+    # product of two strided operands takes another kernel and other bits
     a = a / math.sqrt(a @ a)
     b = b - (a @ b) * a
-    return np.column_stack((a, b / math.sqrt(b @ b)))
+    out[:, 0] = a
+    np.divide(b, math.sqrt(b @ b), out=out[:, 1])
+    return out
 
 
 def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
@@ -150,16 +161,16 @@ def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
     """Frames after every ``every``-th of ``nsteps`` steps of size ``h``.
 
     The result has shape ``(nsteps // every + 1, 4, 2)`` and starts with the
-    orthonormalized ``F``.
+    orthonormalized ``F``.  Each step orthonormalizes straight into its slot
+    of the result, or into one work frame between stored samples.
     """
     maps = _step_maps(pulse, lam, x0 + h * np.arange(nsteps), h)
     out = np.empty((nsteps // every + 1, 4, 2))
+    work = np.empty((4, 2))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F = out[0] = _orthonormalize(F)
+        F = _orthonormalize(F, out[0])
         for k, Phi in enumerate(maps, start=1):
-            F = _orthonormalize(Phi @ F)
-            if k % every == 0:
-                out[k // every] = F
+            F = _orthonormalize(Phi @ F, work if k % every else out[k // every])
     if not np.all(np.isfinite(out)):
         bad = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
         raise TransportError(
@@ -267,15 +278,17 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
 
 
 def write_trajectory(trajectory: FrameTrajectory, destination) -> None:
-    """Write sample rows ``x, detA, P12..P34, omega_drift`` as CSV."""
+    """Write sample rows ``x, detA, P12..P34, omega_drift`` as CSV.
+
+    The bytes are those of ``csv.writer``: the ``repr`` of each float (which
+    never needs quoting), comma-separated, each row ending in CRLF.
+    """
 
     def _write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "detA", "P12", "P13", "P14", "P23", "P24", "P34",
-                         "omega_drift"])
         rows = np.column_stack([trajectory.xs, trajectory.deta, trajectory.plucker,
                                 trajectory.omega_drift])
-        writer.writerows([repr(v) for v in row] for row in rows.tolist())
+        fh.write("x,detA,P12,P13,P14,P23,P24,P34,omega_drift\r\n")
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist()))
 
     if hasattr(destination, "write"):
         _write(destination)

@@ -181,7 +181,7 @@ def check_fixtures() -> CheckResult:
     # fully degenerate k = 2 crossing: the graph of t^3 diag(1, 2) over the
     # sandwich plane, order 3 with signature -2
     ell3 = lg.LagrangianPath(
-        lambda t: sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3]), (-1.0, 1.0))
+        lambda t: sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3]))
     grid = np.linspace(-1.0, 1.0, 1001)
     m1, m2, m3 = (lg.maslov_index(path, sand, grid, np.stack([path.frame(t) for t in grid]))
                   for path in (ell1, ell2, ell3))
@@ -258,9 +258,7 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
     Psi = expm(0.4 * J4 @ S)
 
     def pushforward(path):
-        return lg.LagrangianPath(
-            frame_fn=lambda t, _p=path: Psi @ _p.frame(t),
-            domain=path.domain)
+        return lg.LagrangianPath(lambda t, _p=path: Psi @ _p.frame(t))
 
     # invariance transforms the whole picture: path, vector and complement
     W1 = Psi @ (J4 @ ell1.frame(0.0))

@@ -312,6 +312,19 @@ def test_plucker_stdout_when_no_out(phi0_file, capsys):
     assert len(lines) == 2402
 
 
+def test_plucker_stdout_is_the_conjugate_export_bytewise(phi0_file, workdir, capsys):
+    """One writer serves the text stream and the ``newline=""`` file: both
+    carry the same rows, each ending in CRLF."""
+    out = workdir / "phi0_conjugate_export.csv"
+    assert cli.main(["conjugate", str(phi0_file), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["plucker", str(phi0_file)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(EXPECTED_HEADER + "\r\n")
+    assert text.count("\n") == text.count("\r\n") == 2402
+    assert out.read_bytes() == text.encode()
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -65,13 +65,13 @@ def test_omega_rejects_bad_shapes():
 
 def test_frame_validation_and_blocks():
     # a path hands its frames back as validated float arrays
-    F = lg.LagrangianPath(lambda t: np.arange(8).reshape(4, 2), (0.0, 1.0)).frame(0.5)
+    F = lg.LagrangianPath(lambda t: np.arange(8).reshape(4, 2)).frame(0.5)
     assert F.dtype == float
     assert np.array_equal(F, np.arange(8.0).reshape(4, 2))
     with pytest.raises(ValueError, match="4-by-2"):
-        lg.LagrangianPath(lambda t: np.zeros((3, 2)), (0.0, 1.0)).frame(0.5)
+        lg.LagrangianPath(lambda t: np.zeros((3, 2))).frame(0.5)
     with pytest.raises(ValueError, match="finite"):
-        lg.LagrangianPath(lambda t: np.full((4, 2), np.nan), (0.0, 1.0)).frame(0.5)
+        lg.LagrangianPath(lambda t: np.full((4, 2), np.nan)).frame(0.5)
 
 
 def test_orthonormalized_keeps_span_and_sign():
@@ -111,12 +111,6 @@ def test_fixture_families_solve_the_flow():
             assert np.allclose(dF4, B_FLOW @ F, atol=1e-10)
     assert np.array_equal(ell1.frame(0.0)[:, 0], V1_AT_0)
     assert np.array_equal(ell1.frame(0.0)[:, 1], V2_AT_0)
-
-
-def test_path_validation():
-    for domain in ((1.0, 1.0), (1.0, 0.0), (0.0, np.inf)):
-        with pytest.raises(ValueError, match="finite interval"):
-            lg.LagrangianPath(lambda t: np.eye(4)[:, :2], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,7 @@ def test_form_symplectic_invariance(seed):
         (ell2, basis(1), 3, -2.0),
     ):
         moved = lg.LagrangianPath(
-            lambda s, p=path: Psi @ p.frame(s), path.domain)
+            lambda s, p=path: Psi @ p.frame(s))
         W0 = J4 @ path.frame(0.0)
         value = lg.quadratic_form(moved, 0.0, Psi @ v, order, W=Psi @ W0)
         assert value == pytest.approx(expected, abs=1e-7)
@@ -279,7 +273,7 @@ def _graph_path(f1, f2):
             [0.0, f2(s)],
         ])
 
-    return lg.LagrangianPath(frame, (-1.0, 1.0))
+    return lg.LagrangianPath(frame)
 
 
 def test_even_order_crossing_with_full_kernel():
@@ -413,7 +407,7 @@ def test_maslov_without_crossings():
 
 def test_maslov_rejects_non_isolated_crossing():
     ref = np.column_stack([basis(1), basis(2)])
-    path = lg.LagrangianPath(lambda t: ref, (-1.0, 1.0))
+    path = lg.LagrangianPath(lambda t: ref)
     with pytest.raises(lg.CrossingError, match="not isolated"):
         _maslov(path, ref)
 

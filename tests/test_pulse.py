@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import shpulse.pulse as sp
 from shpulse.model import Params
 from shpulse.pulse import FourierPulse, NewtonError, PulseFileError
+from shpulse.shooting import _GAUSS, POTENTIAL_CHUNK, ShootingSettings
 
 P = Params(nu=1.6, mu=0.05)
 
@@ -205,13 +206,19 @@ def test_evaluate_evenness():
     assert np.abs(sp.evaluate(pulse, x) - sp.evaluate(pulse, -x)).max() < 1e-12
 
 
-def test_evaluate_derivatives_single_mode():
-    pulse = make_pulse([0.0, 0.5], L_f=np.pi)  # phi(x) = cos(x)
-    x = np.linspace(-3, 3, 11)
-    assert np.allclose(sp.evaluate(pulse, x, 1), -np.sin(x), atol=1e-14)
-    assert np.allclose(sp.evaluate(pulse, x, 2), -np.cos(x), atol=1e-14)
-    assert np.allclose(sp.evaluate(pulse, x, 3), np.sin(x), atol=1e-14)
-    assert np.allclose(sp.evaluate(pulse, x, 4), np.cos(x), atol=1e-14)
+def test_evaluate_is_the_plain_cosine_sum_bitwise(pulse_phi0):
+    # the in-place table must give the bits of the textbook formula, here at
+    # the Gauss nodes of the default transport, in the transport's chunks
+    (a, b), h = ShootingSettings().window, ShootingSettings().dx
+    starts = a + h * np.arange(round((b - a) / h))
+    nodes = (starts[:, None] + h * _GAUSS).ravel()
+    rate = np.arange(1, pulse_phi0.N + 1) * np.pi / pulse_phi0.L_f
+    c = pulse_phi0.a
+    for i in range(0, nodes.size, POTENTIAL_CHUNK):
+        x = nodes[i:i + POTENTIAL_CHUNK]
+        plain = c[0] + 2.0 * np.cos(np.multiply.outer(x, rate)) @ c[1:]
+        assert np.array_equal(sp.evaluate(pulse_phi0, x), plain)
+    assert sp.evaluate(pulse_phi0, 1.5) == c[0] + 2.0 * np.cos(1.5 * rate) @ c[1:]
 
 
 @pytest.mark.parametrize("mu,scale", [(0.05, 1.0), (0.20, 3.0)])
@@ -220,12 +227,13 @@ def test_converged_pulse_satisfies_stationary_ode(mu, scale):
     pulse = sp.newton_solve(sp.seed_from_normal_form(p, 0.0, N=256, scale=scale))
     x = np.linspace(-100, 100, 1501)
     u = sp.evaluate(pulse, x)
-    ode = (
-        -sp.evaluate(pulse, x, 4)
-        - 2 * sp.evaluate(pulse, x, 2)
-        - u
-        + (1.6 * u**2 - u**3 - mu * u)
-    )
+    # the series' even derivatives, term by term: d^2j/dx^2j of cos(r x)
+    # is (-r^2)^j cos(r x)
+    rate = np.arange(1, pulse.N + 1) * np.pi / pulse.L_f
+    table = np.cos(np.multiply.outer(x, rate))
+    u2 = 2.0 * table @ (-rate**2 * pulse.a[1:])
+    u4 = 2.0 * table @ (rate**4 * pulse.a[1:])
+    ode = -u4 - 2 * u2 - u + (1.6 * u**2 - u**3 - mu * u)
     assert np.abs(ode).max() < 1e-6
 
 

@@ -1,6 +1,8 @@
 """Tests for the unstable-plane transport."""
 
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from shpulse.shooting import (
     FrameTrajectory,
     ShootingSettings,
     TransportError,
+    _step_maps,
     initial_frame,
     integrate_frame,
     sandwich_determinant,
@@ -141,6 +144,33 @@ def test_coarse_sampling_takes_sub_steps(pulse_phi0, traj_phi0):
     assert np.array_equal(coarse.frames, traj_phi0.frames[::2])
 
 
+def _gram_schmidt(M):
+    a, b = M[:, 0], M[:, 1]
+    a = a / math.sqrt(a @ a)
+    b = b - (a @ b) * a
+    return np.column_stack((a, b / math.sqrt(b @ b)))
+
+
+@pytest.mark.parametrize("dx, every", [(0.05, 1), (0.1, 2)])
+def test_frames_are_the_plain_step_loop_bitwise(pulse_phi0, dx, every):
+    """The in-place frame loop stores the bits of a textbook loop: one
+    ``Phi @ F`` and a fresh Gram-Schmidt per step, every ``every``-th frame
+    kept (dx = 0.1 takes two sub-steps per sample)."""
+    settings = ShootingSettings(dx=dx)
+    a, b = settings.window
+    h = dx / every
+    nsteps = int(round((b - a) / dx)) * every
+    F = _gram_schmidt(initial_frame(pulse_phi0.params))
+    kept = [F]
+    for k, Phi in enumerate(_step_maps(pulse_phi0, 0.0, a + h * np.arange(nsteps), h),
+                            start=1):
+        F = _gram_schmidt(Phi @ F)
+        if k % every == 0:
+            kept.append(F)
+    assert np.array_equal(integrate_frame(pulse_phi0, settings=settings).frames,
+                          np.stack(kept))
+
+
 @pytest.mark.parametrize("coefficient, what", [(1e200, "potential"),
                                                (1e20, "frame")])
 def test_overflow_raises_transport_error(coefficient, what):
@@ -237,6 +267,24 @@ def test_write_trajectory_roundtrip(tmp_path, traj_phi0):
     buf = io.StringIO()
     write_trajectory(traj_phi0, buf)
     assert buf.getvalue().splitlines()[0] == lines[0]
+
+
+def test_write_trajectory_is_the_csv_module_bytewise(tmp_path, traj_phi0):
+    """The one-join writer gives the bytes of ``csv.writer`` with one
+    ``repr`` per value, to a text stream and to a file."""
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["x", "detA", "P12", "P13", "P14", "P23", "P24", "P34",
+                     "omega_drift"])
+    rows = np.column_stack([traj_phi0.xs, traj_phi0.deta, traj_phi0.plucker,
+                            traj_phi0.omega_drift])
+    writer.writerows([repr(v) for v in row] for row in rows.tolist())
+    buf = io.StringIO()
+    write_trajectory(traj_phi0, buf)
+    assert buf.getvalue() == expected.getvalue()
+    out = tmp_path / "traj.csv"
+    write_trajectory(traj_phi0, out)
+    assert out.read_bytes() == expected.getvalue().encode()
 
 
 def test_integrate_is_deterministic(pulse_phi0):
