@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import LagrangianPath, maslov_index, sandwich_plane
+from .lagrangian import LagrangianPath, maslov_index, pairing, sandwich_plane
 from .model import Params, asymptotic_frames, lambda_infinity_bound
 from .pulse import FourierPulse, potential
 from .shooting import TRANSPORT_NOISE, FrameTrajectory, sandwich_determinant
@@ -65,8 +65,9 @@ class ConjugatePointRecord:
     ``kernel_dim`` the dimension of the intersection, ``signature`` that of
     the form and ``value`` its value (see
     :class:`shpulse.lagrangian.CrossingFormResult`).  ``simplicity_norm`` is
-    the largest singular value of rows (1, 4) of the frame at ``x_star``: it
-    vanishes when the whole plane lies in the sandwich plane.
+    the 2-norm of ``pairing(F, sandwich_plane())`` for the orthonormal frame
+    ``F`` at ``x_star``, the larger sine of the two principal angles between
+    the planes: it vanishes when the whole plane lies in the sandwich plane.
     """
 
     x_star: float
@@ -137,12 +138,14 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
             f"the trust horizon x = {horizon:.2f} leaves fewer than two samples "
             "of the window; raise the mode count to push the horizon out")
     path = LagrangianPath(traj.frame_at)
-    result = maslov_index(path, sandwich_plane(), traj.xs[keep], traj.frames[keep])
+    sandwich = sandwich_plane()
+    result = maslov_index(path, sandwich, traj.xs[keep], traj.frames[keep])
     records = tuple(
         ConjugatePointRecord(
             x_star=c.t, order=c.order, kernel_dim=c.kernel_dim,
             signature=c.positive - c.negative, value=c.value,
-            simplicity_norm=float(np.linalg.norm(traj.frame_at(c.t)[[0, 3]], 2)))
+            simplicity_norm=float(np.linalg.norm(
+                pairing(traj.frame_at(c.t), sandwich), 2)))
         for c in result.crossings)
     return result.index, records
 
@@ -177,12 +180,15 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
     The spectral route counts unstable eigenvalues of the Fourier-residual
     Jacobian; the geometric route is the Maslov index of ``trajectory``, the
     unstable plane transported at ``lam = 0``, up to the trust horizon.  The
-    two computations share no intermediate data.
+    two computations share no intermediate data.  A trajectory at another
+    ``lam`` or along another pulse is a ValueError.
     """
-    spectral = count_unstable(pulse, threshold=unstable_threshold)
-
     if trajectory.lam != 0.0:
         raise ValueError("the conjugate-point count is defined at lam = 0")
+    if trajectory.pulse is not pulse:
+        raise ValueError("the trajectory was transported along another pulse")
+    spectral = count_unstable(pulse, threshold=unstable_threshold)
+
     horizon = trust_horizon(pulse, trajectory.lam)
     clipped = bool(trajectory.xs[-1] > horizon)
     index, records = conjugate_points(trajectory, horizon)

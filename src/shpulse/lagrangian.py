@@ -1,20 +1,25 @@
 """Lagrangian-plane geometry: frames, crossing forms, and the Maslov index.
 
 A plane of dimension 2 in ``R^4`` is Lagrangian when the standard
-symplectic form ``omega(u, v) = <u, J v>`` vanishes identically on it.  This
-module represents planes by plain 4-by-2 float arrays (frames), a sequence
-of planes by one ``(..., 4, 2)`` array, and provides the machinery needed
-to count how a one-parameter family of planes crosses a fixed reference
-plane:
+symplectic form ``<u, J v>`` vanishes identically on it.  This module
+represents planes by plain 4-by-2 float arrays (frames), a sequence of
+planes by one ``(..., 4, 2)`` array, and provides the machinery needed to
+count how a one-parameter family of planes crosses a fixed Lagrangian
+reference plane.  Every plane-versus-reference quantity is the symplectic
+pairing ``R^T J Q`` of :func:`pairing`:
 
-* graph coordinates: near ``t0`` every plane of the family is the graph
+* crossing detector: the family meets the reference exactly where
+  ``det2(pairing(Q, R))`` vanishes;
+* crossing kernel: for orthonormal frames the singular values of the
+  pairing are the sines of the principal angles between the planes, and the
+  intersection is ``Q`` times its null space (:func:`intersection_basis`);
+* graph form: near ``t0`` every plane of the family is the graph
   ``{v + A(t) v : v in ell(t0)}`` of a matrix family ``A(t)`` taking values
   in a complement ``W`` (``J ell(t0)`` unless a caller of
-  :func:`quadratic_form` supplies another), with ``A(t0) = 0``;
-* crossing forms: the order-``j`` form on the intersection with the
-  reference plane is the raw derivative ``Q_j(v) = d^j/dt^j omega(v, A(t) v)``
-  at ``t0`` (no factorial normalisation), evaluated here by central finite
-  differences with Richardson extrapolation;
+  :func:`quadratic_form` supplies another), with ``A(t0) = 0``; the
+  order-``j`` crossing form on the intersection is the raw derivative
+  ``d^j/dt^j pairing(A(t) V, V)`` at ``t0`` (no factorial normalisation),
+  evaluated by central finite differences with Richardson extrapolation;
 * crossing search: :func:`locate_zeros` finds the zeros and the
   sign-preserving dips of a sampled crossing detector;
 * Maslov index: each isolated crossing contributes the signature of its
@@ -48,16 +53,6 @@ class CrossingError(RuntimeError):
 
 class NotACrossingError(ValueError):
     """The plane family does not meet the reference at the given parameter."""
-
-
-def omega(u, v) -> float:
-    """Standard symplectic form ``<u, J v>`` on ``R^{2n}``."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or u.size % 2 or u.size == 0:
-        raise ValueError("omega expects two vectors of equal even length")
-    n = u.size // 2
-    return float(u[:n] @ v[n:] - u[n:] @ v[:n])
 
 
 def _frame_matrix(frame) -> np.ndarray:
@@ -97,6 +92,59 @@ class LagrangianPath:
 
     def frame(self, t: float) -> np.ndarray:
         return _frame_matrix(self.frame_fn(float(t)))
+
+
+# ---------------------------------------------------------------------------
+# Symplectic pairing with a reference plane
+# ---------------------------------------------------------------------------
+
+# Largest sine of a principal angle between a plane and the reference that
+# still counts as an intersection direction, an angle of 1e-8 rad (the same
+# cut on the singular values of the stacked 4-by-4 [A | -B], relative to the
+# largest, allows about 2e-8 rad), and the largest |<r1, J r2>| of an
+# orthonormal reference that still counts as Lagrangian.
+KERNEL_TOL = 1e-8
+
+
+def pairing(frames, reference) -> np.ndarray:
+    """Symplectic pairing ``R^T J Q`` of a frame ``Q`` with a reference ``R``.
+
+    ``frames`` is one 4-by-k frame or a stack ``(..., 4, k)``, ``reference``
+    a 4-by-m frame; the result has shape ``(..., m, k)``, with entry (i, j)
+    the symplectic form ``<r_i, J q_j>``.  For a Lagrangian ``R`` the
+    pairing vanishes exactly on the intersection of the two spans, and for
+    orthonormal frames its singular values are the sines of the principal
+    angles between them.  When every entry of ``R^T J`` is 0 or +-1 (the
+    coordinate planes) the pairing only selects and negates rows of ``Q``,
+    so it is exact.
+    """
+    R = np.asarray(reference, dtype=float)
+    Q = np.asarray(frames, dtype=float)
+    if R.ndim != 2 or R.shape[0] != 4 or Q.ndim < 2 or Q.shape[-2] != 4:
+        raise ValueError(
+            f"pairing expects 4-row frames, got shapes {Q.shape} and {R.shape}")
+    return R.T @ J4 @ Q
+
+
+def det2(P):
+    """Determinant ``P00 P11 - P01 P10`` of a 2-by-2 matrix, or of each
+    matrix of a stack ``(..., 2, 2)``."""
+    P = np.asarray(P)
+    return P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
+
+
+def _reference_frame(reference) -> np.ndarray:
+    """Orthonormal frame of a Lagrangian reference plane.
+
+    ``J R`` spans the orthogonal complement of ``R`` only when ``R`` is
+    Lagrangian, and the crossing detector and kernel rely on that, so any
+    other reference is a ValueError.  So is a rank-deficient frame, which
+    the QR would silently complete to a plane the caller never gave.
+    """
+    R, r = _qr_positive(_frame_matrix(reference))
+    if r[1, 1] <= KERNEL_TOL * r[0, 0] or abs(pairing(R, R)[0, 1]) > KERNEL_TOL:
+        raise ValueError("the reference is not a Lagrangian plane")
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +201,6 @@ FD_LEVELS = 2
 MAX_CONDITION = 1e10
 # Crossing-form eigenvalues at or below this size count as zero.
 FORM_DEGENERACY_TOL = 1e-6
-# Relative singular-value cut-off of the intersection with the reference.
-KERNEL_TOL = 1e-8
 
 
 def _graph_images(L: np.ndarray, W: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
@@ -234,8 +280,14 @@ def _effective_step(W: np.ndarray, V: np.ndarray,
     return h * min(max(1.0, 1.0 / speed), 20.0)
 
 
+def _graph_form(path: LagrangianPath, W: np.ndarray, V: np.ndarray
+                ) -> Callable[[float], np.ndarray]:
+    """The graph flow paired with the columns of V: ``t -> V^T J A(t) V``."""
+    return lambda t: pairing(_graph_images(path.frame(t), W, V, t), V)
+
+
 def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> float:
-    """Raw crossing form ``Q_order(v) = d^order/dt^order omega(v, A(t) v)``.
+    """Raw crossing form ``Q_order(v) = d^order/dt^order <v, J A(t) v>``.
 
     ``v`` must lie in the plane at ``t0``; it is used as given, without
     normalisation.  The value is invariant under symplectic transformations
@@ -257,44 +309,35 @@ def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> fl
     if np.linalg.norm(F0 @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise ValueError("vector does not lie in the plane at t0")
     V = v[:, None]
-
-    def g(t: float) -> float:
-        image = _graph_images(path.frame(t), W, V, t)
-        return omega(v, image[:, 0])
-
-    return float(_fd_derivative(g, t0, order, _effective_step(W, V, path, t0)))
+    G = _fd_derivative(_graph_form(path, W, V), t0, order,
+                       _effective_step(W, V, path, t0))
+    return float(G[0, 0])
 
 
-def intersection_basis(frame_a, frame_b, tol: float = KERNEL_TOL) -> np.ndarray:
-    """Orthonormal basis (4-by-k) of the intersection of two spans."""
-    A, _ = _qr_positive(_frame_matrix(frame_a))
-    B, _ = _qr_positive(_frame_matrix(frame_b))
-    stacked = np.hstack([A, -B])
-    _, sv, vt = np.linalg.svd(stacked)
-    small = sv <= tol * sv[0]
-    if not np.any(small):
-        return np.zeros((A.shape[0], 0))
-    coeffs = vt[small.nonzero()[0]].T[: A.shape[1]]
-    basis, _ = _qr_positive(A @ coeffs)
-    return basis
+def intersection_basis(frame, reference) -> np.ndarray:
+    """Orthonormal basis (4-by-k) of the intersection of a plane with a
+    Lagrangian reference plane.
+
+    The basis is the orthonormalized frame times the right singular vectors
+    of the pairing whose singular value, the sine of a principal angle, is at
+    most ``KERNEL_TOL``; a transverse pair gives a 4-by-0 basis.
+    """
+    Q, _ = _qr_positive(_frame_matrix(frame))
+    _, sv, vt = np.linalg.svd(pairing(Q, _reference_frame(reference)))
+    return Q @ vt[sv <= KERNEL_TOL].T
 
 
-def _kernel_form(path: LagrangianPath, t0: float, reference, kernel_tol: float,
-                 purpose: str):
+def _kernel_form(path: LagrangianPath, t0: float, reference, purpose: str):
     """Crossing kernel ``U`` at ``t0``, the complement ``W = J ell(t0)`` and
     the kernel-projected graph flow ``t -> U^T J A(t) U``."""
     F0 = path.frame(t0)
-    U = intersection_basis(F0, reference, kernel_tol)
+    U = intersection_basis(F0, reference)
     if U.shape[1] == 0:
         raise NotACrossingError(
             f"the planes are transverse at t = {t0:.6g}; there is no {purpose}"
         )
     W = J4 @ F0
-
-    def form_at(t: float) -> np.ndarray:
-        return U.T @ J4 @ _graph_images(path.frame(t), W, U, t)
-
-    return U, W, form_at
+    return U, W, _graph_form(path, W, U)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,20 +359,19 @@ class CrossingFormResult:
     negative: int
     lower_orders: tuple[float, ...]
     kernel: np.ndarray = field(repr=False, default=None)
-    form: np.ndarray = field(repr=False, default=None)
 
     @property
     def signature(self) -> int:
         return self.positive - self.negative
 
 
-def crossing_form(path: LagrangianPath, t0: float, reference, max_order: int = 3,
-                  kernel_tol: float = KERNEL_TOL) -> CrossingFormResult:
+def crossing_form(path: LagrangianPath, t0: float, reference,
+                  max_order: int = 3) -> CrossingFormResult:
     """Classify a crossing by its first nondegenerate form.
 
     The kernel of the crossing is the intersection of the plane at ``t0``
     with the reference plane, orthonormalized.  For each order j the form
-    matrix ``d^j/dt^j omega(u_a, A(t) u_b)`` is evaluated on that basis with
+    matrix ``d^j/dt^j <u_a, J A(t) u_b>`` is evaluated on that basis with
     the complement ``J ell(t0)``; the first order whose eigenvalues all
     clear ``FORM_DEGENERACY_TOL`` determines the result.  A form that is
     nonzero on part of the kernel only is outside the supported theory and
@@ -337,8 +379,7 @@ def crossing_form(path: LagrangianPath, t0: float, reference, max_order: int = 3
     """
     if max_order < 1:
         raise ValueError("max_order must be a positive integer")
-    U, W, form_at = _kernel_form(path, t0, reference, kernel_tol,
-                                 "crossing form to evaluate")
+    U, W, form_at = _kernel_form(path, t0, reference, "crossing form to evaluate")
     k = U.shape[1]
     h_eff = _effective_step(W, U, path, t0)
 
@@ -361,7 +402,7 @@ def crossing_form(path: LagrangianPath, t0: float, reference, max_order: int = 3
         value = float(G[0, 0]) if k == 1 else float(eigenvalues[np.argmax(np.abs(eigenvalues))])
         return CrossingFormResult(
             t0=float(t0), order=order, value=value, kernel_dim=k,
-            positive=p, negative=q, lower_orders=tuple(lower), kernel=U, form=G,
+            positive=p, negative=q, lower_orders=tuple(lower), kernel=U,
         )
     raise CrossingError(
         f"crossing at t = {t0:.6g} is degenerate through order {max_order}; "
@@ -379,8 +420,7 @@ def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
     (shape ``(num, kernel_dim)``).  These are the eigenvalue branches whose
     signs and derivatives the crossing forms summarize.
     """
-    U, _, form_at = _kernel_form(path, t0, reference, KERNEL_TOL,
-                                 "eigenvalue branch to track")
+    U, _, form_at = _kernel_form(path, t0, reference, "eigenvalue branch to track")
     ts = np.linspace(t0 - half_width, t0 + half_width, num)
     lams = np.empty((num, U.shape[1]))
     for i, t in enumerate(ts):
@@ -475,11 +515,13 @@ class MaslovResult:
 
 def maslov_index(path: LagrangianPath, reference, ts, frames,
                  max_order: int = 3) -> MaslovResult:
-    """Maslov index of the family against a reference plane on [ts[0], ts[-1]].
+    """Maslov index of the family against a Lagrangian reference plane on
+    [ts[0], ts[-1]].
 
     ``frames`` holds the family's frames at the increasing samples ``ts``
-    as one ``(len(ts), 4, 2)`` array.  The detector ``det [Q(t) | Q_ref]``
-    of orthonormalized frames is evaluated on that stack and searched by
+    as one ``(len(ts), 4, 2)`` array.  The detector ``det2(pairing(Q, R))``
+    of orthonormalized frames, up to sign the product of the sines of the
+    principal angles, is evaluated on that stack and searched by
     :func:`locate_zeros`: its zeros are bisected to ``REFINE_TOL`` through
     ``path.frame``, and each dip below ``DIP_TOL`` (relative to the largest
     sample) is minimised between its neighbouring samples and kept when it
@@ -498,15 +540,14 @@ def maslov_index(path: LagrangianPath, reference, ts, frames,
         raise ValueError(
             f"frames must be a finite ({ts.size}, 4, 2) stack, got shape {frames.shape}")
     a, b = float(ts[0]), float(ts[-1])
-    ref_q, _ = _qr_positive(_frame_matrix(reference))
+    ref_q = _reference_frame(reference)
 
     def det_fn(t: float) -> float:
         q, _ = _qr_positive(path.frame(t))
-        return float(np.linalg.det(np.hstack([q, ref_q])))
+        return float(det2(pairing(q, ref_q)))
 
     q, _ = _qr_positive(frames)
-    dets = np.linalg.det(np.concatenate(
-        [q, np.broadcast_to(ref_q, q.shape)], axis=-1))
+    dets = det2(pairing(q, ref_q))
     scale = float(np.max(np.abs(dets)))
     if scale < 1e-12:
         raise CrossingError(

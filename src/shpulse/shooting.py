@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .lagrangian import _qr_positive, plucker
+from .lagrangian import _qr_positive, det2, pairing, plucker, sandwich_plane
 from .model import Params, asymptotic_frames, coefficient_matrix
 from .pulse import FourierPulse, potential
 
@@ -95,17 +95,20 @@ def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:
 
 
 def sandwich_determinant(frames):
-    """Determinant of rows (1, 4) of a 4-by-2 frame, or of each frame of a
-    stack ``(..., 4, 2)``.
+    """Crossing detector ``det2(pairing(M, sandwich_plane()))`` of a 4-by-2
+    frame, or of each frame of a stack ``(..., 4, 2)``.
 
     Vanishes exactly when the spanned plane meets ``span{e2, e3}``
-    nontrivially, which makes its sign changes the crossing detector.  One
-    frame gives a float, a stack an array of shape ``(...)``.
+    nontrivially, which makes its sign changes the crossing detector.  The
+    pairing with the sandwich plane is row 4 over minus row 1 of the frame,
+    taken exactly, so the value is the rows-(1, 4) determinant
+    ``M00 M31 - M01 M30`` to the bit.  One frame gives a float, a stack an
+    array of shape ``(...)``.
     """
     M = np.asarray(frames, dtype=float)
     if M.shape[-2:] != (4, 2):
         raise ValueError(f"expected a 4-by-2 frame, got shape {M.shape}")
-    d = M[..., 0, 0] * M[..., 3, 1] - M[..., 0, 1] * M[..., 3, 0]
+    d = det2(pairing(M, sandwich_plane()))
     return float(d) if d.ndim == 0 else d
 
 

@@ -183,6 +183,11 @@ def test_report_rejects_offaxis_trajectory(pulse_phi0):
         stability_report(pulse_phi0, trajectory=traj)
 
 
+def test_report_rejects_trajectory_of_another_pulse(pulse_phi0, traj_snaking):
+    with pytest.raises(ValueError, match="another pulse"):
+        stability_report(pulse_phi0, trajectory=traj_snaking)
+
+
 def test_report_window_independence(pulse_phipi):
     wide = integrate_frame(pulse_phipi, lam=0.0,
                            settings=ShootingSettings(window=(-80.0, 80.0)))

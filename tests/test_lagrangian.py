@@ -37,30 +37,49 @@ def basis(i):
 # ---------------------------------------------------------------------------
 
 
-def test_omega_on_standard_basis():
-    assert lg.omega(basis(0), basis(2)) == 1.0
-    assert lg.omega(basis(2), basis(0)) == -1.0
-    assert lg.omega(basis(1), basis(3)) == 1.0
-    assert lg.omega(basis(0), basis(1)) == 0.0
-    assert lg.omega(basis(0), basis(3)) == 0.0
+def test_pairing_sign_convention():
+    # entry (i, j) is <r_i, J q_j>, so the pairing of the standard basis
+    # with itself is J: <e1, J e3> = 1, <e3, J e1> = -1, <e2, J e4> = 1
+    E = np.eye(4)
+    assert np.array_equal(lg.pairing(E, E), J4)
+    assert lg.pairing(E[:, [2]], E[:, [0]])[0, 0] == 1.0
+    assert lg.pairing(E[:, [0]], E[:, [2]])[0, 0] == -1.0
+    assert lg.pairing(E[:, [3]], E[:, [1]])[0, 0] == 1.0
+    assert lg.pairing(E[:, [1]], E[:, [0]])[0, 0] == 0.0
+    assert lg.pairing(E[:, [3]], E[:, [0]])[0, 0] == 0.0
+    # a stack pairs frame by frame
+    rng = np.random.default_rng(3)
+    stack, R = rng.normal(size=(5, 4, 2)), rng.normal(size=(4, 2))
+    P = lg.pairing(stack, R)
+    assert P.shape == (5, 2, 2)
+    for k in range(5):
+        assert np.allclose(P[k], R.T @ J4 @ stack[k], rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="4-row"):
+        lg.pairing(np.eye(3), E)
+    with pytest.raises(ValueError, match="4-row"):
+        lg.pairing(E, np.ones(4))
+
+
+def _random_lagrangian(rng):
+    """Orthonormal frame of the image of the sandwich plane under a random
+    symplectic map, a random Lagrangian plane."""
+    S = rng.normal(size=(4, 4))
+    q, _ = lg._qr_positive(expm(J4 @ (S + S.T)) @ lg.sandwich_plane())
+    return q
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_omega_antisymmetric_and_bilinear(seed):
+def test_paired_detector_is_the_four_by_four_determinant(seed):
+    # [J R, R] is a rotation for an orthonormal Lagrangian R, so the 2-by-2
+    # detector equals det [Q | R], sign included
     rng = np.random.default_rng(seed)
-    u, v, w = rng.normal(size=(3, 4))
-    a = rng.normal()
-    assert lg.omega(u, v) == pytest.approx(-lg.omega(v, u), abs=1e-12)
-    assert lg.omega(a * u + w, v) == pytest.approx(
-        a * lg.omega(u, v) + lg.omega(w, v), rel=1e-12, abs=1e-12
-    )
-
-
-def test_omega_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        lg.omega([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        lg.omega([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+    Q, R = _random_lagrangian(rng), _random_lagrangian(rng)
+    assert lg.det2(lg.pairing(Q, R)) == pytest.approx(
+        np.linalg.det(np.hstack([Q, R])), rel=0, abs=1e-12)
+    stack = np.stack([Q, _random_lagrangian(rng)])
+    assert np.allclose(lg.det2(lg.pairing(stack, R)),
+                       np.linalg.det(np.concatenate([stack, np.stack([R, R])], axis=-1)),
+                       rtol=0, atol=1e-12)
 
 
 def test_frame_validation_and_blocks():
@@ -178,7 +197,7 @@ def test_first_order_form_matches_flow_generator(c1, c2):
     # equals omega(v, B v) for the generator of the family
     ell1, _ = lg.fixture_paths()
     v = c1 * V1_AT_0 + c2 * V2_AT_0
-    expected = lg.omega(v, B_FLOW @ v)
+    expected = v @ J4 @ B_FLOW @ v
     value = lg.quadratic_form(ell1, 0.0, v, 1)
     assert value == pytest.approx(expected, abs=1e-7 * max(1.0, abs(expected)))
 
@@ -341,6 +360,48 @@ def test_intersection_basis_dimensions():
     assert abs(U[:, 0] @ (V1_AT_0 / np.sqrt(5.0))) == pytest.approx(1.0, abs=1e-12)
     assert lg.intersection_basis(sand, sand).shape == (4, 2)
     assert lg.intersection_basis(ell1.frame(0.7), sand).shape == (4, 0)
+
+
+def _stacked_svd_intersection(frame, reference, tol=1e-8):
+    """The intersection of two spans from the SVD of the stacked 4-by-4
+    ``[A | -B]`` of their orthonormal frames, re-orthonormalized."""
+    A, _ = lg._qr_positive(frame)
+    B, _ = lg._qr_positive(reference)
+    _, sv, vt = np.linalg.svd(np.hstack([A, -B]))
+    small = sv <= tol * sv[0]
+    if not np.any(small):
+        return np.zeros((4, 0))
+    basis, _ = lg._qr_positive(A @ vt[small].T[:2])
+    return basis
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.7])
+def test_intersection_basis_is_the_stacked_svd_intersection(t):
+    ell1, ell2 = lg.fixture_paths()
+    sand = lg.sandwich_plane()
+    cases = [(ell1.frame(t), sand), (ell2.frame(t), sand), (sand, sand),
+             (HORIZONTAL, HORIZONTAL), (_graph_path(np.sin, np.sin).frame(t), HORIZONTAL)]
+    for frame, reference in cases:
+        U = lg.intersection_basis(frame, reference)
+        old = _stacked_svd_intersection(frame, reference)
+        assert U.shape == old.shape
+        assert np.allclose(U.T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-14)
+        assert np.allclose(U @ U.T, old @ old.T, rtol=0, atol=1e-12)
+
+
+def test_non_lagrangian_reference_is_rejected():
+    ell1, _ = lg.fixture_paths()
+    # span{e1, e3} carries <e1, J e3> = 1: J R is not its complement; the
+    # line span{e2} would be completed by the QR to some plane through it
+    tilted = np.column_stack([basis(0), basis(2)])
+    line = np.column_stack([basis(1), 2.0 * basis(1)])
+    for reference in (tilted, line):
+        with pytest.raises(ValueError, match="not a Lagrangian plane"):
+            lg.intersection_basis(ell1.frame(0.0), reference)
+        with pytest.raises(ValueError, match="not a Lagrangian plane"):
+            lg.crossing_form(ell1, 0.0, reference)
+        with pytest.raises(ValueError, match="not a Lagrangian plane"):
+            _maslov(ell1, reference)
 
 
 # ---------------------------------------------------------------------------

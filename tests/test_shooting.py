@@ -246,6 +246,17 @@ def test_batched_plane_quantities_match_per_frame_calls(traj_phi0):
         plucker(bad)
 
 
+def test_sandwich_determinant_is_the_rows_14_formula_bitwise(traj_phi0, traj_phipi,
+                                                           traj_snaking):
+    # the pairing with the sandwich plane selects and negates rows exactly,
+    # so the detector keeps the bits of the rows-(1,4) determinant
+    for traj in (traj_phi0, traj_phipi, traj_snaking):
+        M = traj.frames
+        rows14 = M[..., 0, 0] * M[..., 3, 1] - M[..., 0, 1] * M[..., 3, 0]
+        assert sandwich_determinant(M).tobytes() == rows14.tobytes()
+        assert traj.deta.tobytes() == rows14.tobytes()
+
+
 def test_anchor_frames_are_read_only(traj_phi0):
     F = traj_phi0.frame_at(traj_phi0.xs[100])
     assert type(F) is np.ndarray and F.shape == (4, 2)
