@@ -37,8 +37,9 @@ def basis(i):
 # ---------------------------------------------------------------------------
 
 
-def test_pairing_sign_convention():
-    # entry (i, j) is <r_i, J q_j>, so the pairing of the standard basis
+def test_omega_on_standard_basis():
+    # the symplectic form omega(u, v) = <u, J v> is entry (i, j) of the
+    # pairing, with u = r_i and v = q_j, so the pairing of the standard basis
     # with itself is J: <e1, J e3> = 1, <e3, J e1> = -1, <e2, J e4> = 1
     E = np.eye(4)
     assert np.array_equal(lg.pairing(E, E), J4)
@@ -54,6 +55,10 @@ def test_pairing_sign_convention():
     assert P.shape == (5, 2, 2)
     for k in range(5):
         assert np.allclose(P[k], R.T @ J4 @ stack[k], rtol=0, atol=1e-14)
+
+
+def test_omega_rejects_bad_shapes():
+    E = np.eye(4)
     with pytest.raises(ValueError, match="4-row"):
         lg.pairing(np.eye(3), E)
     with pytest.raises(ValueError, match="4-row"):
