@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import LagrangianPath, maslov_index, pairing, sandwich_plane
+from .lagrangian import maslov_index, sandwich_plane
 from .model import Params, asymptotic_frames, lambda_infinity_bound
 from .pulse import FourierPulse, potential
 from .shooting import TRANSPORT_NOISE, FrameTrajectory, sandwich_determinant
@@ -61,13 +61,14 @@ def trust_horizon(pulse: FourierPulse, lam: float = 0.0) -> float:
 class ConjugatePointRecord:
     """One crossing of the sandwich plane, as the Maslov engine classified it.
 
-    ``order`` is the order of the first nondegenerate crossing form,
-    ``kernel_dim`` the dimension of the intersection, ``signature`` that of
-    the form and ``value`` its value (see
-    :class:`shpulse.lagrangian.CrossingFormResult`).  ``simplicity_norm`` is
-    the 2-norm of ``pairing(F, sandwich_plane())`` for the orthonormal frame
-    ``F`` at ``x_star``, the larger sine of the two principal angles between
-    the planes: it vanishes when the whole plane lies in the sandwich plane.
+    The fields are those of a :class:`shpulse.lagrangian.Crossing` under the
+    names the report prints: ``x_star`` is its position ``t``, ``order``
+    the order of the first nondegenerate crossing form, ``kernel_dim`` the
+    dimension of the intersection, ``signature`` that of the form and
+    ``value`` its value.  ``simplicity_norm`` is the crossing's
+    ``largest_sine``, the larger sine of the two principal angles between
+    the plane at ``x_star`` and the sandwich plane (the 2-norm of their
+    pairing): it vanishes when the whole plane lies in the sandwich plane.
     """
 
     x_star: float
@@ -137,15 +138,11 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
         raise ValueError(
             f"the trust horizon x = {horizon:.2f} leaves fewer than two samples "
             "of the window; raise the mode count to push the horizon out")
-    path = LagrangianPath(traj.frame_at)
-    sandwich = sandwich_plane()
-    result = maslov_index(path, sandwich, traj.xs[keep], traj.frames[keep])
+    result = maslov_index(traj.frame_at, sandwich_plane(), traj.xs[keep], traj.frames[keep])
     records = tuple(
         ConjugatePointRecord(
             x_star=c.t, order=c.order, kernel_dim=c.kernel_dim,
-            signature=c.positive - c.negative, value=c.value,
-            simplicity_norm=float(np.linalg.norm(
-                pairing(traj.frame_at(c.t), sandwich), 2)))
+            signature=c.signature, value=c.value, simplicity_norm=c.largest_sine)
         for c in result.crossings)
     return result.index, records
 

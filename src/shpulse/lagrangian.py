@@ -3,10 +3,12 @@
 A plane of dimension 2 in ``R^4`` is Lagrangian when the standard
 symplectic form ``<u, J v>`` vanishes identically on it.  This module
 represents planes by plain 4-by-2 float arrays (frames), a sequence of
-planes by one ``(..., 4, 2)`` array, and provides the machinery needed to
-count how a one-parameter family of planes crosses a fixed Lagrangian
-reference plane.  Every plane-versus-reference quantity is the symplectic
-pairing ``R^T J Q`` of :func:`pairing`:
+planes by one ``(..., 4, 2)`` array, and a one-parameter family of planes
+by a plain function ``t -> 4-by-2 frame``; every frame such a function
+returns is checked for shape and finite entries where it is used.  It
+provides the machinery needed to count how a family crosses a fixed
+Lagrangian reference plane.  Every plane-versus-reference quantity is the
+symplectic pairing ``R^T J Q`` of :func:`pairing`:
 
 * crossing detector: the family meets the reference exactly where
   ``det2(pairing(Q, R))`` vanishes;
@@ -27,13 +29,16 @@ pairing ``R^T J Q`` of :func:`pairing`:
   and boundary crossings are weighted by one half.  The same computation
   counts the conjugate points of a pulse (:mod:`shpulse.conjugate`).
 
+A crossing, classified on its own or inside a Maslov index, is one
+:class:`Crossing` record.
+
 The Plücker coordinates give a global chart used for trajectory export.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -55,11 +60,24 @@ class NotACrossingError(ValueError):
     """The plane family does not meet the reference at the given parameter."""
 
 
-def _frame_matrix(frame) -> np.ndarray:
-    """Validate a 4-by-2 frame with finite entries; return it as floats."""
-    M = np.asarray(frame, dtype=float)
-    if M.shape != (4, 2):
-        raise ValueError(f"frame must be 4-by-2, got shape {M.shape}")
+# A one-parameter family of planes: the 4-by-2 frame at each parameter.
+# Derivative stencils may evaluate a family slightly beyond the sampled
+# grid, so it should tolerate a small overhang when possible.
+Family = Callable[[float], np.ndarray]
+
+
+def _frame_matrix(frames, shape=(4, 2)) -> np.ndarray:
+    """Validate 4-by-2 frames with finite entries; return them as floats.
+
+    ``shape`` is the one shape accepted: by default exactly one frame, and
+    with ``None`` one frame or any ``(..., 4, 2)`` stack of them.
+    """
+    M = np.asarray(frames, dtype=float)
+    if M.shape[-2:] != (4, 2) or shape is not None and M.shape != shape:
+        want = ("a 4-by-2 frame" if shape == (4, 2) else
+                f"a {shape} stack of 4-by-2 frames" if shape else
+                "a 4-by-2 frame or a (..., 4, 2) stack")
+        raise ValueError(f"expected {want}, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("frame entries must be finite")
     return M
@@ -76,22 +94,6 @@ def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
     return q * s[..., None, :], r * s[..., :, None]
-
-
-@dataclass(frozen=True, eq=False)
-class LagrangianPath:
-    """A one-parameter family of Lagrangian planes.
-
-    ``frame_fn`` must return a 4-by-2 frame matrix for any parameter where
-    the family is defined.  Derivative stencils may evaluate the family
-    slightly beyond the sampled grid, so ``frame_fn`` should tolerate a
-    small overhang when possible.
-    """
-
-    frame_fn: Callable[[float], np.ndarray]
-
-    def frame(self, t: float) -> np.ndarray:
-        return _frame_matrix(self.frame_fn(float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +140,14 @@ def _reference_frame(reference) -> np.ndarray:
 
     ``J R`` spans the orthogonal complement of ``R`` only when ``R`` is
     Lagrangian, and the crossing detector and kernel rely on that, so any
-    other reference is a ValueError.  So is a rank-deficient frame, which
-    the QR would silently complete to a plane the caller never gave.
+    other reference is a ValueError.  So is a rank-deficient frame, one
+    whose smaller singular value is at most ``KERNEL_TOL`` times the larger,
+    which the QR would silently complete to a plane the caller never gave.
     """
-    R, r = _qr_positive(_frame_matrix(reference))
-    if r[1, 1] <= KERNEL_TOL * r[0, 0] or abs(pairing(R, R)[0, 1]) > KERNEL_TOL:
+    M = _frame_matrix(reference)
+    s = np.linalg.svd(M, compute_uv=False)
+    R, _ = _qr_positive(M)
+    if s[1] <= KERNEL_TOL * s[0] or abs(pairing(R, R)[0, 1]) > KERNEL_TOL:
         raise ValueError("the reference is not a Lagrangian plane")
     return R
 
@@ -165,11 +170,7 @@ def plucker(frames) -> np.ndarray:
     frame, ``|P| = s1 s2`` and ``|M|_F^2 = s1^2 + s2^2``, so the rank test
     ``|P| <= 1e-12 |M|_F^2`` is ``s2 <= 1e-12 s1`` up to rounding.
     """
-    M = np.asarray(frames, dtype=float)
-    if M.shape[-2:] != (4, 2):
-        raise ValueError(f"the Plücker chart requires a 4-by-2 frame, got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("frame entries must be finite")
+    M = _frame_matrix(frames, None)
     a, b = M[..., 0], M[..., 1]
     i, j = np.array(PLUCKER_PAIRS).T
     P = a[..., i] * b[..., j] - a[..., j] * b[..., i]
@@ -262,8 +263,7 @@ def _fd_derivative(g: Callable[[float], np.ndarray], t0: float, order: int,
     return ests[0]
 
 
-def _effective_step(W: np.ndarray, V: np.ndarray,
-                    path: LagrangianPath, t0: float) -> float:
+def _effective_step(W: np.ndarray, V: np.ndarray, path: Family, t0: float) -> float:
     """Widen the base step ``FD_STEP`` for slowly moving families.
 
     The graph map vanishes at t0, so ||A|| near t0 scales like speed * dt;
@@ -273,20 +273,21 @@ def _effective_step(W: np.ndarray, V: np.ndarray,
     h = FD_STEP
     norms = []
     for t in (t0 - h, t0 + h):
-        norms.append(np.linalg.norm(_graph_images(path.frame(t), W, V, t)))
+        F = _frame_matrix(path(float(t)))
+        norms.append(np.linalg.norm(_graph_images(F, W, V, t)))
     speed = (norms[0] + norms[1]) / (2.0 * h * max(1.0, np.linalg.norm(V)))
     if speed <= 0.0:
         return 20.0 * h
     return h * min(max(1.0, 1.0 / speed), 20.0)
 
 
-def _graph_form(path: LagrangianPath, W: np.ndarray, V: np.ndarray
+def _graph_form(path: Family, W: np.ndarray, V: np.ndarray
                 ) -> Callable[[float], np.ndarray]:
     """The graph flow paired with the columns of V: ``t -> V^T J A(t) V``."""
-    return lambda t: pairing(_graph_images(path.frame(t), W, V, t), V)
+    return lambda t: pairing(_graph_images(_frame_matrix(path(float(t))), W, V, t), V)
 
 
-def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> float:
+def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
     """Raw crossing form ``Q_order(v) = d^order/dt^order <v, J A(t) v>``.
 
     ``v`` must lie in the plane at ``t0``; it is used as given, without
@@ -301,7 +302,7 @@ def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> fl
     if order < 1:
         raise ValueError("order must be a positive integer")
     v = np.asarray(v, dtype=float)
-    F0 = path.frame(t0)
+    F0 = _frame_matrix(path(float(t0)))
     if v.shape != (4,):
         raise ValueError("vector must have length 4")
     W = J4 @ F0 if W is None else _frame_matrix(W)
@@ -314,6 +315,14 @@ def quadratic_form(path: LagrangianPath, t0: float, v, order: int, W=None) -> fl
     return float(G[0, 0])
 
 
+def _intersection(frame, reference) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection basis of a plane with a Lagrangian reference and the
+    descending sines of the two principal angles between them."""
+    Q, _ = _qr_positive(_frame_matrix(frame))
+    _, sines, vt = np.linalg.svd(pairing(Q, _reference_frame(reference)))
+    return Q @ vt[sines <= KERNEL_TOL].T, sines
+
+
 def intersection_basis(frame, reference) -> np.ndarray:
     """Orthonormal basis (4-by-k) of the intersection of a plane with a
     Lagrangian reference plane.
@@ -322,51 +331,61 @@ def intersection_basis(frame, reference) -> np.ndarray:
     of the pairing whose singular value, the sine of a principal angle, is at
     most ``KERNEL_TOL``; a transverse pair gives a 4-by-0 basis.
     """
-    Q, _ = _qr_positive(_frame_matrix(frame))
-    _, sv, vt = np.linalg.svd(pairing(Q, _reference_frame(reference)))
-    return Q @ vt[sv <= KERNEL_TOL].T
+    return _intersection(frame, reference)[0]
 
 
-def _kernel_form(path: LagrangianPath, t0: float, reference, purpose: str):
-    """Crossing kernel ``U`` at ``t0``, the complement ``W = J ell(t0)`` and
-    the kernel-projected graph flow ``t -> U^T J A(t) U``."""
-    F0 = path.frame(t0)
-    U = intersection_basis(F0, reference)
+def _kernel_form(path: Family, t0: float, reference, purpose: str):
+    """Crossing kernel ``U`` at ``t0``, the complement ``W = J ell(t0)``, the
+    kernel-projected graph flow ``t -> U^T J A(t) U`` and the larger sine of
+    the principal angles between the plane at ``t0`` and the reference."""
+    F0 = _frame_matrix(path(float(t0)))
+    U, sines = _intersection(F0, reference)
     if U.shape[1] == 0:
         raise NotACrossingError(
             f"the planes are transverse at t = {t0:.6g}; there is no {purpose}"
         )
     W = J4 @ F0
-    return U, W, _graph_form(path, W, U)
+    return U, W, _graph_form(path, W, U), float(sines[0])
 
 
-@dataclass(frozen=True, eq=False)
-class CrossingFormResult:
-    """First nondegenerate crossing form at an isolated crossing.
+# Highest crossing-form order evaluated before a crossing counts as
+# degenerate beyond the classifier's reach.
+MAX_FORM_ORDER = 3
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """One isolated crossing, classified by its first nondegenerate form.
 
     ``value`` is the form evaluated on the unit kernel vector when the
     kernel is one dimensional, otherwise the extreme eigenvalue of the form
     matrix.  ``lower_orders`` records the largest absolute form eigenvalue
     for each order below the reported one (all under the degeneracy
-    tolerance by construction).
+    tolerance by construction).  ``largest_sine`` is the larger sine of the
+    two principal angles between the plane and the reference: it vanishes
+    when the whole plane lies in the reference.  :func:`maslov_index` fills
+    in ``contribution``, the crossing's share of the index, and
+    ``endpoint`` ("left" or "right" for a crossing at an end of the
+    interval); both stay None on a crossing classified alone.
     """
 
-    t0: float
+    t: float
     order: int
     value: float
     kernel_dim: int
     positive: int
     negative: int
     lower_orders: tuple[float, ...]
-    kernel: np.ndarray = field(repr=False, default=None)
+    largest_sine: float
+    contribution: float | None = None
+    endpoint: str | None = None
 
     @property
     def signature(self) -> int:
         return self.positive - self.negative
 
 
-def crossing_form(path: LagrangianPath, t0: float, reference,
-                  max_order: int = 3) -> CrossingFormResult:
+def crossing_form(path: Family, t0: float, reference) -> Crossing:
     """Classify a crossing by its first nondegenerate form.
 
     The kernel of the crossing is the intersection of the plane at ``t0``
@@ -375,16 +394,16 @@ def crossing_form(path: LagrangianPath, t0: float, reference,
     the complement ``J ell(t0)``; the first order whose eigenvalues all
     clear ``FORM_DEGENERACY_TOL`` determines the result.  A form that is
     nonzero on part of the kernel only is outside the supported theory and
-    raises CrossingError, as does full degeneracy through ``max_order``.
+    raises CrossingError, as does full degeneracy through
+    ``MAX_FORM_ORDER``.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be a positive integer")
-    U, W, form_at = _kernel_form(path, t0, reference, "crossing form to evaluate")
+    U, W, form_at, largest_sine = _kernel_form(path, t0, reference,
+                                               "crossing form to evaluate")
     k = U.shape[1]
     h_eff = _effective_step(W, U, path, t0)
 
     lower: list[float] = []
-    for order in range(1, max_order + 1):
+    for order in range(1, MAX_FORM_ORDER + 1):
         G = _fd_derivative(form_at, t0, order, h_eff)
         G = 0.5 * (G + G.T)
         eigenvalues = np.linalg.eigvalsh(G)
@@ -400,17 +419,17 @@ def crossing_form(path: LagrangianPath, t0: float, reference,
                 "which the signature calculus does not cover"
             )
         value = float(G[0, 0]) if k == 1 else float(eigenvalues[np.argmax(np.abs(eigenvalues))])
-        return CrossingFormResult(
-            t0=float(t0), order=order, value=value, kernel_dim=k,
-            positive=p, negative=q, lower_orders=tuple(lower), kernel=U,
+        return Crossing(
+            t=float(t0), order=order, value=value, kernel_dim=k, positive=p,
+            negative=q, lower_orders=tuple(lower), largest_sine=largest_sine,
         )
     raise CrossingError(
-        f"crossing at t = {t0:.6g} is degenerate through order {max_order}; "
-        "raise max_order or inspect the family directly"
+        f"crossing at t = {t0:.6g} is degenerate through order {MAX_FORM_ORDER}; "
+        "inspect the family directly"
     )
 
 
-def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
+def eigenvalue_motion(path: Family, t0: float, reference,
                       half_width: float = 0.3,
                       num: int = 61) -> tuple[np.ndarray, np.ndarray]:
     """Small eigenvalues of the kernel-projected graph flow near a crossing.
@@ -420,7 +439,7 @@ def eigenvalue_motion(path: LagrangianPath, t0: float, reference,
     (shape ``(num, kernel_dim)``).  These are the eigenvalue branches whose
     signs and derivatives the crossing forms summarize.
     """
-    U, _, form_at = _kernel_form(path, t0, reference, "eigenvalue branch to track")
+    U, _, form_at, _ = _kernel_form(path, t0, reference, "eigenvalue branch to track")
     ts = np.linspace(t0 - half_width, t0 + half_width, num)
     lams = np.empty((num, U.shape[1]))
     for i, t in enumerate(ts):
@@ -492,29 +511,14 @@ REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class CrossingRecord:
-    """One crossing's bookkeeping inside a Maslov index computation."""
-
-    t: float
-    order: int
-    kernel_dim: int
-    positive: int
-    negative: int
-    value: float
-    contribution: float
-    endpoint: str | None = None
-
-
-@dataclass(frozen=True)
 class MaslovResult:
     """Maslov index with a per-crossing ledger."""
 
     index: float
-    crossings: tuple[CrossingRecord, ...]
+    crossings: tuple[Crossing, ...]
 
 
-def maslov_index(path: LagrangianPath, reference, ts, frames,
-                 max_order: int = 3) -> MaslovResult:
+def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     """Maslov index of the family against a Lagrangian reference plane on
     [ts[0], ts[-1]].
 
@@ -523,7 +527,7 @@ def maslov_index(path: LagrangianPath, reference, ts, frames,
     of orthonormalized frames, up to sign the product of the sines of the
     principal angles, is evaluated on that stack and searched by
     :func:`locate_zeros`: its zeros are bisected to ``REFINE_TOL`` through
-    ``path.frame``, and each dip below ``DIP_TOL`` (relative to the largest
+    ``path``, and each dip below ``DIP_TOL`` (relative to the largest
     sample) is minimised between its neighbouring samples and kept when it
     reaches ``DET_TOL`` (even-order crossings touch zero without a sign
     change); an end sample below ``DET_TOL`` is an endpoint crossing.
@@ -533,17 +537,14 @@ def maslov_index(path: LagrangianPath, reference, ts, frames,
     their one-sided spectral flow.
     """
     ts = np.asarray(ts, dtype=float)
-    frames = np.asarray(frames, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0):
         raise ValueError("the sample grid must hold at least two increasing points")
-    if frames.shape != (ts.size, 4, 2) or not np.all(np.isfinite(frames)):
-        raise ValueError(
-            f"frames must be a finite ({ts.size}, 4, 2) stack, got shape {frames.shape}")
+    frames = _frame_matrix(frames, (ts.size, 4, 2))
     a, b = float(ts[0]), float(ts[-1])
     ref_q = _reference_frame(reference)
 
     def det_fn(t: float) -> float:
-        q, _ = _qr_positive(path.frame(t))
+        q, _ = _qr_positive(_frame_matrix(path(float(t))))
         return float(det2(pairing(q, ref_q)))
 
     q, _ = _qr_positive(frames)
@@ -572,10 +573,10 @@ def maslov_index(path: LagrangianPath, reference, ts, frames,
         if not merged or t - merged[-1] > merge_tol:
             merged.append(min(max(t, a), b))
 
-    records: list[CrossingRecord] = []
+    records: list[Crossing] = []
     total = 0.0
     for t in merged:
-        cf = crossing_form(path, t, reference, max_order=max_order)
+        cf = crossing_form(path, t, reference)
         sig = cf.signature
         if abs(t - a) <= merge_tol or abs(t - b) <= merge_tol:
             endpoint = "left" if abs(t - a) <= merge_tol else "right"
@@ -584,11 +585,7 @@ def maslov_index(path: LagrangianPath, reference, ts, frames,
             endpoint = None
             contribution = float(sig) if cf.order % 2 else 0.0
         total += contribution
-        records.append(CrossingRecord(
-            t=t, order=cf.order, kernel_dim=cf.kernel_dim, positive=cf.positive,
-            negative=cf.negative, value=cf.value, contribution=contribution,
-            endpoint=endpoint,
-        ))
+        records.append(replace(cf, contribution=contribution, endpoint=endpoint))
 
     if abs(total - round(total)) < 1e-9:
         total = int(round(total))
@@ -600,7 +597,7 @@ def maslov_index(path: LagrangianPath, reference, ts, frames,
 # ---------------------------------------------------------------------------
 
 
-def fixture_paths() -> tuple[LagrangianPath, LagrangianPath]:
+def fixture_paths() -> tuple[Family, Family]:
     """Two analytic plane families with known crossings at the origin.
 
     Both consist of solutions of the linear flow ``q' = B q`` with
@@ -630,4 +627,4 @@ def fixture_paths() -> tuple[LagrangianPath, LagrangianPath]:
             [s**3 / 6.0, s**3 - s],
         ])
 
-    return LagrangianPath(frame_one), LagrangianPath(frame_two)
+    return frame_one, frame_two

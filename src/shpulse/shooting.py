@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .lagrangian import _qr_positive, det2, pairing, plucker, sandwich_plane
+from .lagrangian import _frame_matrix, _qr_positive, det2, pairing, plucker, sandwich_plane
 from .model import Params, asymptotic_frames, coefficient_matrix
 from .pulse import FourierPulse, potential
 
@@ -103,12 +103,9 @@ def sandwich_determinant(frames):
     pairing with the sandwich plane is row 4 over minus row 1 of the frame,
     taken exactly, so the value is the rows-(1, 4) determinant
     ``M00 M31 - M01 M30`` to the bit.  One frame gives a float, a stack an
-    array of shape ``(...)``.
+    array of shape ``(...)``.  Frames must have finite entries.
     """
-    M = np.asarray(frames, dtype=float)
-    if M.shape[-2:] != (4, 2):
-        raise ValueError(f"expected a 4-by-2 frame, got shape {M.shape}")
-    d = det2(pairing(M, sandwich_plane()))
+    d = det2(pairing(_frame_matrix(frames, None), sandwich_plane()))
     return float(d) if d.ndim == 0 else d
 
 

@@ -180,10 +180,11 @@ def check_fixtures() -> CheckResult:
 
     # fully degenerate k = 2 crossing: the graph of t^3 diag(1, 2) over the
     # sandwich plane, order 3 with signature -2
-    ell3 = lg.LagrangianPath(
-        lambda t: sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3]))
+    def ell3(t):
+        return sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3])
+
     grid = np.linspace(-1.0, 1.0, 1001)
-    m1, m2, m3 = (lg.maslov_index(path, sand, grid, np.stack([path.frame(t) for t in grid]))
+    m1, m2, m3 = (lg.maslov_index(path, sand, grid, np.stack([path(t) for t in grid]))
                   for path in (ell1, ell2, ell3))
     errs["maslov"] = max(abs(m1.index - (-1)), abs(m2.index - (-1)))
     errs["k=2 maslov"] = abs(m3.index - (-2))
@@ -258,11 +259,11 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
     Psi = expm(0.4 * J4 @ S)
 
     def pushforward(path):
-        return lg.LagrangianPath(lambda t, _p=path: Psi @ _p.frame(t))
+        return lambda t: Psi @ path(t)
 
     # invariance transforms the whole picture: path, vector and complement
-    W1 = Psi @ (J4 @ ell1.frame(0.0))
-    W2 = Psi @ (J4 @ ell2.frame(0.0))
+    W1 = Psi @ (J4 @ ell1(0.0))
+    W2 = Psi @ (J4 @ ell2(0.0))
     inv_err = max(
         abs(lg.quadratic_form(pushforward(ell1), 0.0, Psi @ v1, 1, W=W1) - base1),
         abs(lg.quadratic_form(pushforward(ell2), 0.0, Psi @ v2, 3, W=W2) - base2),

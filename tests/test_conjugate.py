@@ -10,7 +10,7 @@ from shpulse.conjugate import (
     stability_report,
     trust_horizon,
 )
-from shpulse.lagrangian import fixture_paths, locate_zeros, sandwich_plane
+from shpulse.lagrangian import fixture_paths, locate_zeros, pairing, sandwich_plane
 from shpulse.model import J4, Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
@@ -92,11 +92,23 @@ def test_crossing_value_matches_generic_form(traj_phi0):
     assert rec.Q1 == pytest.approx(p[1] ** 2, rel=1e-6)
 
 
+def test_simplicity_is_the_two_norm_of_the_pairing(traj_phi0, traj_phipi):
+    """The printed simplicity is the largest sine the crossing form's kernel
+    SVD gives, and that is the 2-norm of the frame's pairing with the
+    sandwich plane at the crossing."""
+    for traj in (traj_phi0, traj_phipi):
+        report = stability_report(traj.pulse, traj)
+        assert report.conjugate_points
+        for rec in report.conjugate_points:
+            norm = np.linalg.norm(pairing(traj.frame_at(rec.x_star), sandwich_plane()), 2)
+            assert rec.simplicity_norm == pytest.approx(norm, rel=1e-12)
+
+
 def test_pulse_route_labels_a_third_order_crossing_case_two():
     """A crossing whose first two forms vanish is printed as case II with
     its third-order value."""
     _, ell2 = fixture_paths()
-    index, (rec,) = conjugate_points(_StubTrajectory(ell2.frame, 1001), np.inf)
+    index, (rec,) = conjugate_points(_StubTrajectory(ell2, 1001), np.inf)
     assert index == -1
     assert (rec.case, rec.order, rec.kernel_dim) == ("II", 3, 1)
     assert rec.Q1 == 0.0
@@ -126,7 +138,7 @@ def test_pulse_route_counts_a_two_dimensional_crossing(num):
 def test_horizon_before_the_second_sample_is_an_error():
     _, ell2 = fixture_paths()
     with pytest.raises(ValueError, match="trust horizon x = -0.95 leaves fewer"):
-        conjugate_points(_StubTrajectory(ell2.frame, 11), -0.95)
+        conjugate_points(_StubTrajectory(ell2, 11), -0.95)
 
 
 def test_asymptotic_plane_misses_the_sandwich_plane():

@@ -88,14 +88,25 @@ def test_paired_detector_is_the_four_by_four_determinant(seed):
 
 
 def test_frame_validation_and_blocks():
-    # a path hands its frames back as validated float arrays
-    F = lg.LagrangianPath(lambda t: np.arange(8).reshape(4, 2)).frame(0.5)
-    assert F.dtype == float
-    assert np.array_equal(F, np.arange(8.0).reshape(4, 2))
+    # the engine validates every frame a plain path returns
+    sand = lg.sandwich_plane()
     with pytest.raises(ValueError, match="4-by-2"):
-        lg.LagrangianPath(lambda t: np.zeros((3, 2))).frame(0.5)
+        lg.crossing_form(lambda t: np.zeros((3, 2)), 0.0, sand)
+    with pytest.raises(ValueError, match="4-by-2"):
+        lg.crossing_form(lambda t: np.stack([sand, sand]), 0.0, sand)
+    # finite on the grid, NaN between samples, where bisection evaluates it
+    ell1, _ = lg.fixture_paths()
+    ts = np.linspace(-1.0, 1.0, 10)
+    frames = np.stack([ell1(t) for t in ts])
+
+    def holey(t):
+        on_grid = np.any(np.abs(ts - t) < 1e-12)
+        return ell1(t) if on_grid else np.full((4, 2), np.nan)
+
     with pytest.raises(ValueError, match="finite"):
-        lg.LagrangianPath(lambda t: np.full((4, 2), np.nan)).frame(0.5)
+        lg.maslov_index(holey, sand, ts, frames)
+    with pytest.raises(ValueError, match="finite"):
+        lg.maslov_index(ell1, sand, ts, np.where(ts[:, None, None] > 0.5, np.nan, frames))
 
 
 def test_orthonormalized_keeps_span_and_sign():
@@ -122,7 +133,7 @@ def test_fixture_families_solve_the_flow():
     ell1, ell2 = lg.fixture_paths()
     for path in (ell1, ell2):
         for s in np.linspace(-1.0, 1.0, 21):
-            F = path.frame(s)
+            F = path(s)
             # full rank and isotropic span: a Lagrangian plane
             assert np.linalg.matrix_rank(F) == 2
             assert np.allclose(F.T @ J4 @ F, 0.0, atol=1e-12)
@@ -130,11 +141,11 @@ def test_fixture_families_solve_the_flow():
             h = 1e-4
             # columns are cubic in s, so the central difference is exact up
             # to the h^2 term of the cubic: correct it with a wider stencil
-            dF4 = (8 * (path.frame(s + h) - path.frame(s - h))
-                   - (path.frame(s + 2 * h) - path.frame(s - 2 * h))) / (12 * h)
+            dF4 = (8 * (path(s + h) - path(s - h))
+                   - (path(s + 2 * h) - path(s - 2 * h))) / (12 * h)
             assert np.allclose(dF4, B_FLOW @ F, atol=1e-10)
-    assert np.array_equal(ell1.frame(0.0)[:, 0], V1_AT_0)
-    assert np.array_equal(ell1.frame(0.0)[:, 1], V2_AT_0)
+    assert np.array_equal(ell1(0.0)[:, 0], V1_AT_0)
+    assert np.array_equal(ell1(0.0)[:, 1], V2_AT_0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +192,7 @@ def test_graph_matrix_tangent_complement_fails():
     # near t0, which is exactly where the graph map is defined
     ell1, _ = lg.fixture_paths()
     with pytest.raises(lg.TransversalityError, match="condition number"):
-        lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=ell1.frame(0.0))
+        lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=ell1(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +256,8 @@ def test_form_symplectic_invariance(seed):
         (ell1, V1_AT_0, 1, -4.0),
         (ell2, basis(1), 3, -2.0),
     ):
-        moved = lg.LagrangianPath(
-            lambda s, p=path: Psi @ p.frame(s))
-        W0 = J4 @ path.frame(0.0)
+        moved = lambda s, p=path: Psi @ p(s)
+        W0 = J4 @ path(0.0)
         value = lg.quadratic_form(moved, 0.0, Psi @ v, order, W=Psi @ W0)
         assert value == pytest.approx(expected, abs=1e-7)
 
@@ -261,9 +271,11 @@ def test_regular_crossing_classification():
     assert cf.signature == -1
     # on the unit kernel vector the form equals the eigenvalue slope
     assert cf.value == pytest.approx(-4.0 / 5.0, abs=1e-8)
-    unit = V1_AT_0 / np.sqrt(5.0)
-    assert abs(cf.kernel[:, 0] @ unit) == pytest.approx(1.0, abs=1e-12)
     assert cf.lower_orders == ()
+    assert (cf.contribution, cf.endpoint) == (None, None)
+    # the kernel is the unit vector V1 / sqrt(5), the intersection basis
+    U = lg.intersection_basis(ell1(0.0), lg.sandwich_plane())
+    assert abs(U[:, 0] @ (V1_AT_0 / np.sqrt(5.0))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_third_order_crossing_classification():
@@ -297,7 +309,7 @@ def _graph_path(f1, f2):
             [0.0, f2(s)],
         ])
 
-    return lg.LagrangianPath(frame)
+    return frame
 
 
 def test_even_order_crossing_with_full_kernel():
@@ -360,11 +372,11 @@ def test_eigenvalue_motion_requires_a_crossing():
 def test_intersection_basis_dimensions():
     ell1, _ = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    U = lg.intersection_basis(ell1.frame(0.0), sand)
+    U = lg.intersection_basis(ell1(0.0), sand)
     assert U.shape == (4, 1)
     assert abs(U[:, 0] @ (V1_AT_0 / np.sqrt(5.0))) == pytest.approx(1.0, abs=1e-12)
     assert lg.intersection_basis(sand, sand).shape == (4, 2)
-    assert lg.intersection_basis(ell1.frame(0.7), sand).shape == (4, 0)
+    assert lg.intersection_basis(ell1(0.7), sand).shape == (4, 0)
 
 
 def _stacked_svd_intersection(frame, reference, tol=1e-8):
@@ -384,8 +396,8 @@ def _stacked_svd_intersection(frame, reference, tol=1e-8):
 def test_intersection_basis_is_the_stacked_svd_intersection(t):
     ell1, ell2 = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    cases = [(ell1.frame(t), sand), (ell2.frame(t), sand), (sand, sand),
-             (HORIZONTAL, HORIZONTAL), (_graph_path(np.sin, np.sin).frame(t), HORIZONTAL)]
+    cases = [(ell1(t), sand), (ell2(t), sand), (sand, sand),
+             (HORIZONTAL, HORIZONTAL), (_graph_path(np.sin, np.sin)(t), HORIZONTAL)]
     for frame, reference in cases:
         U = lg.intersection_basis(frame, reference)
         old = _stacked_svd_intersection(frame, reference)
@@ -397,12 +409,14 @@ def test_intersection_basis_is_the_stacked_svd_intersection(t):
 def test_non_lagrangian_reference_is_rejected():
     ell1, _ = lg.fixture_paths()
     # span{e1, e3} carries <e1, J e3> = 1: J R is not its complement; the
-    # line span{e2} would be completed by the QR to some plane through it
+    # line span{e2}, with or without a zero first column, would be completed
+    # by the QR to some plane through it
     tilted = np.column_stack([basis(0), basis(2)])
     line = np.column_stack([basis(1), 2.0 * basis(1)])
-    for reference in (tilted, line):
+    zero_first = np.column_stack([np.zeros(4), basis(1)])
+    for reference in (tilted, line, zero_first):
         with pytest.raises(ValueError, match="not a Lagrangian plane"):
-            lg.intersection_basis(ell1.frame(0.0), reference)
+            lg.intersection_basis(ell1(0.0), reference)
         with pytest.raises(ValueError, match="not a Lagrangian plane"):
             lg.crossing_form(ell1, 0.0, reference)
         with pytest.raises(ValueError, match="not a Lagrangian plane"):
@@ -416,7 +430,7 @@ def test_non_lagrangian_reference_is_rejected():
 
 def _maslov(path, reference, a=-1.0, b=1.0, num=1001):
     ts = np.linspace(a, b, num)
-    return lg.maslov_index(path, reference, ts, np.stack([path.frame(t) for t in ts]))
+    return lg.maslov_index(path, reference, ts, np.stack([path(t) for t in ts]))
 
 
 def test_maslov_index_regular_fixture():
@@ -473,15 +487,14 @@ def test_maslov_without_crossings():
 
 def test_maslov_rejects_non_isolated_crossing():
     ref = np.column_stack([basis(1), basis(2)])
-    path = lg.LagrangianPath(lambda t: ref)
     with pytest.raises(lg.CrossingError, match="not isolated"):
-        _maslov(path, ref)
+        _maslov(lambda t: ref, ref)
 
 
 def test_maslov_rejects_a_bad_sample_grid():
     ell1, _ = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    frames = np.stack([ell1.frame(t) for t in (0.0, 0.5)])
+    frames = np.stack([ell1(t) for t in (0.0, 0.5)])
     with pytest.raises(ValueError, match="increasing"):
         lg.maslov_index(ell1, sand, [0.5, 0.0], frames)
     with pytest.raises(ValueError, match="increasing"):

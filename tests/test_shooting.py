@@ -61,6 +61,8 @@ def test_sandwich_determinant_examples():
         sandwich_determinant(F) * np.linalg.det(G), rel=1e-12)
     with pytest.raises(ValueError):
         sandwich_determinant(np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        sandwich_determinant(np.full((4, 2), np.nan))
 
 
 def test_window_validation():
