@@ -83,6 +83,14 @@ def _frame_matrix(frames, shape=(4, 2)) -> np.ndarray:
     return M
 
 
+def _memoized(path: Family) -> Family:
+    """``path`` validated and evaluated once per parameter: the kernel, the
+    step estimate and the Richardson levels of one crossing share points.
+    The crossing-form helpers take a family wrapped by this."""
+    frame = lru_cache(maxsize=None)(lambda t: _frame_matrix(path(t)))
+    return lambda t: frame(float(t))
+
+
 def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR with the diagonal of R forced positive, of one matrix or of
     each matrix of a stack ``(..., m, n)``.
@@ -273,8 +281,7 @@ def _effective_step(W: np.ndarray, V: np.ndarray, path: Family, t0: float) -> fl
     h = FD_STEP
     norms = []
     for t in (t0 - h, t0 + h):
-        F = _frame_matrix(path(float(t)))
-        norms.append(np.linalg.norm(_graph_images(F, W, V, t)))
+        norms.append(np.linalg.norm(_graph_images(path(t), W, V, t)))
     speed = (norms[0] + norms[1]) / (2.0 * h * max(1.0, np.linalg.norm(V)))
     if speed <= 0.0:
         return 20.0 * h
@@ -284,7 +291,7 @@ def _effective_step(W: np.ndarray, V: np.ndarray, path: Family, t0: float) -> fl
 def _graph_form(path: Family, W: np.ndarray, V: np.ndarray
                 ) -> Callable[[float], np.ndarray]:
     """The graph flow paired with the columns of V: ``t -> V^T J A(t) V``."""
-    return lambda t: pairing(_graph_images(_frame_matrix(path(float(t))), W, V, t), V)
+    return lambda t: pairing(_graph_images(path(t), W, V, t), V)
 
 
 def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
@@ -302,7 +309,8 @@ def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
     if order < 1:
         raise ValueError("order must be a positive integer")
     v = np.asarray(v, dtype=float)
-    F0 = _frame_matrix(path(float(t0)))
+    path = _memoized(path)
+    F0 = path(t0)
     if v.shape != (4,):
         raise ValueError("vector must have length 4")
     W = J4 @ F0 if W is None else _frame_matrix(W)
@@ -338,7 +346,7 @@ def _kernel_form(path: Family, t0: float, reference, purpose: str):
     """Crossing kernel ``U`` at ``t0``, the complement ``W = J ell(t0)``, the
     kernel-projected graph flow ``t -> U^T J A(t) U`` and the larger sine of
     the principal angles between the plane at ``t0`` and the reference."""
-    F0 = _frame_matrix(path(float(t0)))
+    F0 = path(t0)
     U, sines = _intersection(F0, reference)
     if U.shape[1] == 0:
         raise NotACrossingError(
@@ -397,6 +405,7 @@ def crossing_form(path: Family, t0: float, reference) -> Crossing:
     raises CrossingError, as does full degeneracy through
     ``MAX_FORM_ORDER``.
     """
+    path = _memoized(path)
     U, W, form_at, largest_sine = _kernel_form(path, t0, reference,
                                                "crossing form to evaluate")
     k = U.shape[1]
@@ -439,7 +448,8 @@ def eigenvalue_motion(path: Family, t0: float, reference,
     (shape ``(num, kernel_dim)``).  These are the eigenvalue branches whose
     signs and derivatives the crossing forms summarize.
     """
-    U, _, form_at, _ = _kernel_form(path, t0, reference, "eigenvalue branch to track")
+    U, _, form_at, _ = _kernel_form(_memoized(path), t0, reference,
+                                    "eigenvalue branch to track")
     ts = np.linspace(t0 - half_width, t0 + half_width, num)
     lams = np.empty((num, U.shape[1]))
     for i, t in enumerate(ts):

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import Params, nonlinearity_deriv, normal_form
 
@@ -30,7 +30,6 @@ __all__ = [
     "convolve2",
     "convolve3",
     "residual",
-    "jacobian",
     "parity_blocks",
     "newton_solve",
     "seed_from_normal_form",
@@ -135,48 +134,61 @@ def _linear_symbol(N: int, p: Params, L_f: float) -> np.ndarray:
 
 
 def residual(a: np.ndarray, p: Params, L_f: float) -> np.ndarray:
-    """Stationarity residual F(a) on the full coefficient vector."""
+    """Stationarity residual F(a) on the full coefficient vector (non-finite,
+    without a warning, where the coefficients overflow)."""
     a = np.asarray(a, dtype=float)
     N = (a.size - 1) // 2
-    return _linear_symbol(N, p, L_f) * a + p.nu * convolve2(a) - convolve3(a)
-
-
-def jacobian(a: np.ndarray, p: Params, L_f: float) -> np.ndarray:
-    """Dense DF(a) on the full vector, assembled analytically.
-
-    dF_k/da_j = lin_k delta_{kj} + 2 nu a_{k-j} - 3 (a*a)_{k-j}, where the
-    quadratic convolution in the cubic term is the untruncated one (length
-    4N+1), matching the differentiated triple sum.
-    """
-    a = np.asarray(a, dtype=float)
-    N = (a.size - 1) // 2
-    a_ext = np.concatenate([np.zeros(N), a, np.zeros(N)])  # indices -2N..2N
-    w = 2.0 * p.nu * a_ext - 3.0 * np.convolve(a, a)
-    T = toeplitz(w[2 * N :], w[2 * N :: -1])
-    return np.diag(_linear_symbol(N, p, L_f)) + T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _linear_symbol(N, p, L_f) * a + p.nu * convolve2(a) - convolve3(a)
 
 
 def _half_to_full(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h[:0:-1], h])
 
 
+def _parity_block(a: np.ndarray, p: Params, L_f: float, parity: int) -> np.ndarray:
+    """One parity block of DF at the full even coefficient vector a.
+
+    DF_kj = lin_k delta_kj + w[k-j] with w = 2 nu a - 3 (a*a) on the offsets
+    -2N..2N (the untruncated quadratic convolution, matching the
+    differentiated triple sum).  Folding column -j onto column j with
+    b_{-j} = parity * b_j gives (lin_k delta_kj + w[k-j]) + parity * w[k+j]
+    on modes 0..N for parity +1 (no Hankel term in column 0) or 1..N for
+    -1: a Toeplitz view of w, then a Hankel view, added in the order of the
+    folded full matrix so that the sums are the same bits.  A non-finite
+    entry raises ValueError.
+    """
+    N = (a.size - 1) // 2
+    first = 0 if parity > 0 else 1
+    n = N + 1 - first
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 2.0 * p.nu * np.concatenate([np.zeros(N), a, np.zeros(N)]) - 3.0 * np.convolve(a, a)
+        block = np.array(sliding_window_view(w[::-1], n)[N + first : 2 * N + 1][::-1])
+        block.flat[:: n + 1] += _linear_symbol(N, p, L_f)[N + first :]
+        hankel = sliding_window_view(w, n)[2 * N + 2 * first : 3 * N + first + 1]
+        if parity > 0:
+            block[:, 1:] += hankel[:, 1:]
+        else:
+            block -= hankel
+    if not np.all(np.isfinite(block)):
+        raise ValueError("non-finite Jacobian: the coefficients overflow its "
+                         f"{'even' if parity > 0 else 'odd'} block")
+    return block
+
+
 def parity_blocks(a: np.ndarray, p: Params, L_f: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fold DF at the even half vector a_0..a_N into its parity blocks.
+    """The parity blocks of DF at the even half vector a_0..a_N.
 
     DF commutes with k -> -k at an even pulse, so it maps even vectors
     (b_{-k} = b_k) and odd vectors (b_{-k} = -b_k, b_0 = 0) to themselves.
-    Substituting b_{-j} = +-b_j into rows k >= 0 gives the even block on
-    b_0..b_N (size N+1; the Newton matrix of the half vector) and the odd
-    block on b_1..b_N (size N, symmetric).  The even block is self-adjoint
-    for the weights (1, 2, 2, ...) that count each pair of modes once.
+    Each block is assembled at its own size, never from the (2N+1)-square
+    matrix: the even block on b_0..b_N (the Newton matrix of the half
+    vector) and the odd block on b_1..b_N (symmetric).  The even block is
+    self-adjoint for the weights (1, 2, 2, ...) that count each pair of
+    modes once.
     """
-    N = len(a) - 1
-    J = jacobian(_half_to_full(a), p, L_f)
-    mirror = J[N:, :N][:, ::-1]  # columns -1, -2, ..., -N
-    even = J[N:, N:].copy()
-    even[:, 1:] += mirror
-    odd = J[N + 1 :, N + 1 :] - mirror[1:]
-    return even, odd
+    full = _half_to_full(a)
+    return _parity_block(full, p, L_f, +1), _parity_block(full, p, L_f, -1)
 
 
 def newton_solve(
@@ -188,8 +200,8 @@ def newton_solve(
     """Refine a seed pulse by Newton's method on the half vector.
 
     The reduced system substitutes a_{-k} = a_k into F_k for k = 0..N (its
-    matrix is the even block of `parity_blocks`), so the iteration acts on
-    N+1 unknowns and never sees the translational
+    matrix is the even block of `parity_blocks`, the only one assembled), so
+    the iteration acts on N+1 unknowns and never sees the translational
     zero mode of the full system.  Convergence is declared on the sup-norm
     of the full residual.
 
@@ -202,8 +214,8 @@ def newton_solve(
     Raises
     ------
     NewtonError
-        On a singular Newton system, or if `max_iter` steps do not bring
-        the residual below `tol`.
+        On a non-finite residual, a singular Newton system, or if
+        `max_iter` steps do not bring the residual below `tol`.
     """
     N = seed.N
     h = seed.a.copy()
@@ -216,7 +228,9 @@ def newton_solve(
             history.append(res_norm)
         if res_norm <= tol:
             return replace(seed, a=h, residual_norm=res_norm)
-        even, _ = parity_blocks(h, seed.params, seed.L_f)
+        if not np.isfinite(res_norm):
+            raise NewtonError("non-finite residual: the coefficients overflow", res_norm)
+        even = _parity_block(full, seed.params, seed.L_f, +1)
         try:
             step = np.linalg.solve(even, -F[N:])
         except np.linalg.LinAlgError as exc:
@@ -326,6 +340,8 @@ def load(path) -> FourierPulse:
         bad = [f for f, v in scalars.items() if not np.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite value(s) for {', '.join(bad)}")
+        if scalars["residual_norm"] < 0:
+            raise ValueError("residual_norm must be non-negative")
         N = doc["N"]
         if N < 1:
             raise ValueError(f"N must be at least 1, got {N}")

@@ -6,9 +6,11 @@ spectrum of the linearized operator L = -(1+d_xx)^2 - mu + f'(phi).  At a
 symmetric pulse DF is symmetric and commutes with k -> -k, so it splits
 into an even block (size N+1) and an odd block (size N), both symmetric
 after a diagonal rescaling, and the spectrum is the union of two real
-symmetric eigenvalue problems.  The translational mode phi'(x) is odd, with
-coefficients proportional to k*a_k: it is the odd-block eigenvalue nearest
-zero, and it is excluded from the unstable count.
+symmetric eigenvalue problems; `pulse.parity_blocks` assembles each block
+at its own size, and the (2N+1)-square matrix is never formed.  The
+translational mode phi'(x) is odd, with coefficients proportional to
+k*a_k: it is the odd-block eigenvalue nearest zero, and it is excluded from
+the unstable count.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ def count_unstable(
     Raises
     ------
     ValueError
-        If the pulse has fewer than one mode besides a_0: a constant state
-        has no translation mode.
+        If the pulse has fewer than one mode besides a_0 (a constant state
+        has no translation mode), or if its coefficients overflow the
+        Jacobian; both before any eigensolve.
     """
     if pulse.N < 1:
         raise ValueError(f"the spectrum needs N >= 1 modes, got N = {pulse.N}")

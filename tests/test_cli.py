@@ -13,6 +13,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ def test_pulse_newton_failure_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def _main_without_warnings(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    return rc
+
+
+def test_pulse_overflowing_seed_exits_one(tmp_path, capsys):
+    out = tmp_path / "huge.json"
+    rc = _main_without_warnings(["pulse", "--nu", "1.6", "--mu", "0.05", "--phi",
+                                 "0", "--scale", "1e200", "--N", "32",
+                                 "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite residual")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 # ---------------------------------------------------------------------------
@@ -162,6 +184,27 @@ def test_spectrum_degenerate_mode_count_exits_one(phi0_file, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "N must be at least 1" in captured.err
+
+
+def test_spectrum_overflowing_pulse_exits_one(phi0_file, tmp_path, capsys):
+    bad = _with_coefficient(phi0_file, tmp_path / "huge.json", 1e200)
+    assert _main_without_warnings(["spectrum", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite Jacobian")
+    assert captured.err.count("\n") == 1
+
+
+def test_spectrum_negative_residual_norm_exits_one(phi0_file, tmp_path, capsys):
+    doc = json.loads(phi0_file.read_text())
+    doc["residual_norm"] = -1.0
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps(doc))
+    assert _main_without_warnings(["spectrum", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "residual_norm must be non-negative" in captured.err
 
 
 def test_spectrum_wrong_value_type_exits_one(phi0_file, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Fourier pulse solver: convolutions, residual, Jacobian, Newton, I/O."""
+"""Fourier pulse solver: convolutions, residual, parity blocks, Newton, I/O."""
 
 import json
 
@@ -93,35 +93,33 @@ def test_residual_zero_and_linear_coefficients():
 
 
 def test_jacobian_at_zero_is_diagonal():
-    J = sp.jacobian(np.zeros(9), P, 100.0)
-    k = np.arange(-4, 5)
-    expect = -0.05 - (1 - (k * np.pi / 100.0) ** 2) ** 2
-    assert np.array_equal(J, np.diag(expect))
+    even, odd = sp.parity_blocks(np.zeros(5), P, 100.0)
+    k = np.arange(5)
+    lin = -0.05 - (1 - (k * np.pi / 100.0) ** 2) ** 2
+    assert np.array_equal(even, np.diag(lin))
+    assert np.array_equal(odd, np.diag(lin[1:]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_jacobian_matches_finite_differences(seed):
+    # each block column is the derivative of the residual's rows k >= 0
+    # (even) or k >= 1 (odd) along the even or odd unit direction of mode j
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 9)
-    a = rng.uniform(-1, 1, 2 * n + 1)
-    J = sp.jacobian(a, P, 50.0)
-    h = 1e-6
-    fd = np.empty_like(J)
-    for j in range(a.size):
-        e = np.zeros_like(a)
-        e[j] = h
-        fd[:, j] = (sp.residual(a + e, P, 50.0) - sp.residual(a - e, P, 50.0)) / (2 * h)
-    rel = np.linalg.norm(J - fd) / np.linalg.norm(J)
-    assert rel < 1e-6
-
-
-def test_jacobian_reflection_equivariance():
-    rng = np.random.default_rng(7)
-    half = rng.uniform(-1, 1, 6)
+    half = rng.uniform(-1, 1, n + 1)
     a = np.concatenate([half[:0:-1], half])
-    J = sp.jacobian(a, P, 50.0)
-    R = np.eye(a.size)[::-1]  # index reflection k -> -k
-    assert np.abs(R @ J @ R - J).max() < 1e-14
+    even, odd = sp.parity_blocks(half, P, 50.0)
+    h = 1e-6
+    for block, parity, first in ((even, 1.0, 0), (odd, -1.0, 1)):
+        fd = np.empty_like(block)
+        for j in range(first, n + 1):
+            e = np.zeros_like(a)
+            e[n - j] = parity * h
+            e[n + j] = h
+            diff = sp.residual(a + e, P, 50.0) - sp.residual(a - e, P, 50.0)
+            fd[:, j - first] = diff[n + first:] / (2 * h)
+        rel = np.linalg.norm(block - fd) / np.linalg.norm(block)
+        assert rel < 1e-6
 
 
 def test_newton_zero_seed_fixed_point():

@@ -4,11 +4,56 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from shpulse.model import Params
-from shpulse.pulse import (FourierPulse, NewtonError, jacobian, newton_solve,
+from shpulse.pulse import (FourierPulse, NewtonError, newton_solve,
                            parity_blocks, residual)
 from shpulse.spectrum import count_unstable
+
+
+def folded_full_jacobian(a_half, p, L_f):
+    """The full (2N+1)-square Jacobian at the even extension of ``a_half``
+    and its fold onto the even and odd vectors.
+
+    dF_k/da_j = lin_k delta_{kj} + w[k-j] with w = 2 nu a - 3 (a*a) on the
+    offsets -2N..2N, assembled with one Toeplitz matrix; substituting
+    b_{-j} = +-b_j adds or subtracts the mirrored columns.  This is the
+    reference that `parity_blocks` must reproduce entry for entry.
+    """
+    N = a_half.size - 1
+    a = np.r_[a_half[:0:-1], a_half]
+    w = 2.0 * p.nu * np.concatenate([np.zeros(N), a, np.zeros(N)]) - 3.0 * np.convolve(a, a)
+    k = np.arange(-N, N + 1)
+    lin = -p.mu - (1.0 - (k * np.pi / L_f) ** 2) ** 2
+    J = np.diag(lin) + toeplitz(w[2 * N:], w[2 * N::-1])
+    mirror = J[N:, :N][:, ::-1]  # columns -1, -2, ..., -N
+    even = J[N:, N:].copy()
+    even[:, 1:] += mirror
+    odd = J[N + 1:, N + 1:] - mirror[1:]
+    return J, even, odd
+
+
+@pytest.mark.parametrize("N", [1, 2, 12])
+def test_parity_blocks_equal_the_folded_jacobian_bitwise(N):
+    rng = np.random.default_rng(N)
+    p, L_f = Params(nu=1.6, mu=0.05), 20.0
+    for _ in range(3):
+        a = rng.normal(scale=0.3, size=N + 1)
+        _, even_ref, odd_ref = folded_full_jacobian(a, p, L_f)
+        even, odd = parity_blocks(a, p, L_f)
+        assert even.shape == (N + 1, N + 1) and odd.shape == (N, N)
+        assert np.array_equal(even, even_ref)
+        assert np.array_equal(odd, odd_ref)
+
+
+def test_parity_blocks_of_reference_pulses_bitwise(pulse_phi0, pulse_phipi,
+                                                   pulse_snaking):
+    for pulse in (pulse_phi0, pulse_phipi, pulse_snaking):
+        _, even_ref, odd_ref = folded_full_jacobian(pulse.a, pulse.params, pulse.L_f)
+        even, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
+        assert np.array_equal(even, even_ref)
+        assert np.array_equal(odd, odd_ref)
 
 
 def test_parity_blocks_split_the_full_spectrum():
@@ -21,7 +66,7 @@ def test_parity_blocks_split_the_full_spectrum():
     s = np.sqrt(np.r_[1.0, np.full(N, 2.0)])
     union = np.sort(np.r_[np.linalg.eigvalsh(s[:, None] * even / s[None, :]),
                           np.linalg.eigvalsh(odd)])
-    J = jacobian(seed.full(), p, L_f)
+    J, _, _ = folded_full_jacobian(seed.a, p, L_f)
     assert np.abs(union - np.linalg.eigvalsh(J)).max() < 1e-12
     # the even block is the Jacobian of the half-vector residual (chain rule
     # through the even extension) and is the matrix Newton steps with
@@ -66,9 +111,9 @@ def test_translation_zero_mode(pulse_phi0, pulse_phipi, pulse_snaking):
         b = b / np.linalg.norm(b)
         v = rep.zero_mode_vector / np.linalg.norm(rep.zero_mode_vector)
         assert min(np.linalg.norm(v - b), np.linalg.norm(v + b)) < 1e-6
-        # and it is an exact null vector of the truncated system
-        J = jacobian(pulse.full(), pulse.params, pulse.L_f)
-        assert np.linalg.norm(J @ b) < 1e-10
+        # and it is an exact null vector of the truncated system's odd block
+        _, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
+        assert np.linalg.norm(odd @ b[pulse.N + 1:]) < 1e-10
 
 
 @pytest.mark.parametrize("threshold", [1e-5, 1e-4, 1e-3])
