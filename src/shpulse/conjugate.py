@@ -127,18 +127,18 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
 
     The stored samples ``traj.xs``/``traj.frames`` at or before ``horizon``
     go to :func:`~shpulse.lagrangian.maslov_index` against the sandwich
-    plane; bisection, dip minimisation and the crossing forms evaluate
-    ``traj.frame_at`` between samples.  Returns the index, which is not
-    rounded (an endpoint crossing leaves a half), and one record per
-    crossing.  A horizon before the second sample is a ValueError: nothing
-    of the window could be checked.
+    plane; bisection and dip minimisation evaluate ``traj.frame_at``
+    between samples, and the crossing forms ``traj.jet`` at each crossing.
+    Returns the index, which is not rounded (an endpoint crossing leaves a
+    half), and one record per crossing.  A horizon before the second sample
+    is a ValueError: nothing of the window could be checked.
     """
     keep = traj.xs <= horizon
     if np.count_nonzero(keep) < 2:
         raise ValueError(
             f"the trust horizon x = {horizon:.2f} leaves fewer than two samples "
             "of the window; raise the mode count to push the horizon out")
-    result = maslov_index(traj.frame_at, sandwich_plane(), traj.xs[keep], traj.frames[keep])
+    result = maslov_index(traj.jet, sandwich_plane(), traj.xs[keep], traj.frames[keep])
     records = tuple(
         ConjugatePointRecord(
             x_star=c.t, order=c.order, kernel_dim=c.kernel_dim,

@@ -4,8 +4,9 @@ A plane of dimension 2 in ``R^4`` is Lagrangian when the standard
 symplectic form ``<u, J v>`` vanishes identically on it.  This module
 represents planes by plain 4-by-2 float arrays (frames), a sequence of
 planes by one ``(..., 4, 2)`` array, and a one-parameter family of planes
-by a plain function ``t -> 4-by-2 frame``; every frame such a function
-returns is checked for shape and finite entries where it is used.  It
+by its jet, a plain function ``(t, K) -> (K+1, 4, 2)`` array of the Taylor
+coefficients of a frame at ``t``; every jet such a function returns is
+checked for shape and finite entries where it is used.  It
 provides the machinery needed to count how a family crosses a fixed
 Lagrangian reference plane.  Every plane-versus-reference quantity is the
 symplectic pairing ``R^T J Q`` of :func:`pairing`:
@@ -21,7 +22,9 @@ symplectic pairing ``R^T J Q`` of :func:`pairing`:
   :func:`quadratic_form` supplies another), with ``A(t0) = 0``; the
   order-``j`` crossing form on the intersection is the raw derivative
   ``d^j/dt^j pairing(A(t) V, V)`` at ``t0`` (no factorial normalisation),
-  evaluated by central finite differences with Richardson extrapolation;
+  exactly ``j!`` times the j-th Taylor coefficient of ``A``, which one
+  power-series solve gives from the family's jet at ``t0``, for every order
+  at once;
 * crossing search: :func:`locate_zeros` finds the zeros and the
   sign-preserving dips of a sampled crossing detector;
 * Maslov index: each isolated crossing contributes the signature of its
@@ -39,10 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import minimize_scalar
 
 from .model import J4
@@ -60,10 +63,10 @@ class NotACrossingError(ValueError):
     """The plane family does not meet the reference at the given parameter."""
 
 
-# A one-parameter family of planes: the 4-by-2 frame at each parameter.
-# Derivative stencils may evaluate a family slightly beyond the sampled
-# grid, so it should tolerate a small overhang when possible.
-Family = Callable[[float], np.ndarray]
+# A one-parameter family of planes as its jet: ``path(t, K)`` is the
+# ``(K+1, 4, 2)`` array of the Taylor coefficients ``F^(n)(t) / n!`` of any
+# smooth frame ``F`` of the planes (the forms depend on the planes alone).
+Family = Callable[[float, int], np.ndarray]
 
 
 def _frame_matrix(frames, shape=(4, 2)) -> np.ndarray:
@@ -81,14 +84,6 @@ def _frame_matrix(frames, shape=(4, 2)) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("frame entries must be finite")
     return M
-
-
-def _memoized(path: Family) -> Family:
-    """``path`` validated and evaluated once per parameter: the kernel, the
-    step estimate and the Richardson levels of one crossing share points.
-    The crossing-form helpers take a family wrapped by this."""
-    frame = lru_cache(maxsize=None)(lambda t: _frame_matrix(path(t)))
-    return lambda t: frame(float(t))
 
 
 def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,126 +196,72 @@ def sandwich_plane() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Base step of the finite-difference stencils and the number of Richardson
-# levels applied to them.
-FD_STEP = 0.01
-FD_LEVELS = 2
 # Largest condition number of the graph-coordinate system that still counts
 # as transverse.
 MAX_CONDITION = 1e10
-# Crossing-form eigenvalues at or below this size count as zero.
+# Crossing-form eigenvalues divided by the order's factorial, the Taylor
+# coefficients of the form, at or below this size count as zero.
 FORM_DEGENERACY_TOL = 1e-6
+# Highest crossing-form order evaluated before a crossing counts as
+# degenerate beyond the classifier's reach.
+MAX_FORM_ORDER = 9
 
 
-def _graph_images(L: np.ndarray, W: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
-    """Apply the graph map onto span(W) to the columns of V.
+def _jet(path: Family, t: float, K: int) -> np.ndarray:
+    """The Taylor coefficients ``F_0..F_K`` of the family at ``t``, validated."""
+    return _frame_matrix(path(t, K), (K + 1, 4, 2))
 
-    For each column v the system ``[L | -W] (c; w) = v`` expresses
-    ``v + W w`` as a combination of the columns of L; the image is ``W w``.
+
+def _graph_forms(F: np.ndarray, W: np.ndarray, U: np.ndarray, t: float) -> np.ndarray:
+    """Raw forms ``d^j/dt^j pairing(A(t) U, U)`` at ``t``, j = 0..K, from the
+    jet ``F`` (shape ``(K+1, 4, 2)``); the result has shape ``(K+1, k, k)``.
+
+    The graph map sends a column v of U to ``W w(s)`` with
+    ``[F(s) | -W] (c(s); w(s)) = v``.  By powers of ``s - t``,
+    ``S_0 z_0 = U`` and ``S_0 z_n = -sum_{i=1..n} F_i c_{n-i}`` with the one
+    matrix ``S_0 = [F_0 | -W]``, and the order-j form is ``j! pairing(W w_j, U)``.
     """
-    n = L.shape[1]
-    S = np.hstack([L, -W])
+    S = np.hstack([F[0], -W])
     cond = np.linalg.cond(S)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise TransversalityError(
             f"graph coordinates break down at t = {t:.6g}: "
             f"condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
         )
-    z = np.linalg.solve(S, V)
-    return W @ z[n:]
-
-
-@lru_cache(maxsize=None)
-def _stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite-difference stencil of width ``2*order + 1``.
-
-    The weights solve the moment system sum_m w_m m^i = delta_{i,order} *
-    order! for i = 0..2*order, which is the minimal symmetric stencil for
-    the ``order``-th derivative.
-    """
-    m = np.arange(-order, order + 1)
-    V = np.vstack([m.astype(float) ** i for i in range(2 * order + 1)])
-    rhs = np.zeros(2 * order + 1)
-    rhs[order] = float(math.factorial(order))
-    w = np.linalg.solve(V, rhs)
-    m.setflags(write=False)
-    w.setflags(write=False)
-    return m, w
-
-
-def _fd_derivative(g: Callable[[float], np.ndarray], t0: float, order: int,
-                   h: float) -> np.ndarray:
-    """Derivative of ``g`` at ``t0`` by central differences plus Richardson.
-
-    The symmetric stencil has error terms in even powers of h starting at
-    h^(order+1) for odd orders and h^(order+2) for even ones; each of the
-    ``FD_LEVELS`` Richardson levels halves the step and cancels the current
-    leading term.
-    """
-    m, w = _stencil(order)
-    p = order + 1 if order % 2 else order + 2
-
-    def estimate(step: float) -> np.ndarray:
-        vals = np.stack([np.asarray(g(t0 + k * step), dtype=float) for k in m])
-        return np.tensordot(w, vals, axes=1) / step**order
-
-    ests = [estimate(h / 2**k) for k in range(FD_LEVELS + 1)]
-    for level in range(FD_LEVELS):
-        f = 2.0 ** (p + 2 * level)
-        ests = [(f * ests[k + 1] - ests[k]) / (f - 1.0) for k in range(len(ests) - 1)]
-    return ests[0]
-
-
-def _effective_step(W: np.ndarray, V: np.ndarray, path: Family, t0: float) -> float:
-    """Widen the base step ``FD_STEP`` for slowly moving families.
-
-    The graph map vanishes at t0, so ||A|| near t0 scales like speed * dt;
-    a slow family would otherwise bury the finite differences in roundoff.
-    The step is never shrunk and is capped at twenty times the base.
-    """
-    h = FD_STEP
-    norms = []
-    for t in (t0 - h, t0 + h):
-        norms.append(np.linalg.norm(_graph_images(path(t), W, V, t)))
-    speed = (norms[0] + norms[1]) / (2.0 * h * max(1.0, np.linalg.norm(V)))
-    if speed <= 0.0:
-        return 20.0 * h
-    return h * min(max(1.0, 1.0 / speed), 20.0)
-
-
-def _graph_form(path: Family, W: np.ndarray, V: np.ndarray
-                ) -> Callable[[float], np.ndarray]:
-    """The graph flow paired with the columns of V: ``t -> V^T J A(t) V``."""
-    return lambda t: pairing(_graph_images(path(t), W, V, t), V)
+    lu = lu_factor(S)
+    c, forms = [], []
+    for j in range(len(F)):
+        z = lu_solve(lu, -sum(F[i] @ c[j - i] for i in range(1, j + 1)) if j else U)
+        c.append(z[:2])
+        forms.append(math.factorial(j) * pairing(W @ z[2:], U))
+    return np.array(forms)
 
 
 def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
     """Raw crossing form ``Q_order(v) = d^order/dt^order <v, J A(t) v>``.
 
     ``v`` must lie in the plane at ``t0``; it is used as given, without
-    normalisation.  The value is invariant under symplectic transformations
-    of the whole picture (path, vector and complement together).  The
-    first-order form is independent of the choice of transverse complement
-    ``W``; at higher orders the raw derivative picks up corrections from
-    complements that mix the kernel with the moving directions, so results
-    with a non-default ``W`` are only comparable for complements that keep
-    those directions separate (the default ``J @ frame`` always qualifies).
+    normalisation.  The derivative is exact: ``order!`` times a Taylor
+    coefficient of the graph map, solved from the family's jet at ``t0``.
+    The value is invariant under symplectic transformations of the whole
+    picture (path, vector and complement together).  The first-order form
+    is independent of the choice of transverse complement ``W``; at higher
+    orders the raw derivative picks up corrections from complements that
+    mix the kernel with the moving directions, so results with a non-default
+    ``W`` are only comparable for complements that keep those directions
+    separate (the default ``J @ frame`` always qualifies).
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
     v = np.asarray(v, dtype=float)
-    path = _memoized(path)
-    F0 = path(t0)
+    F = _jet(path, t0, order)
     if v.shape != (4,):
         raise ValueError("vector must have length 4")
-    W = J4 @ F0 if W is None else _frame_matrix(W)
-    coeff, *_ = np.linalg.lstsq(F0, v, rcond=None)
-    if np.linalg.norm(F0 @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
+    W = J4 @ F[0] if W is None else _frame_matrix(W)
+    coeff, *_ = np.linalg.lstsq(F[0], v, rcond=None)
+    if np.linalg.norm(F[0] @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise ValueError("vector does not lie in the plane at t0")
-    V = v[:, None]
-    G = _fd_derivative(_graph_form(path, W, V), t0, order,
-                       _effective_step(W, V, path, t0))
-    return float(G[0, 0])
+    return float(_graph_forms(F, W, v[:, None], t0)[order, 0, 0])
 
 
 def _intersection(frame, reference) -> tuple[np.ndarray, np.ndarray]:
@@ -342,23 +283,14 @@ def intersection_basis(frame, reference) -> np.ndarray:
     return _intersection(frame, reference)[0]
 
 
-def _kernel_form(path: Family, t0: float, reference, purpose: str):
-    """Crossing kernel ``U`` at ``t0``, the complement ``W = J ell(t0)``, the
-    kernel-projected graph flow ``t -> U^T J A(t) U`` and the larger sine of
-    the principal angles between the plane at ``t0`` and the reference."""
-    F0 = path(t0)
+def _crossing_kernel(F0, t0: float, reference, purpose: str) -> tuple[np.ndarray, float]:
+    """Crossing kernel of the plane ``F0`` at ``t0`` and the larger principal-angle sine."""
     U, sines = _intersection(F0, reference)
     if U.shape[1] == 0:
         raise NotACrossingError(
             f"the planes are transverse at t = {t0:.6g}; there is no {purpose}"
         )
-    W = J4 @ F0
-    return U, W, _graph_form(path, W, U), float(sines[0])
-
-
-# Highest crossing-form order evaluated before a crossing counts as
-# degenerate beyond the classifier's reach.
-MAX_FORM_ORDER = 3
+    return U, float(sines[0])
 
 
 @dataclass(frozen=True)
@@ -368,13 +300,13 @@ class Crossing:
     ``value`` is the form evaluated on the unit kernel vector when the
     kernel is one dimensional, otherwise the extreme eigenvalue of the form
     matrix.  ``lower_orders`` records the largest absolute form eigenvalue
-    for each order below the reported one (all under the degeneracy
-    tolerance by construction).  ``largest_sine`` is the larger sine of the
-    two principal angles between the plane and the reference: it vanishes
-    when the whole plane lies in the reference.  :func:`maslov_index` fills
-    in ``contribution``, the crossing's share of the index, and
-    ``endpoint`` ("left" or "right" for a crossing at an end of the
-    interval); both stay None on a crossing classified alone.
+    for each order j below the reported one (each at most ``j!`` times the
+    degeneracy tolerance by construction).  ``largest_sine`` is the larger
+    sine of the two principal angles between the plane and the reference:
+    it vanishes when the whole plane lies in the reference.
+    :func:`maslov_index` fills in ``contribution``, the crossing's share of
+    the index, and ``endpoint`` ("left" or "right" for a crossing at an end
+    of the interval); both stay None on a crossing classified alone.
     """
 
     t: float
@@ -399,25 +331,26 @@ def crossing_form(path: Family, t0: float, reference) -> Crossing:
     The kernel of the crossing is the intersection of the plane at ``t0``
     with the reference plane, orthonormalized.  For each order j the form
     matrix ``d^j/dt^j <u_a, J A(t) u_b>`` is evaluated on that basis with
-    the complement ``J ell(t0)``; the first order whose eigenvalues all
-    clear ``FORM_DEGENERACY_TOL`` determines the result.  A form that is
-    nonzero on part of the kernel only is outside the supported theory and
-    raises CrossingError, as does full degeneracy through
-    ``MAX_FORM_ORDER``.
+    the complement ``J ell(t0)``, all orders through ``MAX_FORM_ORDER`` from
+    one power-series solve of the family's jet at ``t0``.  The first order
+    whose eigenvalues, divided by ``j!``, all clear ``FORM_DEGENERACY_TOL``
+    determines the result; the reported values stay raw derivatives.  A
+    form that is nonzero on part of the kernel only is outside the
+    supported theory and raises CrossingError, as does full degeneracy
+    through ``MAX_FORM_ORDER``.
     """
-    path = _memoized(path)
-    U, W, form_at, largest_sine = _kernel_form(path, t0, reference,
-                                               "crossing form to evaluate")
+    F = _jet(path, t0, MAX_FORM_ORDER)
+    U, largest_sine = _crossing_kernel(F[0], t0, reference, "crossing form to evaluate")
     k = U.shape[1]
-    h_eff = _effective_step(W, U, path, t0)
+    forms = _graph_forms(F, J4 @ F[0], U, t0)
 
     lower: list[float] = []
     for order in range(1, MAX_FORM_ORDER + 1):
-        G = _fd_derivative(form_at, t0, order, h_eff)
-        G = 0.5 * (G + G.T)
+        G = 0.5 * (forms[order] + forms[order].T)
         eigenvalues = np.linalg.eigvalsh(G)
-        p = int(np.sum(eigenvalues > FORM_DEGENERACY_TOL))
-        q = int(np.sum(eigenvalues < -FORM_DEGENERACY_TOL))
+        coefficients = eigenvalues / math.factorial(order)
+        p = int(np.sum(coefficients > FORM_DEGENERACY_TOL))
+        q = int(np.sum(coefficients < -FORM_DEGENERACY_TOL))
         if p + q == 0:
             lower.append(float(np.max(np.abs(eigenvalues))))
             continue
@@ -448,12 +381,13 @@ def eigenvalue_motion(path: Family, t0: float, reference,
     (shape ``(num, kernel_dim)``).  These are the eigenvalue branches whose
     signs and derivatives the crossing forms summarize.
     """
-    U, _, form_at, _ = _kernel_form(_memoized(path), t0, reference,
-                                    "eigenvalue branch to track")
+    F0 = _jet(path, t0, 0)[0]
+    U, _ = _crossing_kernel(F0, t0, reference, "eigenvalue branch to track")
+    W = J4 @ F0
     ts = np.linspace(t0 - half_width, t0 + half_width, num)
     lams = np.empty((num, U.shape[1]))
     for i, t in enumerate(ts):
-        G = form_at(t)
+        G = _graph_forms(_jet(path, t, 0), W, U, t)[0]
         lams[i] = np.linalg.eigvalsh(0.5 * (G + G.T))
     return ts, lams
 
@@ -554,7 +488,7 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     ref_q = _reference_frame(reference)
 
     def det_fn(t: float) -> float:
-        q, _ = _qr_positive(_frame_matrix(path(float(t))))
+        q, _ = _qr_positive(_jet(path, float(t), 0)[0])
         return float(det2(pairing(q, ref_q)))
 
     q, _ = _qr_positive(frames)
@@ -607,34 +541,47 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
 # ---------------------------------------------------------------------------
 
 
+def polynomial_family(coeffs) -> Family:
+    """The family ``t -> sum_m coeffs[m] t^m`` (``coeffs`` of shape
+    ``(d+1, 4, 2)``) as an exact jet, the Taylor shift
+    ``F_n = sum_{m >= n} C(m, n) t^(m-n) coeffs[m]`` (0 for ``n > d``).  An
+    array ``t`` gives one jet per entry: ``path(ts, 0)[:, 0]`` samples a grid.
+    """
+    P = _frame_matrix(coeffs, (len(coeffs), 4, 2)).reshape(len(coeffs), 8)
+    m = np.arange(len(P))
+    binom = np.array([[math.comb(j, i) for j in m] for i in m], dtype=float)
+    shift = np.maximum(m[None, :] - m[:, None], 0)
+
+    def jet(t, K: int) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None, None]
+        n = min(K + 1, len(P))
+        out = np.zeros(t.shape[:-2] + (K + 1, 8))
+        out[..., :n, :] = (binom[:n] * t ** shift[:n]) @ P
+        return out.reshape(t.shape[:-2] + (K + 1, 4, 2))
+
+    return jet
+
+
 def fixture_paths() -> tuple[Family, Family]:
     """Two analytic plane families with known crossings at the origin.
 
-    Both consist of solutions of the linear flow ``q' = B q`` with
+    Both consist of solutions ``exp(s B) F(0)`` of the linear flow
+    ``q' = B q`` with
 
         B = [[0, 0, 1, 0], [0, 0, 0, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
 
     so every crossing form has a closed form against which the numerics can
-    be pinned.  The first family crosses ``span{e2, e3}`` at ``t = 0`` with
-    a regular (order-one) crossing; the second has a triply degenerate
-    crossing there: its order-one and order-two forms vanish identically on
-    the kernel and the order-three form is definite.
+    be pinned.  ``B`` is nilpotent (``B^4 = 0``), so both families are cubic
+    polynomials with exact jets.  The first family crosses ``span{e2, e3}``
+    at ``t = 0`` with a regular (order-one) crossing; the second has a
+    triply degenerate crossing there: its order-one and order-two forms
+    vanish identically on the kernel and the order-three form is definite.
     """
+    B = np.array([[0, 0, 1, 0], [0, 0, 0, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], dtype=float)
 
-    def frame_one(s: float) -> np.ndarray:
-        return np.array([
-            [-0.5 * s**2 + 2.0 * s, -3.0 * s**2 + 1.0],
-            [1.0, 6.0],
-            [2.0 - s, -6.0 * s],
-            [s**3 / 6.0 - s**2, s**3 - s + 2.0],
-        ])
+    def flow(F0):
+        return polynomial_family([np.linalg.matrix_power(B, m) @ F0 / math.factorial(m)
+                                  for m in range(4)])
 
-    def frame_two(s: float) -> np.ndarray:
-        return np.array([
-            [-0.5 * s**2, -3.0 * s**2 + 1.0],
-            [1.0, 6.0],
-            [-s, -6.0 * s],
-            [s**3 / 6.0, s**3 - s],
-        ])
-
-    return frame_one, frame_two
+    return (flow(np.array([[0.0, 1.0], [1.0, 6.0], [2.0, 0.0], [0.0, 2.0]])),
+            flow(np.array([[0.0, 1.0], [1.0, 6.0], [0.0, 0.0], [0.0, 0.0]])))

@@ -35,6 +35,7 @@ __all__ = [
     "seed_from_normal_form",
     "evaluate",
     "potential",
+    "potential_jet",
     "save",
     "load",
 ]
@@ -285,6 +286,26 @@ def evaluate(pulse: FourierPulse, x):
 def potential(pulse: FourierPulse, x):
     """f'(phi(x)) — the x-dependent potential of the linearized equation."""
     return nonlinearity_deriv(evaluate(pulse, x), pulse.params)
+
+
+def potential_jet(pulse: FourierPulse, x: float, K: int) -> np.ndarray:
+    """Taylor coefficients p_0..p_K of the potential f'(phi) at x.
+
+    The j-th derivative of phi multiplies each a_k by (pi k / L_f)^j and
+    shifts the cosine's phase by j pi / 2 (cos, -sin, -cos, sin); f'(phi)
+    = 2 nu phi - 3 phi^2 - mu then takes one Cauchy product.
+    """
+    if abs(x) > pulse.L_f:
+        raise ValueError(f"x outside the pulse domain [-{pulse.L_f}, {pulse.L_f}]")
+    j = np.arange(K + 1)[:, None]
+    w = np.arange(1, pulse.N + 1) * np.pi / pulse.L_f
+    c, s = np.cos(w * x), np.sin(w * x)
+    taylor = w**j / np.cumprod(np.maximum(j, 1), axis=0) * np.stack([c, -s, -c, s])[j[:, 0] % 4]
+    phi = 2.0 * (taylor @ pulse.a[1:])
+    phi[0] += pulse.a[0]
+    p = 2.0 * pulse.params.nu * phi - 3.0 * np.convolve(phi, phi)[:K + 1]
+    p[0] -= pulse.params.mu
+    return p
 
 
 _FIELDS = ("nu", "mu", "phi", "L_f", "N", "coefficients", "residual_norm")

@@ -40,7 +40,7 @@ from scipy.linalg import expm
 
 from .lagrangian import _frame_matrix, _qr_positive, det2, pairing, plucker, sandwich_plane
 from .model import Params, asymptotic_frames, coefficient_matrix
-from .pulse import FourierPulse, potential
+from .pulse import FourierPulse, potential, potential_jet
 
 # Longest Magnus step; a coarser sample spacing takes equal sub-steps.
 MAX_STEP = 0.05
@@ -199,7 +199,8 @@ class FrameTrajectory:
     ``omega_drift = |P13 + P24|`` are computed for all samples at once.
     ``frame_at`` takes one partial Magnus step from the nearest sample,
     which keeps arbitrary-point evaluation cheap and as accurate as the
-    stored samples.
+    stored samples; ``jet`` extends that frame to its Taylor coefficients,
+    the plane family the crossing engine classifies.
     """
 
     pulse: FourierPulse
@@ -233,12 +234,11 @@ class FrameTrajectory:
         """Orthonormal frame at ``x`` (a read-only view at a grid point)."""
         x = float(x)
         a, b = self.settings.window
-        dx = self.settings.dx
-        if not (a - 10.0 * dx <= x <= b + 10.0 * dx):
+        if not self.xs[0] <= x <= self.xs[-1]:
             raise ValueError(
                 f"x = {x:.6g} lies outside the integration window [{a:g}, {b:g}]"
             )
-        i = min(max(round((x - a) / dx), 0), len(self.xs) - 1)
+        i = round((x - a) / self.settings.dx)
         anchor = float(self.xs[i])
         if abs(anchor - x) < 1e-13:
             return self.frames[i]
@@ -247,6 +247,23 @@ class FrameTrajectory:
         out = _transport(self.pulse, self.lam, anchor, h, nsteps, self.frames[i],
                          every=nsteps)
         return out[-1]
+
+    def jet(self, x: float, K: int) -> np.ndarray:
+        """Taylor coefficients ``F_0..F_K``, shape ``(K+1, 4, 2)``, at ``x`` of
+        the solution of ``F' = B F`` through ``frame_at(x)``: the plane's jet.
+
+        With the potential's coefficients ``p_i`` and ``E`` the unit matrix
+        at (3, 1), ``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}``.
+        """
+        F = np.empty((K + 1, 4, 2))
+        F[0] = self.frame_at(x)
+        p = potential_jet(self.pulse, float(x), K)
+        B0 = coefficient_matrix(p[0], self.lam)
+        for n in range(K):
+            F[n + 1] = B0 @ F[n]
+            F[n + 1, 2] += p[1:n + 1] @ F[:n][::-1, 0]
+            F[n + 1] /= n + 1
+        return F
 
 
 def integrate_frame(pulse: FourierPulse, lam: float = 0.0,

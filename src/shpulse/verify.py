@@ -178,20 +178,23 @@ def check_fixtures() -> CheckResult:
     ts, lams = lg.eigenvalue_motion(ell2, 0.0, sand)
     errs["branch"] = float(np.max(np.abs(lams[:, 0] + ts**3 / 3.0)))
 
-    # fully degenerate k = 2 crossing: the graph of t^3 diag(1, 2) over the
-    # sandwich plane, order 3 with signature -2
-    def ell3(t):
-        return sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3])
+    # fully degenerate k = 2 crossings: the graph of t^k diag(1, 2) over the
+    # sandwich plane is first nondegenerate at order k, with signature -2
+    def graph(k):
+        return lg.polynomial_family([sand] + [0 * sand] * (k - 1) + [J4 @ sand @ np.diag([1, 2])])
 
     grid = np.linspace(-1.0, 1.0, 1001)
-    m1, m2, m3 = (lg.maslov_index(path, sand, grid, np.stack([path(t) for t in grid]))
-                  for path in (ell1, ell2, ell3))
+    orders = (3, 5, 6, 7)
+    m1, m2, *graphs = (lg.maslov_index(path, sand, grid, path(grid, 0)[:, 0])
+                       for path in (ell1, ell2, *map(graph, orders)))
     errs["maslov"] = max(abs(m1.index - (-1)), abs(m2.index - (-1)))
-    errs["k=2 maslov"] = abs(m3.index - (-2))
+    for k, m in zip(orders, graphs):
+        errs["k=2 maslov" if k == 3 else f"t^{k} maslov"] = abs(m.index - (-2 if k % 2 else 0))
+    classified = [[(c.order, c.kernel_dim, c.signature) for c in m.crossings] for m in graphs]
 
     worst = max(errs.values())
-    k2 = [(c.order, c.kernel_dim, c.positive - c.negative) for c in m3.crossings]
-    ok = worst < tol and cf2.order == 3 and cf1.order == 1 and k2 == [(3, 2, -2)]
+    ok = (worst < tol and cf2.order == 3 and cf1.order == 1
+          and classified == [[(k, 2, -2)] for k in orders])
     detail = ", ".join(f"{k} err {v:.1e}" for k, v in errs.items())
     return CheckResult("worked-examples", ok, detail + f" (tol {tol:g})")
 
@@ -264,11 +267,11 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
     Psi = expm(0.4 * J4 @ S)
 
     def pushforward(path):
-        return lambda t: Psi @ path(t)
+        return lambda t, K: Psi @ path(t, K)
 
     # invariance transforms the whole picture: path, vector and complement
-    W1 = Psi @ (J4 @ ell1(0.0))
-    W2 = Psi @ (J4 @ ell2(0.0))
+    W1 = Psi @ (J4 @ ell1(0.0, 0)[0])
+    W2 = Psi @ (J4 @ ell2(0.0, 0)[0])
     inv_err = max(
         abs(lg.quadratic_form(pushforward(ell1), 0.0, Psi @ v1, 1, W=W1) - base1),
         abs(lg.quadratic_form(pushforward(ell2), 0.0, Psi @ v2, 3, W=W2) - base2),
@@ -284,6 +287,16 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
     )
     ok &= max(inv_err, w_err) < 1e-7
     pieces.append(f"form invariance {max(inv_err, w_err):.1e}")
+
+    # B v = (0, b, 0, a) for v = (0, a, b, 0) in the sandwich plane, so the
+    # first-order form of every pulse crossing is a^2, whatever the potential
+    q1_err = 0.0
+    for b in bundles.values():
+        for r in b.report.conjugate_points:
+            U = lg.intersection_basis(b.trajectory.frame_at(r.x_star), lg.sandwich_plane())
+            q1_err = max(q1_err, abs(r.Q1 - U[1, 0] ** 2))
+    ok &= q1_err < 1e-9
+    pieces.append(f"pulse Q1 = a^2 {q1_err:.1e}")
 
     return CheckResult("invariants", ok, ", ".join(pieces))
 

@@ -261,6 +261,21 @@ def test_conjugate_report_is_deterministic(phi0_file, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("name, rows", [
+    ("phi0", ["      1.239897     I      0.939251             -      0.8193"]),
+    ("phipi", ["     -0.631220     I      0.333801             -      0.7464",
+               "     17.588697     I      0.806582             -      0.8816"]),
+])
+def test_conjugate_table_rows_are_pinned(request, name, rows, capsys):
+    """The crossing rows `shpulse conjugate` prints at the default N = 128,
+    position, case, Q1, Q3 and simplicity, byte for byte."""
+    assert cli.main(["conjugate", str(request.getfixturevalue(f"{name}_file"))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    header = out.index("            x*  case            Q1            Q3  simplicity")
+    assert out[header + 1:header + 1 + len(rows)] == rows
+    assert out[header + 1 + len(rows)] == ""
+
+
 def _with_coefficient(src, dst, value):
     doc = json.loads(src.read_text())
     doc["coefficients"][3] = value

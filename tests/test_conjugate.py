@@ -10,7 +10,13 @@ from shpulse.conjugate import (
     stability_report,
     trust_horizon,
 )
-from shpulse.lagrangian import fixture_paths, locate_zeros, pairing, sandwich_plane
+from shpulse.lagrangian import (
+    fixture_paths,
+    locate_zeros,
+    pairing,
+    polynomial_family,
+    sandwich_plane,
+)
 from shpulse.model import J4, Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
@@ -18,12 +24,12 @@ from shpulse.verify import REFERENCE_PULSES
 
 
 class _StubTrajectory:
-    """The parts of a trajectory the pulse route reads, for an analytic family."""
+    """The parts of a trajectory the pulse route reads, for a polynomial family."""
 
-    def __init__(self, frame_fn, num):
-        self.frame_at = frame_fn
+    def __init__(self, jet, num):
+        self.jet = jet
         self.xs = np.linspace(-1.0, 1.0, num)
-        self.frames = np.stack([frame_fn(x) for x in self.xs])
+        self.frames = jet(self.xs, 0)[:, 0]
 
 
 def _points(traj):
@@ -125,8 +131,10 @@ def test_pulse_route_counts_a_two_dimensional_crossing(num):
     minimising the dip.
     """
     sand = sandwich_plane()
-    stub = _StubTrajectory(
-        lambda t: sand + (J4 @ sand) @ np.diag([t**3, 2.0 * t**3]), num)
+    coeffs = np.zeros((4, 4, 2))
+    coeffs[0] = sand
+    coeffs[3] = (J4 @ sand) @ np.diag([1.0, 2.0])
+    stub = _StubTrajectory(polynomial_family(coeffs), num)
     index, (rec,) = conjugate_points(stub, np.inf)
     assert index == -2
     assert (rec.order, rec.kernel_dim, rec.signature) == (3, 2, -2)

@@ -1,9 +1,11 @@
 """Tests for the Lagrangian-plane machinery.
 
 The two analytic fixture families have closed-form crossing data, so every
-numerical knob (stencils, Richardson extrapolation, kernel extraction,
+numerical step (jets, the power-series graph solve, kernel extraction,
 signature bookkeeping) is pinned against exact values.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +32,11 @@ def basis(i):
     e = np.zeros(4)
     e[i] = 1.0
     return e
+
+
+def frame(path, t):
+    """The family's frame at t, the first coefficient of its jet."""
+    return path(t, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +95,22 @@ def test_paired_detector_is_the_four_by_four_determinant(seed):
 
 
 def test_frame_validation_and_blocks():
-    # the engine validates every frame a plain path returns
+    # the engine validates every jet a plain path returns: K + 1 frames
     sand = lg.sandwich_plane()
     with pytest.raises(ValueError, match="4-by-2"):
-        lg.crossing_form(lambda t: np.zeros((3, 2)), 0.0, sand)
-    with pytest.raises(ValueError, match="4-by-2"):
-        lg.crossing_form(lambda t: np.stack([sand, sand]), 0.0, sand)
+        lg.crossing_form(lambda t, K: np.zeros((3, 2)), 0.0, sand)
+    with pytest.raises(ValueError, match=r"\(10, 4, 2\) stack of 4-by-2"):
+        lg.crossing_form(lambda t, K: np.stack([sand, sand]), 0.0, sand)
+    with pytest.raises(ValueError, match=r"\(2, 4, 2\) stack of 4-by-2"):
+        lg.quadratic_form(lambda t, K: sand[None], 0.0, basis(1), 1)
     # finite on the grid, NaN between samples, where bisection evaluates it
     ell1, _ = lg.fixture_paths()
     ts = np.linspace(-1.0, 1.0, 10)
-    frames = np.stack([ell1(t) for t in ts])
+    frames = ell1(ts, 0)[:, 0]
 
-    def holey(t):
+    def holey(t, K):
         on_grid = np.any(np.abs(ts - t) < 1e-12)
-        return ell1(t) if on_grid else np.full((4, 2), np.nan)
+        return ell1(t, K) if on_grid else np.full((K + 1, 4, 2), np.nan)
 
     with pytest.raises(ValueError, match="finite"):
         lg.maslov_index(holey, sand, ts, frames)
@@ -133,19 +142,35 @@ def test_fixture_families_solve_the_flow():
     ell1, ell2 = lg.fixture_paths()
     for path in (ell1, ell2):
         for s in np.linspace(-1.0, 1.0, 21):
-            F = path(s)
+            F, dF = path(s, 1)
             # full rank and isotropic span: a Lagrangian plane
             assert np.linalg.matrix_rank(F) == 2
             assert np.allclose(F.T @ J4 @ F, 0.0, atol=1e-12)
-            # derivative of each polynomial column equals B_FLOW times it
-            h = 1e-4
-            # columns are cubic in s, so the central difference is exact up
-            # to the h^2 term of the cubic: correct it with a wider stencil
-            dF4 = (8 * (path(s + h) - path(s - h))
-                   - (path(s + 2 * h) - path(s - 2 * h))) / (12 * h)
-            assert np.allclose(dF4, B_FLOW @ F, atol=1e-10)
-    assert np.array_equal(ell1(0.0)[:, 0], V1_AT_0)
-    assert np.array_equal(ell1(0.0)[:, 1], V2_AT_0)
+            # the jet's first-order coefficient is the derivative B_FLOW F,
+            # exactly up to the rounding of the 1/6 coefficient
+            assert np.allclose(dF, B_FLOW @ F, rtol=0, atol=1e-14)
+    assert np.array_equal(frame(ell1, 0.0)[:, 0], V1_AT_0)
+    assert np.array_equal(frame(ell1, 0.0)[:, 1], V2_AT_0)
+
+
+def test_polynomial_family_is_the_taylor_shift():
+    # t^3 in one entry: at t = 0.5 the coefficients of (0.5 + s)^3 are
+    # 0.125, 0.75, 1.5 and 1, and every coefficient past the degree is 0
+    coeffs = np.zeros((4, 4, 2))
+    coeffs[0] = lg.sandwich_plane()
+    coeffs[3, 0, 0] = 1.0
+    path = lg.polynomial_family(coeffs)
+    F = path(0.5, 6)
+    assert F.shape == (7, 4, 2)
+    assert np.array_equal(F[:, 0, 0], [0.125, 0.75, 1.5, 1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(F[0], coeffs[0] + 0.125 * coeffs[3])
+    assert not np.any(F[1:, 1:]) and not np.any(F[1:, 0, 1])
+    assert path(0.5, 1).shape == (2, 4, 2)
+    # a parameter array gives one jet per entry
+    ts = np.array([-1.0, 0.25, 0.5])
+    assert np.array_equal(path(ts, 2), np.stack([path(t, 2) for t in ts]))
+    with pytest.raises(ValueError, match="stack of 4-by-2"):
+        lg.polynomial_family(np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +217,7 @@ def test_graph_matrix_tangent_complement_fails():
     # near t0, which is exactly where the graph map is defined
     ell1, _ = lg.fixture_paths()
     with pytest.raises(lg.TransversalityError, match="condition number"):
-        lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=ell1(0.0))
+        lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=frame(ell1, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +281,8 @@ def test_form_symplectic_invariance(seed):
         (ell1, V1_AT_0, 1, -4.0),
         (ell2, basis(1), 3, -2.0),
     ):
-        moved = lambda s, p=path: Psi @ p(s)
-        W0 = J4 @ path(0.0)
+        moved = lambda s, K, p=path: Psi @ p(s, K)
+        W0 = J4 @ frame(path, 0.0)
         value = lg.quadratic_form(moved, 0.0, Psi @ v, order, W=Psi @ W0)
         assert value == pytest.approx(expected, abs=1e-7)
 
@@ -274,7 +299,7 @@ def test_regular_crossing_classification():
     assert cf.lower_orders == ()
     assert (cf.contribution, cf.endpoint) == (None, None)
     # the kernel is the unit vector V1 / sqrt(5), the intersection basis
-    U = lg.intersection_basis(ell1(0.0), lg.sandwich_plane())
+    U = lg.intersection_basis(frame(ell1, 0.0), lg.sandwich_plane())
     assert abs(U[:, 0] @ (V1_AT_0 / np.sqrt(5.0))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -298,22 +323,27 @@ def test_crossing_form_requires_a_crossing():
 HORIZONTAL = np.column_stack([basis(0), basis(1)])
 
 
-def _graph_path(f1, f2):
-    """Family given as the graph of diag(f1(s), f2(s)) over span{e1, e2}."""
+def _graph_frame(a1, a2):
+    """The graph of diag(a1, a2) over span{e1, e2}."""
+    return np.array([
+        [1.0, 0.0],
+        [0.0, 1.0],
+        [a1, 0.0],
+        [0.0, a2],
+    ])
 
-    def frame(s):
-        return np.array([
-            [1.0, 0.0],
-            [0.0, 1.0],
-            [f1(s), 0.0],
-            [0.0, f2(s)],
-        ])
 
-    return frame
+def _graph_path(k1, k2):
+    """Family given as the graph of diag(s^k1, s^k2) over span{e1, e2}."""
+    coeffs = np.zeros((max(k1, k2) + 1, 4, 2))
+    coeffs[0] = HORIZONTAL
+    coeffs[k1, 2, 0] += 1.0
+    coeffs[k2, 3, 1] += 1.0
+    return lg.polynomial_family(coeffs)
 
 
 def test_even_order_crossing_with_full_kernel():
-    path = _graph_path(lambda s: s * s, lambda s: s * s)
+    path = _graph_path(2, 2)
     cf = lg.crossing_form(path, 0.0, HORIZONTAL)
     assert cf.order == 2
     assert cf.kernel_dim == 2
@@ -322,15 +352,39 @@ def test_even_order_crossing_with_full_kernel():
 
 
 def test_partially_degenerate_crossing_is_rejected():
-    path = _graph_path(lambda s: s, lambda s: s * s)
+    path = _graph_path(1, 2)
     with pytest.raises(lg.CrossingError, match="partially degenerate"):
         lg.crossing_form(path, 0.0, HORIZONTAL)
 
 
 def test_fully_degenerate_crossing_is_rejected():
-    path = _graph_path(lambda s: s**4, lambda s: s**4)
-    with pytest.raises(lg.CrossingError, match="degenerate through order 3"):
+    path = _graph_path(10, 10)
+    with pytest.raises(lg.CrossingError, match="degenerate through order 9"):
         lg.crossing_form(path, 0.0, HORIZONTAL)
+
+
+def _sandwich_graph(k):
+    """The graph of t^k diag(1, 2) over the sandwich plane."""
+    sand = lg.sandwich_plane()
+    coeffs = np.zeros((k + 1, 4, 2))
+    coeffs[0] = sand
+    coeffs[k] = (J4 @ sand) @ np.diag([1.0, 2.0])
+    return lg.polynomial_family(coeffs)
+
+
+@pytest.mark.parametrize("num", [1000, 1001])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_fully_degenerate_crossing_of_any_order(k, num):
+    """The graph of t^k diag(1, 2) crosses with a two-dimensional kernel
+    whose forms vanish below order k; the order-k form has eigenvalues
+    -k! (2, 1).  On 1000 samples the crossing lies between two samples and
+    only the dip search finds it, a little off zero, where the lower-order
+    Taylor coefficients are small but not zero."""
+    result = _maslov(_sandwich_graph(k), lg.sandwich_plane(), num=num)
+    (c,) = result.crossings
+    assert (c.order, c.kernel_dim, c.signature) == (k, 2, -2)
+    assert result.index == (-2 if k % 2 else 0)
+    assert c.value == pytest.approx(-2.0 * math.factorial(k), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +426,11 @@ def test_eigenvalue_motion_requires_a_crossing():
 def test_intersection_basis_dimensions():
     ell1, _ = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    U = lg.intersection_basis(ell1(0.0), sand)
+    U = lg.intersection_basis(frame(ell1, 0.0), sand)
     assert U.shape == (4, 1)
     assert abs(U[:, 0] @ (V1_AT_0 / np.sqrt(5.0))) == pytest.approx(1.0, abs=1e-12)
     assert lg.intersection_basis(sand, sand).shape == (4, 2)
-    assert lg.intersection_basis(ell1(0.7), sand).shape == (4, 0)
+    assert lg.intersection_basis(frame(ell1, 0.7), sand).shape == (4, 0)
 
 
 def _stacked_svd_intersection(frame, reference, tol=1e-8):
@@ -396,11 +450,11 @@ def _stacked_svd_intersection(frame, reference, tol=1e-8):
 def test_intersection_basis_is_the_stacked_svd_intersection(t):
     ell1, ell2 = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    cases = [(ell1(t), sand), (ell2(t), sand), (sand, sand),
-             (HORIZONTAL, HORIZONTAL), (_graph_path(np.sin, np.sin)(t), HORIZONTAL)]
-    for frame, reference in cases:
-        U = lg.intersection_basis(frame, reference)
-        old = _stacked_svd_intersection(frame, reference)
+    cases = [(frame(ell1, t), sand), (frame(ell2, t), sand), (sand, sand),
+             (HORIZONTAL, HORIZONTAL), (_graph_frame(np.sin(t), np.sin(t)), HORIZONTAL)]
+    for plane, reference in cases:
+        U = lg.intersection_basis(plane, reference)
+        old = _stacked_svd_intersection(plane, reference)
         assert U.shape == old.shape
         assert np.allclose(U.T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-14)
         assert np.allclose(U @ U.T, old @ old.T, rtol=0, atol=1e-12)
@@ -416,7 +470,7 @@ def test_non_lagrangian_reference_is_rejected():
     zero_first = np.column_stack([np.zeros(4), basis(1)])
     for reference in (tilted, line, zero_first):
         with pytest.raises(ValueError, match="not a Lagrangian plane"):
-            lg.intersection_basis(ell1(0.0), reference)
+            lg.intersection_basis(frame(ell1, 0.0), reference)
         with pytest.raises(ValueError, match="not a Lagrangian plane"):
             lg.crossing_form(ell1, 0.0, reference)
         with pytest.raises(ValueError, match="not a Lagrangian plane"):
@@ -430,7 +484,7 @@ def test_non_lagrangian_reference_is_rejected():
 
 def _maslov(path, reference, a=-1.0, b=1.0, num=1001):
     ts = np.linspace(a, b, num)
-    return lg.maslov_index(path, reference, ts, np.stack([path(t) for t in ts]))
+    return lg.maslov_index(path, reference, ts, path(ts, 0)[:, 0])
 
 
 def test_maslov_index_regular_fixture():
@@ -458,7 +512,7 @@ def test_maslov_index_third_order_fixture():
 def test_maslov_even_order_crossing_contributes_nothing(num):
     # with an odd grid count the node hits the crossing exactly; with an
     # even count the dip search has to find it between nodes
-    path = _graph_path(lambda s: s * s, lambda s: s * s)
+    path = _graph_path(2, 2)
     result = _maslov(path, HORIZONTAL, num=num)
     assert result.index == 0
     assert len(result.crossings) == 1
@@ -488,13 +542,13 @@ def test_maslov_without_crossings():
 def test_maslov_rejects_non_isolated_crossing():
     ref = np.column_stack([basis(1), basis(2)])
     with pytest.raises(lg.CrossingError, match="not isolated"):
-        _maslov(lambda t: ref, ref)
+        _maslov(lg.polynomial_family(ref[None]), ref)
 
 
 def test_maslov_rejects_a_bad_sample_grid():
     ell1, _ = lg.fixture_paths()
     sand = lg.sandwich_plane()
-    frames = np.stack([ell1(t) for t in (0.0, 0.5)])
+    frames = ell1(np.array([0.0, 0.5]), 0)[:, 0]
     with pytest.raises(ValueError, match="increasing"):
         lg.maslov_index(ell1, sand, [0.5, 0.0], frames)
     with pytest.raises(ValueError, match="increasing"):

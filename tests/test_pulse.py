@@ -219,6 +219,27 @@ def test_evaluate_is_the_plain_cosine_sum_bitwise(pulse_phi0):
     assert sp.evaluate(pulse_phi0, 1.5) == c[0] + 2.0 * np.cos(1.5 * rate) @ c[1:]
 
 
+def test_potential_jet_is_the_taylor_series(pulse_phi0):
+    # one mode, phi = cos(w x): f'(phi)' = (2 nu - 6 phi) phi' with
+    # phi' = -w sin(w x), and f'(phi)''/2 follows from phi'' = -w^2 phi
+    single = make_pulse([0.0, 0.5])
+    w, x = np.pi / single.L_f, 12.3
+    phi, dphi, d2phi = np.cos(w * x), -w * np.sin(w * x), -w**2 * np.cos(w * x)
+    p = sp.potential_jet(single, x, 2)
+    assert p.shape == (3,)
+    assert p[0] == pytest.approx(sp.potential(single, x), abs=1e-15)
+    assert p[1] == pytest.approx((2 * P.nu - 6 * phi) * dphi, abs=1e-15)
+    assert p[2] == pytest.approx(((2 * P.nu - 6 * phi) * d2phi - 6 * dphi**2) / 2, abs=1e-15)
+    # a reference pulse: the order-9 Taylor sum is the potential a step away
+    for x in (-30.0, 0.0, 1.24, 17.6):
+        p = sp.potential_jet(pulse_phi0, x, 9)
+        for h in (0.05, -0.05):
+            assert np.polyval(p[::-1], h) == pytest.approx(
+                sp.potential(pulse_phi0, x + h), abs=1e-13)
+    with pytest.raises(ValueError, match="outside the pulse domain"):
+        sp.potential_jet(single, 100.5, 3)
+
+
 @pytest.mark.parametrize("mu,scale", [(0.05, 1.0), (0.20, 3.0)])
 def test_converged_pulse_satisfies_stationary_ode(mu, scale):
     p = Params(nu=1.6, mu=mu)

@@ -215,6 +215,26 @@ def test_frame_at_rejects_points_outside_window(traj_phi0):
         traj_phi0.frame_at(61.0)
     with pytest.raises(ValueError):
         traj_phi0.frame_at(-75.0)
+    # nothing evaluates the family past the samples, so there is no overhang
+    with pytest.raises(ValueError, match="outside the integration window"):
+        traj_phi0.frame_at(60.25)
+    assert np.array_equal(traj_phi0.frame_at(60.0), traj_phi0.frames[-1])
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_jet_sums_to_the_transported_plane(request, name):
+    """The Taylor sum of ``jet(x, 9)`` spans the plane ``frame_at`` transports
+    to ``x + h``, on and between the samples."""
+    traj = request.getfixturevalue(f"traj_{name}")
+    worst = 0.0
+    for x in (-30.0, -0.63, 0.31, 1.24, 17.58, 40.02):
+        F = traj.jet(x, 9)
+        assert F.shape == (10, 4, 2)
+        assert np.array_equal(F[0], traj.frame_at(x))
+        for h in (0.05, -0.05):
+            taylor = np.tensordot(h ** np.arange(10), F, axes=1)
+            worst = max(worst, subspace_angles(taylor, traj.frame_at(x + h)).max())
+    assert worst <= 1e-11
 
 
 def test_tail_oscillation_has_the_predicted_period(traj_phi0):
