@@ -16,7 +16,8 @@ timestamps.
 
 Exit codes: 0 on success, 1 on a numerical failure (Newton divergence,
 non-finite transport, a crossing outside the signature calculus,
-unreadable pulse file), 2 on a usage error.
+unreadable pulse file, or a ``conjugate`` verdict of MISMATCH, whose report
+is still printed in full), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import numbers
 import sys
 from dataclasses import dataclass, fields
 
-from .conjugate import SIMPLICITY_THRESHOLD, format_report, stability_report
+from .conjugate import format_report, stability_report
 from .lagrangian import CrossingError, TransversalityError
 from .model import Params
 from .pulse import (NewtonError, PulseFileError, evaluate, load, newton_solve,
                     save, seed_from_normal_form)
 from .shooting import (ShootingSettings, TransportError, integrate_frame,
                        write_trajectory)
-from .spectrum import DEFAULT_THRESHOLD, count_unstable
+from .spectrum import count_unstable
 from .verify import run_all
 
 
@@ -48,15 +49,17 @@ class RunConfig:
     """Complete, validated set of numerical parameters for one run.
 
     Groups: model parameters (``nu``, ``mu``, ``phi``, ``scale``), Fourier
-    discretization (``L_f``, ``N``, ``newton_tol``), plane transport
+    discretization (``L_f``, ``N``, ``newton_tol``) and plane transport
     (``L_cp``, ``sample_dx``: window half-width and sample spacing, which is
-    also the Magnus step up to 0.05, defaulting to :class:`ShootingSettings`)
-    and decision thresholds (``unstable_threshold``, the eigenvalue cut-off,
-    and ``simplicity_threshold``, below which a crossing is flagged).
+    also the Magnus step up to 0.05, defaulting to :class:`ShootingSettings`).
+    The decisions of the report take no settings: the eigenvalue count
+    uses the spectrum's own noise floor and the simplicity warning the
+    constant ``conjugate.SIMPLICITY_THRESHOLD``.
     ``nu``/``mu``/``phi`` stay ``None`` until a command that needs them
     checks for their presence.  ``N`` must be an integer and every other
     field a finite real number; booleans are neither.  The transport window
-    ``2 L_cp`` must be an integer multiple of ``sample_dx``.
+    ``2 L_cp`` must be an integer multiple of ``sample_dx``; that it fits
+    inside the pulse's half-period is checked against the loaded pulse.
     """
 
     nu: float | None = None
@@ -68,8 +71,6 @@ class RunConfig:
     newton_tol: float = 1e-12
     L_cp: float = ShootingSettings().window[1]
     sample_dx: float = ShootingSettings().dx
-    unstable_threshold: float = DEFAULT_THRESHOLD
-    simplicity_threshold: float = SIMPLICITY_THRESHOLD
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -82,17 +83,11 @@ class RunConfig:
             elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        positive = ("scale", "L_f", "newton_tol", "L_cp", "sample_dx",
-                    "unstable_threshold", "simplicity_threshold")
-        for name in positive:
+        for name in ("scale", "L_f", "newton_tol", "L_cp", "sample_dx"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.L_cp > self.L_f:
-            raise ValueError(
-                f"L_cp = {self.L_cp:g} exceeds the profile half-period "
-                f"L_f = {self.L_f:g}")
         self.settings()
 
     def settings(self) -> ShootingSettings:
@@ -150,10 +145,10 @@ def cmd_pulse(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    _config_from_args(args)
     pulse = load(args.pulse_file)
-    report = count_unstable(pulse, threshold=cfg.unstable_threshold)
-    print(f"unstable eigenvalues (threshold {cfg.unstable_threshold:g}):")
+    report = count_unstable(pulse)
+    print(f"unstable eigenvalues (noise floor {report.noise_floor:.1e}):")
     if report.unstable:
         for ev in report.unstable:
             print(f"  {ev:.4f}  ({ev:.12f})")
@@ -167,15 +162,12 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     pulse = load(args.pulse_file)
     trajectory = integrate_frame(pulse, lam=0.0, settings=cfg.settings())
-    report = stability_report(
-        pulse, trajectory=trajectory,
-        unstable_threshold=cfg.unstable_threshold,
-        simplicity_threshold=cfg.simplicity_threshold)
+    report = stability_report(pulse, trajectory=trajectory)
     print(format_report(report))
     if args.out:
         write_trajectory(trajectory, args.out)
         print(f"wrote {args.out} ({len(trajectory.xs)} rows)")
-    return 0
+    return 0 if report.counts_match else 1
 
 
 def cmd_plucker(args: argparse.Namespace) -> int:

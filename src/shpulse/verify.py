@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import expm, subspace_angles
 
 from . import lagrangian as lg
-from .conjugate import StabilityReport, conjugate_points, stability_report, trust_horizon
+from .conjugate import (SIMPLICITY_THRESHOLD, StabilityReport, conjugate_points,
+                        stability_report, trust_horizon)
 from .model import J4, Params, coefficient_matrix
 from .pulse import (
     FourierPulse,
@@ -150,7 +151,7 @@ def check_simplicity(bundles: dict[str, PulseBundle]) -> CheckResult:
     norms = [r.simplicity_norm
              for b in bundles.values() for r in b.report.conjugate_points]
     hypothesis = all(b.report.hypothesis_degeneracy_ok for b in bundles.values())
-    ok = hypothesis and all(n > 1e-3 for n in norms)
+    ok = hypothesis and all(n > SIMPLICITY_THRESHOLD for n in norms)
     least = min(norms) if norms else float("nan")
     return CheckResult("simplicity", ok,
                        f"min simplicity_norm {least:.4f} (> 1e-3), "

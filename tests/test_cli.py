@@ -14,6 +14,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def phipi_file(workdir):
 def snaking_file(workdir):
     return _solve(workdir, "snaking.json", "--nu", "1.6", "--mu", "0.20",
                   "--phi", "0", "--scale", "3")
+
+
+@pytest.fixture(scope="module")
+def small_mu_file(workdir):
+    """phi = pi pulse at mu = 0.02 on a wide box: its odd unstable
+    eigenvalue is 9.6e-6 and its second conjugate point sits at x = 70.6."""
+    return _solve(workdir, "small_mu.json", "--nu", "1.6", "--mu", "0.02",
+                  "--phi", repr(np.pi), "--Lf", "300", "--N", "576")
 
 
 def _plucker_rows(path):
@@ -163,6 +172,12 @@ def test_spectrum_unstable_phipi(phipi_file, capsys):
     assert "0.0058" in out and "0.1179" in out
 
 
+def test_spectrum_header_names_the_noise_floor(phi0_file, capsys):
+    assert cli.main(["spectrum", str(phi0_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("unstable eigenvalues (noise floor 6.6e-12):\n")
+
+
 def test_spectrum_stable_prints_none(snaking_file, capsys):
     assert cli.main(["spectrum", str(snaking_file)]) == 0
     assert "none" in capsys.readouterr().out
@@ -243,6 +258,34 @@ def test_conjugate_stable_zero_points(snaking_file, capsys):
     assert cli.main(["conjugate", str(snaking_file)]) == 0
     out = capsys.readouterr().out
     assert "0 unstable eigenvalue(s) vs 0 conjugate point(s) -> MATCH" in out
+
+
+def test_conjugate_small_mu_counts_match(small_mu_file, capsys):
+    assert cli.main(["conjugate", str(small_mu_file), "--Lcp", "200"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "verdict: 2 unstable eigenvalue(s) vs 2 conjugate point(s) -> MATCH\n")
+
+
+def test_conjugate_mismatch_exits_one(workdir, capsys):
+    """A domain-filling state is no localized pulse: its counts disagree,
+    the report is printed as usual and the run exits 1."""
+    state = _solve(workdir, "filling.json", "--nu", "1.6", "--mu", "0.06",
+                   "--phi", "0", "--N", "192")
+    capsys.readouterr()
+    assert cli.main(["conjugate", str(state)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith(
+        "verdict: 0 unstable eigenvalue(s) vs 1 conjugate point(s) -> MISMATCH\n")
+    assert captured.err == ""
+
+
+def test_conjugate_window_beyond_the_half_period_exits_one(phi0_file, capsys):
+    assert cli.main(["conjugate", str(phi0_file), "--Lcp", "120"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: window [-120, 120] exceeds the pulse's "
+                            "half-period 100\n")
 
 
 def test_conjugate_export_matches_header(phi0_file, workdir, capsys):
@@ -404,14 +447,16 @@ def test_config_defaults_match_published_settings():
     assert cfg.L_f == 100.0
     assert cfg.L_cp == 60.0
     assert cfg.N == 128
-    assert cfg.simplicity_threshold == 1e-3
+    assert cfg.sample_dx == 0.05
+    assert [f.name for f in fields(RunConfig)] == [
+        "nu", "mu", "phi", "scale", "L_f", "N", "newton_tol", "L_cp", "sample_dx"]
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
-        RunConfig(simplicity_threshold=0.0)
-    with pytest.raises(ValueError, match="exceeds"):
-        RunConfig(L_cp=120.0, L_f=100.0)
+        RunConfig(sample_dx=0.0)
+    # the window is checked against the loaded pulse, not the config's L_f
+    assert RunConfig(L_cp=120.0, L_f=100.0).L_cp == 120.0
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -434,7 +479,8 @@ def test_config_unknown_key_rejected(tmp_path):
         build_config(str(cfg), {})
 
 
-@pytest.mark.parametrize("key", ["rtol", "atol", "renorm_every", "degeneracy_tol"])
+@pytest.mark.parametrize("key", ["rtol", "atol", "renorm_every", "degeneracy_tol",
+                                 "unstable_threshold", "simplicity_threshold"])
 def test_config_removed_transport_knobs_exit_two(tmp_path, capsys, key):
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: 1}))
@@ -445,10 +491,10 @@ def test_config_removed_transport_knobs_exit_two(tmp_path, capsys, key):
 
 def test_config_invalid_values_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"L_cp": 200.0}))
+    cfg.write_text(json.dumps({"L_cp": -200.0}))
     rc = cli.main(["conjugate", "whatever.json", "--config", str(cfg)])
     assert rc == 2
-    assert "usage error" in capsys.readouterr().err
+    assert "usage error: L_cp must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, config", [(["--Lcp", "0.01"], {}),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shpulse.conjugate import (
-    check_no_asymptotic_crossings,
     conjugate_points,
     format_report,
     stability_report,
@@ -17,7 +16,7 @@ from shpulse.lagrangian import (
     polynomial_family,
     sandwich_plane,
 )
-from shpulse.model import J4, Params
+from shpulse.model import J4, Params, asymptotic_frames
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
 from shpulse.verify import REFERENCE_PULSES
@@ -150,9 +149,10 @@ def test_horizon_before_the_second_sample_is_an_error():
 
 
 def test_asymptotic_plane_misses_the_sandwich_plane():
-    grid = np.linspace(0.0, 1.2, 101)
-    assert check_no_asymptotic_crossings(Params(1.6, 0.05), grid)
-    assert check_no_asymptotic_crossings(Params(1.6, 0.20), grid)
+    for p in (Params(1.6, 0.05), Params(1.6, 0.20)):
+        dets = [sandwich_determinant(asymptotic_frames(lam, p).unstable_frame)
+                for lam in np.linspace(0.0, 1.2, 101)]
+        assert min(dets) > 1e-6
 
 
 def test_asymptotic_obstruction_identity():
@@ -161,6 +161,15 @@ def test_asymptotic_obstruction_identity():
     t = np.linspace(np.pi / 2 + 1e-6, np.pi - 1e-6, 1001)
     obstruction = np.cos(t) * np.sin(t / 2) - np.sin(t) * np.cos(t / 2)
     assert np.all(np.abs(obstruction) > np.sin(np.pi / 4) - 1e-9)
+    # so the closed-form frame has detA = sin(theta/2) / r^(3/2) > 0 for every
+    # mu > 0 and lam >= 0, and the report needs no grid to say so
+    for mu in np.geomspace(1e-6, 10.0, 25):
+        for lam in np.r_[0.0, np.geomspace(1e-6, 50.0, 41)]:
+            data = asymptotic_frames(lam, Params(1.6, mu))
+            det = sandwich_determinant(data.unstable_frame)
+            closed = np.sin(data.theta / 2) / data.r ** 1.5
+            assert det > 0
+            assert abs(det - closed) <= 1e-15 * closed
 
 
 def test_report_counts_one_one(pulse_phi0, traj_phi0):
@@ -168,7 +177,6 @@ def test_report_counts_one_one(pulse_phi0, traj_phi0):
     assert rep.counts == (1, 1)
     assert rep.counts_match
     assert rep.hypothesis_degeneracy_ok
-    assert rep.asymptotic_crossings_ok
     assert rep.lambda_infinity > 1.0
 
 
