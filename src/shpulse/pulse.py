@@ -215,8 +215,10 @@ def newton_solve(
     Raises
     ------
     NewtonError
-        On a non-finite residual, a singular Newton system, or if
-        `max_iter` steps do not bring the residual below `tol`.
+        On a non-finite residual, a singular Newton system, if `max_iter`
+        steps do not bring the residual below `tol`, or if the converged
+        state is u = 0 (every coefficient within `tol` of zero), which is
+        not a pulse.
     """
     N = seed.N
     h = seed.a.copy()
@@ -228,6 +230,8 @@ def newton_solve(
         if history is not None:
             history.append(res_norm)
         if res_norm <= tol:
+            if np.abs(h).max() <= tol:
+                raise NewtonError("converged to the trivial state u ≡ 0", res_norm)
             return replace(seed, a=h, residual_norm=res_norm)
         if not np.isfinite(res_norm):
             raise NewtonError("non-finite residual: the coefficients overflow", res_norm)

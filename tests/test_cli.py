@@ -155,9 +155,48 @@ def test_pulse_overflowing_seed_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pulse_trivial_state_exits_one(tmp_path, capsys):
+    # at mu = 0.26 the phi = 0 seed decays onto u = 0, which is no pulse
+    out = tmp_path / "trivial.json"
+    rc = cli.main(["pulse", "--nu", "1.6", "--mu", "0.26", "--phi", "0",
+                   "--N", "192", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: converged to the trivial state")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("phi0", ["unstable eigenvalues (noise floor 6.6e-12):",
+              "  0.1209  (0.120898086157)"]),
+    ("phipi", ["unstable eigenvalues (noise floor 6.6e-12):",
+               "  0.0058  (0.005832114613)",
+               "  0.1179  (0.117893279177)"]),
+    ("snaking", ["unstable eigenvalues (noise floor 6.6e-12):",
+                 "  none"]),
+])
+def test_spectrum_stdout_is_pinned(request, name, lines, capsys):
+    """`shpulse spectrum` at the default N = 128: the header and eigenvalue
+    lines byte for byte; the translation-mode line is eigensolver rounding
+    noise, so only its format and that it lies within the floor."""
+    path = request.getfixturevalue(f"{name}_file")
+    capsys.readouterr()
+    assert cli.main(["spectrum", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:-1] == lines
+    prefix = "translation-mode eigenvalue: "
+    assert out[-1].startswith(prefix)
+    value = out[-1][len(prefix):]
+    assert f"{float(value):+.3e}" == value
+    floor = float(lines[0].split()[-1].rstrip("):"))
+    assert abs(float(value)) <= floor
 
 
 def test_spectrum_unstable_phi0(phi0_file, capsys):

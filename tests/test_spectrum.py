@@ -1,6 +1,6 @@
 """Parity-split Jacobian spectrum and unstable-eigenvalue counting."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -93,31 +93,67 @@ def test_unstable_counts_for_reference_pulses(pulse_phi0, pulse_phipi, pulse_sna
     assert count_unstable(pulse_snaking).unstable == []
 
 
+def _block_eigenvalues(pulse):
+    even, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
+    s = np.sqrt(np.r_[1.0, np.full(pulse.N, 2.0)])
+    return np.linalg.eigvalsh(s[:, None] * even / s[None, :]), np.linalg.eigvalsh(odd)
+
+
 def test_report_invariants(pulse_phi0):
     rep = count_unstable(pulse_phi0)
-    assert rep.eigenvalues.size == 2 * pulse_phi0.N + 1
+    assert {f.name for f in fields(rep)} == {"unstable", "zero_mode", "noise_floor"}
     assert all(u > rep.noise_floor for u in rep.unstable)
+    ev_even, ev_odd = _block_eigenvalues(pulse_phi0)
+    ev = np.r_[ev_even, ev_odd]
+    assert rep.unstable == sorted(ev[ev > rep.noise_floor].tolist())
     # the floor is the translation mode's size or the backward-error bound
-    bound = (pulse_phi0.N + 1) * np.finfo(float).eps * np.abs(rep.eigenvalues).max()
+    bound = (pulse_phi0.N + 1) * np.finfo(float).eps * np.abs(ev).max()
     assert rep.noise_floor == max(abs(rep.zero_mode), bound)
     assert rep.noise_floor < 1e-10
-    # spectrum of the symmetric Jacobian is real
-    assert np.abs(rep.eigenvalues.imag).max() < 1e-12
 
 
 def test_translation_zero_mode(pulse_phi0, pulse_phipi, pulse_snaking):
     for pulse in (pulse_phi0, pulse_phipi, pulse_snaking):
         rep = count_unstable(pulse)
         assert abs(rep.zero_mode) < 1e-6
+        assert abs(rep.zero_mode) <= rep.noise_floor  # never counted
         # null vector of the differentiated translation orbit: b_k = k * a_k
         k = np.arange(-pulse.N, pulse.N + 1)
         b = k * pulse.full()
         b = b / np.linalg.norm(b)
-        v = rep.zero_mode_vector / np.linalg.norm(rep.zero_mode_vector)
-        assert min(np.linalg.norm(v - b), np.linalg.norm(v + b)) < 1e-6
-        # and it is an exact null vector of the truncated system's odd block
+        # rep.zero_mode is the odd-block eigenvalue whose eigenvector is b
         _, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
+        ev_odd, V = np.linalg.eigh(odd)
+        i = int(np.argmax(np.abs(V.T @ b[pulse.N + 1:])))
+        v = np.r_[-V[::-1, i], 0.0, V[:, i]]
+        v = v / np.linalg.norm(v)
+        assert min(np.linalg.norm(v - b), np.linalg.norm(v + b)) < 1e-6
+        assert i == np.argmin(np.abs(ev_odd))
+        assert rep.zero_mode == pytest.approx(ev_odd[i], abs=1e-12)
+        # and it is an exact null vector of the truncated system's odd block
         assert np.linalg.norm(odd @ b[pulse.N + 1:]) < 1e-10
+
+
+def test_positive_translation_eigenvalue_is_never_counted():
+    """Off a solution the odd eigenvalue nearest zero can be large and
+    positive; the floor is then that eigenvalue itself, so `e > floor`
+    leaves it out without any index-based exclusion."""
+    rng = np.random.default_rng(3)
+    p, L_f, N = Params(nu=1.6, mu=0.05), 20.0, 12
+    positive = 0
+    for _ in range(8):
+        pulse = FourierPulse(params=p, phi=0.0, L_f=L_f, N=N,
+                             a=rng.normal(scale=0.3, size=N + 1), residual_norm=np.nan)
+        rep = count_unstable(pulse)
+        ev_even, ev_odd = _block_eigenvalues(pulse)
+        ev = np.r_[ev_even, ev_odd]
+        bound = (N + 1) * np.finfo(float).eps * np.abs(ev).max()
+        assert rep.zero_mode == ev_odd[np.argmin(np.abs(ev_odd))]
+        assert rep.noise_floor == max(abs(rep.zero_mode), bound)
+        assert rep.unstable == sorted(ev[ev > rep.noise_floor].tolist())
+        assert rep.zero_mode not in rep.unstable
+        positive += rep.zero_mode > bound
+    assert positive == 2
 
 
 @pytest.mark.parametrize("mu", [0.02, 0.01])
