@@ -313,6 +313,12 @@ def potential_jet(pulse: FourierPulse, x: float, K: int) -> np.ndarray:
 
 
 _FIELDS = ("nu", "mu", "phi", "L_f", "N", "coefficients", "residual_norm")
+# `load` re-evaluates the residual and accepts a sup-norm up to
+# max(RESIDUAL_SLACK * stored, RESIDUAL_FLOOR): the file's coefficients
+# must solve the equation as well as the stored value says, give or take
+# the rounding of another machine's convolutions.
+RESIDUAL_SLACK = 2.0
+RESIDUAL_FLOOR = 1e-12
 
 
 def save(pulse: FourierPulse, path) -> None:
@@ -337,7 +343,13 @@ def _is_number(value) -> bool:
 
 
 def load(path) -> FourierPulse:
-    """Read a pulse file written by `save`, validating all invariants."""
+    """Read a pulse file written by `save`, validating all invariants.
+
+    The residual of the stored coefficients is evaluated again: a finite
+    sup-norm above ``max(RESIDUAL_SLACK * residual_norm, RESIDUAL_FLOOR)``
+    is a `PulseFileError`, since the coefficients then are not the pulse
+    the file claims.
+    """
     with open(path) as fh:
         text = fh.read()
     try:
@@ -380,4 +392,13 @@ def load(path) -> FourierPulse:
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise PulseFileError(f"{path}: {exc}") from exc
+    recomputed = float(np.abs(residual(pulse.full(), pulse.params, pulse.L_f)).max())
+    bound = max(RESIDUAL_SLACK * pulse.residual_norm, RESIDUAL_FLOOR)
+    # a residual that overflows is not compared here: the spectrum and the
+    # transport each report those coefficients with their own typed error
+    if np.isfinite(recomputed) and recomputed > bound:
+        raise PulseFileError(
+            f"{path}: the coefficients do not solve the equation: residual "
+            f"sup-norm {recomputed:.3e}, stored {pulse.residual_norm:.3e} "
+            f"(bound {bound:.1e})")
     return pulse

@@ -22,10 +22,16 @@ positive diagonal.  That changes neither the spanned plane nor the sign of
 the sandwich determinant (the change of basis has positive determinant), so
 crossing locations are unaffected.
 
-The bytes of the trajectory CSV are pinned, and they depend on the exact
-floating-point operations of the transport.  So the potential is taken in
-chunks of the fixed length ``POTENTIAL_CHUNK``: the chunk length sets the
-rounding of the cosine-sum gemv in ``pulse.evaluate``.
+The step maps are the exponentials of the Magnus generators, taken for the
+whole stack at once by a degree-``_TAYLOR_DEGREE`` Taylor polynomial with
+scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009).
+Its truncation error is below the double-precision unit roundoff, so the
+trajectory CSV agrees with a per-step ``scipy.linalg.expm`` to rounding,
+not to the bit: the tests hold the frames for x <= 0 within 1e-13 of that
+reference loop.  What is pinned bitwise is the CLI's printed output (the
+counts, eigenvalues and crossing table of the reference pulses) and the
+frame loop itself, which stores exactly the textbook ``Phi @ F`` and
+Gram-Schmidt of every step.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lagrangian import _frame_matrix, _qr_positive, det2, pairing, plucker, sandwich_plane
 from .model import Params, asymptotic_frames, coefficient_matrix
@@ -48,9 +53,14 @@ MAX_STEP = 0.05
 # pinned by the step-halving test; it bounds the trust horizon.
 TRANSPORT_NOISE = 1e-10
 # Most potential evaluations per call: the grid ``stability_report`` uses.
-# Fixed, not tuned: the chunk length sets the rounding of the cosine-sum
-# gemv in ``pulse.evaluate``, and the trajectory CSV pins those bits.
+# It bounds the (nodes x N) cosine table of ``pulse.evaluate``, and being
+# fixed it also fixes the rounding of that table's gemv for a given window.
 POTENTIAL_CHUNK = 4001
+# Degree and reach of the Taylor exponential: for 1-norms up to the reach
+# the remainder bound ``|X|^(m+1) / (m+1)! * e^|X|`` is 3.1e-18, below
+# 2^-53; a larger stack is scaled by 2^-s into it and squared s times.
+_TAYLOR_DEGREE = 12
+_TAYLOR_REACH = 0.25
 
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _E31 = np.zeros((4, 4))
@@ -113,9 +123,36 @@ def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
-               h: float) -> np.ndarray:
-    """Sixth-order Magnus maps of the steps ``[s, s + h]``, one per start.
+def _expm(X: np.ndarray) -> np.ndarray:
+    """Exponential of every matrix of a stack ``(..., n, n)`` with finite
+    1-norms.
+
+    The Taylor polynomial of degree ``_TAYLOR_DEGREE`` is evaluated by
+    Horner's rule in stacked in-place ``matmul``s on ``X / 2^s``, with
+    ``s`` the least power that brings the stack's largest 1-norm within
+    ``_TAYLOR_REACH``, and then squared ``s`` times.  Any leading axes are
+    batch axes.
+    """
+    norm = float(np.abs(X).sum(axis=-2).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm) - math.log2(_TAYLOR_REACH))) if norm > 0 else 0
+    X = np.ldexp(X, -s) if s else X
+    eye = np.eye(X.shape[-1])
+    P = X / _TAYLOR_DEGREE + eye
+    work = np.empty_like(P)
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        np.matmul(X, P, out=work)
+        work /= k
+        work += eye
+        P, work = work, P
+    for _ in range(s):
+        np.matmul(P, P, out=work)
+        P, work = work, P
+    return P
+
+
+def _generators(pulse: FourierPulse, lam: float, starts: np.ndarray,
+                h: float) -> np.ndarray:
+    """Sixth-order Magnus generators of the steps ``[s, s + h]``, one per start.
 
     With ``A_i`` the coefficient matrix at the Gauss nodes ``s + c_i h``,
     the generator is built from ``a1 = h A_2``,
@@ -123,9 +160,13 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
     ``a3 = 10 h (A_3 - 2 A_2 + A_1) / 3`` as
     ``a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240`` with
     ``C1 = [a1, a2]`` and ``C2 = -[a1, 2 a3 + C1] / 60``.
+
+    Raises
+    ------
+    TransportError
+        When the potential or a generator is not finite.
     """
     nodes = (starts[:, None] + h * _GAUSS).ravel()
-    # overflow is reported below and by the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.concatenate([potential(pulse, nodes[i:i + POTENTIAL_CHUNK])
                             for i in range(0, nodes.size, POTENTIAL_CHUNK)])
@@ -139,8 +180,24 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
         a3 = (10.0 * h / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0])
         C1 = _commutator(a1, a2)
         C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-        return expm(a1 + a3 / 12.0
-                    + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
+        omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+        # NaN and inf propagate into the 1-norm, which ``_expm`` scales by
+        bad = ~np.isfinite(np.abs(omega).sum(axis=1).max(axis=1))
+    if bad.any():
+        raise TransportError(
+            f"the 1-norm of the Magnus generator is not finite at x = {starts[bad][0]:.6g}")
+    return omega
+
+
+def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
+               h: float) -> np.ndarray:
+    """Sixth-order Magnus maps of the steps ``[s, s + h]``, one per start: the
+    exponentials of ``_generators``."""
+    omega = _generators(pulse, lam, starts, h)
+    # a huge finite generator overflows in the squarings; the caller's
+    # finiteness check on the frames reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expm(omega)
 
 
 def _orthonormalize(M: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -261,6 +261,20 @@ def test_spectrum_negative_residual_norm_exits_one(phi0_file, tmp_path, capsys):
     assert "residual_norm must be non-negative" in captured.err
 
 
+def test_spectrum_rejects_coefficients_that_do_not_solve(phi0_file, tmp_path, capsys):
+    # off by 1e-3 in one coefficient, the file's pulse is no longer a pulse;
+    # counted anyway, it showed a spurious 0.0046 eigenvalue
+    doc = json.loads(phi0_file.read_text())
+    doc["coefficients"][3] += 1e-3
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(doc))
+    assert _main_without_warnings(["spectrum", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "do not solve the equation" in captured.err
+
+
 def test_spectrum_wrong_value_type_exits_one(phi0_file, tmp_path, capsys):
     doc = json.loads(phi0_file.read_text())
     doc["nu"] = True

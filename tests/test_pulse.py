@@ -270,6 +270,32 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.a, pulse.a)
 
 
+def test_load_rechecks_the_residual(tmp_path):
+    """Seeds and Newton solutions load back; coefficients that solve the
+    equation worse than ``max(RESIDUAL_SLACK * stored, RESIDUAL_FLOOR)``
+    do not."""
+    path = tmp_path / "pulse.json"
+    seed = sp.seed_from_normal_form(P, 0.0, N=48)
+    for pulse in (seed, sp.newton_solve(seed)):
+        sp.save(pulse, path)
+        assert sp.load(path).residual_norm == pulse.residual_norm
+    doc = json.loads(path.read_text())
+    doc["coefficients"][3] += 1e-9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PulseFileError, match=r"residual sup-norm 1\.\d+e-09, stored"):
+        sp.load(path)
+    # the seed's residual (4e-3) against the slack factor on its stored value
+    true = seed.residual_norm
+    for stored, ok in ((true / 1.9, True), (true / 2.1, False)):
+        sp.save(FourierPulse(params=P, phi=0.0, L_f=seed.L_f, N=seed.N, a=seed.a,
+                             residual_norm=stored), path)
+        if ok:
+            sp.load(path)
+        else:
+            with pytest.raises(PulseFileError, match="do not solve the equation"):
+                sp.load(path)
+
+
 def test_load_rejects_truncated_file(tmp_path):
     pulse = sp.newton_solve(sp.seed_from_normal_form(P, 0.0, N=48))
     path = tmp_path / "pulse.json"

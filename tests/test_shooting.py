@@ -10,13 +10,15 @@ from scipy.linalg import expm, subspace_angles
 
 from shpulse.conjugate import conjugate_points, trust_horizon
 from shpulse.lagrangian import plucker
-from shpulse.model import Params, asymptotic_frames, coefficient_matrix
+from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
     TRANSPORT_NOISE,
     FrameTrajectory,
     ShootingSettings,
     TransportError,
+    _expm,
+    _generators,
     _step_maps,
     initial_frame,
     integrate_frame,
@@ -173,11 +175,75 @@ def test_frames_are_the_plain_step_loop_bitwise(pulse_phi0, dx, every):
                           np.stack(kept))
 
 
+def _default_generators(pulse):
+    (a, b), h = ShootingSettings().window, ShootingSettings().dx
+    return _generators(pulse, 0.0, a + h * np.arange(round((b - a) / h)), h)
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_expm_matches_scipy_on_the_transport_generators(request, name):
+    """On the default steps of a reference pulse (1-norms <= 0.18, so no
+    squaring) the Taylor exponential is scipy's to rounding, and each map
+    is symplectic to rounding."""
+    omega = _default_generators(request.getfixturevalue(f"pulse_{name}"))
+    M = _expm(omega)
+    assert M.shape == omega.shape
+    assert np.abs(M - expm(omega)).max() <= 4e-16
+    assert np.abs(np.swapaxes(M, 1, 2) @ J4 @ M - J4).max() <= 1e-14
+
+
+def test_expm_matches_scipy_with_squaring():
+    """Hamiltonian matrices J S with 1-norms from 1e-3 to 50 (up to eight
+    squarings), one at a time and as one stack squared for its largest norm.
+
+    Two families whose exponential scipy's Pade reference itself gets to
+    ~1e-14: S positive definite (an imaginary spectrum), and
+    S = [[0, D], [D, 0]] with D diagonal, so J S = diag(D, -D) has a real
+    eigenvalue equal to its 1-norm and the Taylor remainder is as large as
+    its bound.  (For a general indefinite S scipy's own error reaches 1e-12.)
+    """
+    rng = np.random.default_rng(0)
+    norms = np.logspace(-3, math.log10(50.0), 40)
+    A = rng.standard_normal((40, 4, 4))
+    elliptic = J4 @ (A @ np.swapaxes(A, 1, 2))
+    elliptic *= (norms / np.abs(elliptic).sum(axis=1).max(axis=1))[:, None, None]
+    hyperbolic = np.zeros((40, 4, 4))
+    hyperbolic[:, [0, 2], [2, 0]] = norms[:, None]
+    hyperbolic[:, [1, 3], [3, 1]] = (norms * rng.uniform(-1.0, 1.0, 40))[:, None]
+    hyperbolic = J4 @ hyperbolic
+    for X in (elliptic, hyperbolic):
+        E = expm(X)
+        scale = np.abs(E).max(axis=(1, 2))
+        one_by_one = np.array([np.abs(_expm(x) - e).max() for x, e in zip(X, E)])
+        assert (one_by_one / scale).max() <= 1e-13
+        assert (np.abs(_expm(X) - E).max(axis=(1, 2)) / scale).max() <= 1e-13
+        # any leading axes are batch axes
+        assert np.array_equal(_expm(X.reshape(8, 5, 4, 4)),
+                              _expm(X).reshape(8, 5, 4, 4))
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_transport_is_the_scipy_expm_loop_upstream(request, name):
+    """Up to the core (x <= 0) the transported frames are those of a plain
+    step loop on scipy's exponential of the same generators, to 1e-13."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    traj = request.getfixturevalue(f"traj_{name}")
+    upstream = traj.xs <= 0.0
+    F = _gram_schmidt(initial_frame(pulse.params))
+    kept = [F]
+    for Phi in expm(_default_generators(pulse)[:upstream.sum() - 1]):
+        F = _gram_schmidt(Phi @ F)
+        kept.append(F)
+    assert np.abs(traj.frames[upstream] - np.stack(kept)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("coefficient, what", [(1e200, "potential"),
+                                               (1e100, "Magnus generator"),
                                                (1e20, "frame")])
 def test_overflow_raises_transport_error(coefficient, what):
-    """An overflowing potential, or a finite one whose step maps overflow,
-    stops the transport instead of yielding a NaN trajectory."""
+    """An overflowing potential, a finite one whose Magnus generators
+    overflow, or finite generators whose step maps overflow, stop the
+    transport instead of yielding a NaN trajectory."""
     a = np.zeros(9)
     a[3] = coefficient
     pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
