@@ -10,7 +10,8 @@ plucker    export the transported-plane trajectory as delimited text
 verify     run the built-in verification suite
 
 Every numerical knob lives in :class:`RunConfig`; a JSON config file
-(``--config``) supplies any subset of its fields and explicit flags
+(``--config``, taken by ``pulse``, ``conjugate`` and ``plucker``; the
+spectrum has no knob) supplies any subset of its fields and explicit flags
 override the file.  Output is deterministic: fixed float formats, no
 timestamps.
 
@@ -145,7 +146,6 @@ def cmd_pulse(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    _config_from_args(args)
     pulse = load(args.pulse_file)
     report = count_unstable(pulse)
     print(f"unstable eigenvalues (noise floor {report.noise_floor:.1e}):")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser(
         "spectrum", help="print the unstable eigenvalues of a saved pulse")
     p_spec.add_argument("pulse_file")
-    _add_config_flag(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_conj = sub.add_parser(

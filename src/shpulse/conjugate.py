@@ -228,8 +228,9 @@ def format_report(report: StabilityReport) -> str:
         lines.append("  none")
     lines.append("")
     lines.append(f"lambda_infinity bound: {report.lambda_infinity:.6f}")
-    # the closed-form unstable frame has detA = sin(theta/2) / r^(3/2) with
-    # theta in (pi/2, pi) for every mu > 0 and lam >= 0, so it never vanishes
+    # the closed-form unstable frame has rows-(1,4) determinant (P14 before
+    # normalization) sin(theta/2) / r^(3/2) with theta in (pi/2, pi) for
+    # every mu > 0 and lam >= 0, so it never vanishes
     lines.append("asymptotic plane off the sandwich plane: yes")
     lines.append(f"potential tail at the window edge: {report.potential_tail:.3e}")
     for w in report.warnings:

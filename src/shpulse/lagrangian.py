@@ -9,10 +9,14 @@ coefficients of a frame at ``t``; every jet such a function returns is
 checked for shape and finite entries where it is used.  It
 provides the machinery needed to count how a family crosses a fixed
 Lagrangian reference plane.  Every plane-versus-reference quantity is the
-symplectic pairing ``R^T J Q`` of :func:`pairing`:
+symplectic pairing ``R^T J Q`` of :func:`pairing` or its determinant, and
+every orthonormal frame comes from the transport's Gram-Schmidt
+(:func:`_orthonormalize`):
 
-* crossing detector: the family meets the reference exactly where
-  ``det2(pairing(Q, R))`` vanishes;
+* crossing detector: ``det(R^T J Q)`` of orthonormal frames, by
+  Cauchy-Binet the dot product ``plucker(Q) @ plucker(J4.T @ R)`` of unit
+  Plücker vectors, which any frame gives; against the sandwich plane it is
+  the coordinate ``P14``;
 * crossing kernel: for orthonormal frames the singular values of the
   pairing are the sines of the principal angles between the planes, and the
   intersection is ``Q`` times its null space (:func:`intersection_basis`);
@@ -35,7 +39,8 @@ symplectic pairing ``R^T J Q`` of :func:`pairing`:
 A crossing, classified on its own or inside a Maslov index, is one
 :class:`Crossing` record.
 
-The Plücker coordinates give a global chart used for trajectory export.
+The Plücker coordinates give a global chart, used for the crossing
+detector and trajectory export.
 """
 
 from __future__ import annotations
@@ -86,19 +91,6 @@ def _frame_matrix(frames, shape=(4, 2)) -> np.ndarray:
     return M
 
 
-def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the diagonal of R forced positive, of one matrix or of
-    each matrix of a stack ``(..., m, n)``.
-
-    The sign fix makes Q depend smoothly on a smoothly varying full-rank M,
-    so determinants of orthonormalized frames keep their sign along a path.
-    """
-    q, r = np.linalg.qr(M)
-    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    s[s == 0] = 1.0
-    return q * s[..., None, :], r * s[..., :, None]
-
-
 # ---------------------------------------------------------------------------
 # Symplectic pairing with a reference plane
 # ---------------------------------------------------------------------------
@@ -106,8 +98,9 @@ def _qr_positive(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Largest sine of a principal angle between a plane and the reference that
 # still counts as an intersection direction, an angle of 1e-8 rad (the same
 # cut on the singular values of the stacked 4-by-4 [A | -B], relative to the
-# largest, allows about 2e-8 rad), and the largest |<r1, J r2>| of an
-# orthonormal reference that still counts as Lagrangian.
+# largest, allows about 2e-8 rad), the largest |<r1, J r2>| of an
+# orthonormal reference that still counts as Lagrangian, and the largest
+# ratio of a frame's singular values that still counts as rank-deficient.
 KERNEL_TOL = 1e-8
 
 
@@ -131,11 +124,29 @@ def pairing(frames, reference) -> np.ndarray:
     return R.T @ J4 @ Q
 
 
-def det2(P):
-    """Determinant ``P00 P11 - P01 P10`` of a 2-by-2 matrix, or of each
-    matrix of a stack ``(..., 2, 2)``."""
-    P = np.asarray(P)
-    return P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
+def _orthonormalize(M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Two-column Gram-Schmidt with positive diagonal (same span and
+    orientation as ``M``), written into the 4-by-2 ``out``, which is returned."""
+    a, b = M[:, 0], M[:, 1]
+    # fresh arrays, not in-place updates of the strided columns: a dot
+    # product of two strided operands takes another kernel and other bits
+    a = a / math.sqrt(a @ a)
+    b = b - (a @ b) * a
+    out[:, 0] = a
+    np.divide(b, math.sqrt(b @ b), out=out[:, 1])
+    return out
+
+
+def _orthonormal(frame) -> np.ndarray:
+    """:func:`_orthonormalize` of a 4-by-2 ``frame``.  One whose smaller
+    singular value is at most ``KERNEL_TOL`` times the larger spans no plane
+    and is a ValueError."""
+    M = _frame_matrix(frame)
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[1] <= KERNEL_TOL * s[0]:
+        raise ValueError(
+            "a rank-deficient frame spans no plane, so it is not a Lagrangian plane")
+    return _orthonormalize(M, np.empty((4, 2)))
 
 
 def _reference_frame(reference) -> np.ndarray:
@@ -143,14 +154,10 @@ def _reference_frame(reference) -> np.ndarray:
 
     ``J R`` spans the orthogonal complement of ``R`` only when ``R`` is
     Lagrangian, and the crossing detector and kernel rely on that, so any
-    other reference is a ValueError.  So is a rank-deficient frame, one
-    whose smaller singular value is at most ``KERNEL_TOL`` times the larger,
-    which the QR would silently complete to a plane the caller never gave.
+    other reference is a ValueError, and so is a rank-deficient frame.
     """
-    M = _frame_matrix(reference)
-    s = np.linalg.svd(M, compute_uv=False)
-    R, _ = _qr_positive(M)
-    if s[1] <= KERNEL_TOL * s[0] or abs(pairing(R, R)[0, 1]) > KERNEL_TOL:
+    R = _orthonormal(reference)
+    if abs(pairing(R, R)[0, 1]) > KERNEL_TOL:
         raise ValueError("the reference is not a Lagrangian plane")
     return R
 
@@ -267,7 +274,7 @@ def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
 def _intersection(frame, reference) -> tuple[np.ndarray, np.ndarray]:
     """Intersection basis of a plane with a Lagrangian reference and the
     descending sines of the two principal angles between them."""
-    Q, _ = _qr_positive(_frame_matrix(frame))
+    Q = _orthonormal(frame)
     _, sines, vt = np.linalg.svd(pairing(Q, _reference_frame(reference)))
     return Q @ vt[sines <= KERNEL_TOL].T, sines
 
@@ -467,8 +474,9 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     [ts[0], ts[-1]].
 
     ``frames`` holds the family's frames at the increasing samples ``ts``
-    as one ``(len(ts), 4, 2)`` array.  The detector ``det2(pairing(Q, R))``
-    of orthonormalized frames, up to sign the product of the sines of the
+    as one ``(len(ts), 4, 2)`` array.  The detector
+    ``plucker(Q) @ plucker(J4.T @ R)``, by Cauchy-Binet ``det(R^T J Q)`` of
+    orthonormal frames and so the signed product of the sines of the
     principal angles, is evaluated on that stack and searched by
     :func:`locate_zeros`: its zeros are bisected to ``REFINE_TOL`` through
     ``path``, and each dip below ``DIP_TOL`` (relative to the largest
@@ -485,14 +493,12 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
         raise ValueError("the sample grid must hold at least two increasing points")
     frames = _frame_matrix(frames, (ts.size, 4, 2))
     a, b = float(ts[0]), float(ts[-1])
-    ref_q = _reference_frame(reference)
+    ref = plucker(J4.T @ _reference_frame(reference))
 
     def det_fn(t: float) -> float:
-        q, _ = _qr_positive(_jet(path, float(t), 0)[0])
-        return float(det2(pairing(q, ref_q)))
+        return float(plucker(_jet(path, float(t), 0)[0]) @ ref)
 
-    q, _ = _qr_positive(frames)
-    dets = det2(pairing(q, ref_q))
+    dets = plucker(frames) @ ref
     scale = float(np.max(np.abs(dets)))
     if scale < 1e-12:
         raise CrossingError(

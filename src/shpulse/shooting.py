@@ -17,10 +17,10 @@ Gauss nodes of every step and one batched matrix exponential give all step
 maps at once.  Each map is the exponential of a Hamiltonian matrix, hence
 symplectic, so the plane stays Lagrangian up to rounding.  The frame grows
 like ``exp(Re gamma * x)`` and its columns slowly lose orthogonality, so it
-is re-orthonormalized after every step by a two-column Gram-Schmidt with
-positive diagonal.  That changes neither the spanned plane nor the sign of
-the sandwich determinant (the change of basis has positive determinant), so
-crossing locations are unaffected.
+is re-orthonormalized after every step by the package's one Gram-Schmidt
+(``lagrangian._orthonormalize``).  That changes neither the spanned plane
+nor its unit Plücker coordinates, whose ``P14``, the crossing detector
+``deta``, vanishes exactly where the plane meets the sandwich plane.
 
 The step maps are the exponentials of the Magnus generators, taken for the
 whole stack at once by a degree-``_TAYLOR_DEGREE`` Taylor polynomial with
@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lagrangian import _frame_matrix, _qr_positive, det2, pairing, plucker, sandwich_plane
+from .lagrangian import _orthonormal, _orthonormalize, plucker
 from .model import Params, asymptotic_frames, coefficient_matrix
 from .pulse import FourierPulse, potential, potential_jet
 
@@ -97,26 +97,10 @@ class ShootingSettings:
 def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:
     """Orthonormal frame of the unstable plane of the tail matrix.
 
-    The QR sign convention keeps the orientation of the closed-form basis,
-    whose first Plücker coordinate is positive.
+    Gram-Schmidt with positive diagonal keeps the orientation of the
+    closed-form basis, whose first Plücker coordinate is positive.
     """
-    q, _ = _qr_positive(asymptotic_frames(lam, p).unstable_frame)
-    return q
-
-
-def sandwich_determinant(frames):
-    """Crossing detector ``det2(pairing(M, sandwich_plane()))`` of a 4-by-2
-    frame, or of each frame of a stack ``(..., 4, 2)``.
-
-    Vanishes exactly when the spanned plane meets ``span{e2, e3}``
-    nontrivially, which makes its sign changes the crossing detector.  The
-    pairing with the sandwich plane is row 4 over minus row 1 of the frame,
-    taken exactly, so the value is the rows-(1, 4) determinant
-    ``M00 M31 - M01 M30`` to the bit.  One frame gives a float, a stack an
-    array of shape ``(...)``.  Frames must have finite entries.
-    """
-    d = det2(pairing(_frame_matrix(frames, None), sandwich_plane()))
-    return float(d) if d.ndim == 0 else d
+    return _orthonormal(asymptotic_frames(lam, p).unstable_frame)
 
 
 def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -200,19 +184,6 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
         return _expm(omega)
 
 
-def _orthonormalize(M: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Two-column Gram-Schmidt with positive diagonal (same span as ``M``),
-    written into the 4-by-2 ``out``, which is returned."""
-    a, b = M[:, 0], M[:, 1]
-    # fresh arrays, not in-place updates of the strided columns: a dot
-    # product of two strided operands takes another kernel and other bits
-    a = a / math.sqrt(a @ a)
-    b = b - (a @ b) * a
-    out[:, 0] = a
-    np.divide(b, math.sqrt(b @ b), out=out[:, 1])
-    return out
-
-
 def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
                nsteps: int, F: np.ndarray, every: int = 1) -> np.ndarray:
     """Frames after every ``every``-th of ``nsteps`` steps of size ``h``.
@@ -251,9 +222,10 @@ class FrameTrajectory:
     """The transported unstable plane, sampled on a uniform grid.
 
     ``frames`` holds the orthonormal frame at each grid point ``xs`` as one
-    read-only ``(len(xs), 4, 2)`` array; the sandwich determinant ``deta``,
-    unit Plücker coordinates ``plucker`` and symplectic-form drift
-    ``omega_drift = |P13 + P24|`` are computed for all samples at once.
+    read-only ``(len(xs), 4, 2)`` array; the unit Plücker coordinates
+    ``plucker``, the crossing detector ``deta`` (their ``P14`` column) and
+    the symplectic-form drift ``omega_drift = |P13 + P24|`` are computed
+    for all samples at once.
     ``frame_at`` takes one partial Magnus step from the nearest sample,
     which keeps arbitrary-point evaluation cheap and as accurate as the
     stored samples; ``jet`` extends that frame to its Taylor coefficients,
@@ -268,7 +240,7 @@ class FrameTrajectory:
 
     @cached_property
     def deta(self) -> np.ndarray:
-        return sandwich_determinant(self.frames)
+        return self.plucker[:, 2]
 
     @cached_property
     def plucker(self) -> np.ndarray:

@@ -222,6 +222,16 @@ def test_spectrum_stable_prints_none(snaking_file, capsys):
     assert "none" in capsys.readouterr().out
 
 
+def test_spectrum_takes_no_config_flag(tmp_path, phi0_file, capsys):
+    # the spectrum has no knob, so a config file would be read for nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 64}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", str(phi0_file), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_spectrum_missing_file_exits_one(capsys):
     assert cli.main(["spectrum", "no-such-pulse.json"]) == 1
     assert "error" in capsys.readouterr().err

@@ -18,8 +18,16 @@ from shpulse.lagrangian import (
 )
 from shpulse.model import J4, Params, asymptotic_frames
 from shpulse.pulse import newton_solve, seed_from_normal_form
-from shpulse.shooting import ShootingSettings, integrate_frame, sandwich_determinant
+from shpulse.shooting import ShootingSettings, integrate_frame
 from shpulse.verify import REFERENCE_PULSES
+
+
+def _rows14(F):
+    """Rows-(1,4) determinant of a frame or of each frame of a stack: the
+    unnormalized Plücker coordinate P14, which vanishes exactly where the
+    plane meets the sandwich plane span{e2, e3}."""
+    F = np.asarray(F)
+    return F[..., 0, 0] * F[..., 3, 1] - F[..., 0, 1] * F[..., 3, 0]
 
 
 class _StubTrajectory:
@@ -61,10 +69,10 @@ def test_scan_of_the_stable_pulse_is_empty(traj_snaking):
 def test_refined_zero_is_a_sign_change(traj_phi0):
     (record,) = _points(traj_phi0)[1]
     x_star = record.x_star
-    left = sandwich_determinant(traj_phi0.frame_at(x_star - 1e-3))
-    right = sandwich_determinant(traj_phi0.frame_at(x_star + 1e-3))
+    left = _rows14(traj_phi0.frame_at(x_star - 1e-3))
+    right = _rows14(traj_phi0.frame_at(x_star + 1e-3))
     assert left * right < 0
-    assert abs(sandwich_determinant(traj_phi0.frame_at(x_star))) < 1e-6
+    assert abs(_rows14(traj_phi0.frame_at(x_star))) < 1e-6
 
 
 def test_classification_of_the_phi0_crossing(traj_phi0):
@@ -150,7 +158,7 @@ def test_horizon_before_the_second_sample_is_an_error():
 
 def test_asymptotic_plane_misses_the_sandwich_plane():
     for p in (Params(1.6, 0.05), Params(1.6, 0.20)):
-        dets = [sandwich_determinant(asymptotic_frames(lam, p).unstable_frame)
+        dets = [_rows14(asymptotic_frames(lam, p).unstable_frame)
                 for lam in np.linspace(0.0, 1.2, 101)]
         assert min(dets) > 1e-6
 
@@ -161,12 +169,13 @@ def test_asymptotic_obstruction_identity():
     t = np.linspace(np.pi / 2 + 1e-6, np.pi - 1e-6, 1001)
     obstruction = np.cos(t) * np.sin(t / 2) - np.sin(t) * np.cos(t / 2)
     assert np.all(np.abs(obstruction) > np.sin(np.pi / 4) - 1e-9)
-    # so the closed-form frame has detA = sin(theta/2) / r^(3/2) > 0 for every
+    # so the closed-form frame has rows-(1,4) determinant (P14 before the
+    # normalization that detA adds) sin(theta/2) / r^(3/2) > 0 for every
     # mu > 0 and lam >= 0, and the report needs no grid to say so
     for mu in np.geomspace(1e-6, 10.0, 25):
         for lam in np.r_[0.0, np.geomspace(1e-6, 50.0, 41)]:
             data = asymptotic_frames(lam, Params(1.6, mu))
-            det = sandwich_determinant(data.unstable_frame)
+            det = _rows14(data.unstable_frame)
             closed = np.sin(data.theta / 2) / data.r ** 1.5
             assert det > 0
             assert abs(det - closed) <= 1e-15 * closed
@@ -235,9 +244,8 @@ def test_maslov_index_of_the_clipped_trajectory_is_the_count(request, name, inde
     report = stability_report(pulse, traj)
     assert report.counts == (index, index)
     keep = traj.xs <= trust_horizon(pulse)
-    zeros, _ = locate_zeros(traj.xs[keep], traj.deta[keep],
-                            lambda x: sandwich_determinant(traj.frame_at(x)),
-                            1e-10, 0.0)
+    zeros, _ = locate_zeros(traj.xs[keep], _rows14(traj.frames[keep]),
+                            lambda x: _rows14(traj.frame_at(x)), 1e-10, 0.0)
     assert len(report.conjugate_points) == len(zeros) == index
     for record, x in zip(report.conjugate_points, zeros):
         assert abs(record.x_star - x) < 1e-7

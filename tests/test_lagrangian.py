@@ -72,26 +72,53 @@ def test_omega_rejects_bad_shapes():
         lg.pairing(E, np.ones(4))
 
 
+def _qr_positive(M):
+    """Reference orthonormalizer: numpy's thin QR of one frame or of each
+    frame of a stack, with the diagonal of R made positive."""
+    q, r = np.linalg.qr(M)
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    return q * s[..., None, :], r * s[..., :, None]
+
+
 def _random_lagrangian(rng):
     """Orthonormal frame of the image of the sandwich plane under a random
     symplectic map, a random Lagrangian plane."""
     S = rng.normal(size=(4, 4))
-    q, _ = lg._qr_positive(expm(J4 @ (S + S.T)) @ lg.sandwich_plane())
+    q, _ = _qr_positive(expm(J4 @ (S + S.T)) @ lg.sandwich_plane())
     return q
+
+
+def _detector(frames, reference):
+    """The Maslov engine's crossing detector: unit Plücker vectors dotted."""
+    return lg.plucker(frames) @ lg.plucker(J4.T @ reference)
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_paired_detector_is_the_four_by_four_determinant(seed):
-    # [J R, R] is a rotation for an orthonormal Lagrangian R, so the 2-by-2
-    # detector equals det [Q | R], sign included
+    # [J R, R] is a rotation for an orthonormal Lagrangian R, so the
+    # detector det(R^T J Q) equals det [Q | R], sign included
     rng = np.random.default_rng(seed)
     Q, R = _random_lagrangian(rng), _random_lagrangian(rng)
-    assert lg.det2(lg.pairing(Q, R)) == pytest.approx(
+    assert _detector(Q, R) == pytest.approx(
         np.linalg.det(np.hstack([Q, R])), rel=0, abs=1e-12)
     stack = np.stack([Q, _random_lagrangian(rng)])
-    assert np.allclose(lg.det2(lg.pairing(stack, R)),
+    assert np.allclose(_detector(stack, R),
                        np.linalg.det(np.concatenate([stack, np.stack([R, R])], axis=-1)),
                        rtol=0, atol=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_plucker_detector_is_the_paired_determinant(seed):
+    # Cauchy-Binet: for any frame of the plane, and any frame of the
+    # Lagrangian reference, the Plücker dot product is det(R^T J Q) of the
+    # orthonormalized frames, by the reference QR or by Gram-Schmidt
+    rng = np.random.default_rng(seed)
+    M, R = rng.normal(size=(4, 2)), _random_lagrangian(rng) @ np.triu(
+        rng.uniform(0.5, 2.0, size=(2, 2)))
+    d = _detector(M, R)
+    Rq = _qr_positive(R)[0]
+    for Q in (_qr_positive(M)[0], lg._orthonormal(M)):
+        assert abs(d - np.linalg.det(lg.pairing(Q, Rq))) <= 1e-14
 
 
 def test_frame_validation_and_blocks():
@@ -120,22 +147,26 @@ def test_frame_validation_and_blocks():
 
 def test_orthonormalized_keeps_span_and_sign():
     rng = np.random.default_rng(0)
-    M = rng.normal(size=(4, 2))
-    Q, R = lg._qr_positive(M)
-    assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-13)
-    assert np.allclose(Q @ R, M, atol=1e-13)
-    # same span: original columns reproduce through the projector
-    proj = Q @ Q.T
-    assert np.allclose(proj @ M, M, atol=1e-12)
-    # positive diagonal of R: the change of basis keeps the orientation
-    assert np.all(np.diag(R) > 0)
-    assert np.allclose(lg.plucker(Q), lg.plucker(M), atol=1e-13)
-    # a stack is factored frame by frame
-    stack = rng.normal(size=(5, 4, 2))
-    Qs, Rs = lg._qr_positive(stack)
-    for k in range(5):
-        Qk, Rk = lg._qr_positive(stack[k])
-        assert np.allclose(Qs[k], Qk, atol=1e-14) and np.allclose(Rs[k], Rk, atol=1e-14)
+    for M in rng.normal(size=(20, 4, 2)):
+        Q = lg._orthonormal(M)
+        R = Q.T @ M
+        assert np.allclose(Q.T @ Q, np.eye(2), rtol=0, atol=1e-14)
+        # Q R = M with R upper triangular, positive diagonal: same span, and
+        # the change of basis keeps the orientation
+        assert abs(R[1, 0]) <= 1e-14 and np.all(np.diag(R) > 0)
+        assert np.allclose(Q @ np.triu(R), M, rtol=0, atol=1e-13)
+        assert np.allclose(lg.plucker(Q), lg.plucker(M), rtol=0, atol=1e-14)
+        # the factorization is unique, so it is the reference QR's
+        Qr, Rr = _qr_positive(M)
+        assert np.allclose(Q, Qr, rtol=0, atol=1e-14)
+        assert np.allclose(np.triu(R), Rr, rtol=0, atol=1e-13)
+        # the transport's in-place step gives the same bits
+        out = np.empty((4, 2))
+        assert lg._orthonormalize(M, out) is out and np.array_equal(out, Q)
+    # a frame that spans a line, or nothing, has no orthonormal frame
+    for M in ([[1.0, 2.0], [0, 0], [0, 0], [0, 0]], np.zeros((4, 2))):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            lg._orthonormal(M)
 
 
 def test_fixture_families_solve_the_flow():
@@ -436,13 +467,13 @@ def test_intersection_basis_dimensions():
 def _stacked_svd_intersection(frame, reference, tol=1e-8):
     """The intersection of two spans from the SVD of the stacked 4-by-4
     ``[A | -B]`` of their orthonormal frames, re-orthonormalized."""
-    A, _ = lg._qr_positive(frame)
-    B, _ = lg._qr_positive(reference)
+    A, _ = _qr_positive(frame)
+    B, _ = _qr_positive(reference)
     _, sv, vt = np.linalg.svd(np.hstack([A, -B]))
     small = sv <= tol * sv[0]
     if not np.any(small):
         return np.zeros((4, 0))
-    basis, _ = lg._qr_positive(A @ vt[small].T[:2])
+    basis, _ = _qr_positive(A @ vt[small].T[:2])
     return basis
 
 
@@ -460,11 +491,22 @@ def test_intersection_basis_is_the_stacked_svd_intersection(t):
         assert np.allclose(U @ U.T, old @ old.T, rtol=0, atol=1e-12)
 
 
+def test_rank_deficient_frame_is_not_completed():
+    # a frame that spans the line span{e1} is refused, not completed to some
+    # plane through it that the caller never gave
+    line = [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lg.intersection_basis(line, lg.sandwich_plane())
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lg.intersection_basis(np.column_stack([basis(1), basis(1) + 1e-9 * basis(2)]),
+                              lg.sandwich_plane())
+
+
 def test_non_lagrangian_reference_is_rejected():
     ell1, _ = lg.fixture_paths()
     # span{e1, e3} carries <e1, J e3> = 1: J R is not its complement; the
-    # line span{e2}, with or without a zero first column, would be completed
-    # by the QR to some plane through it
+    # line span{e2}, with or without a zero first column, spans no plane,
+    # and Gram-Schmidt would divide by rounding noise or by zero
     tilted = np.column_stack([basis(0), basis(2)])
     line = np.column_stack([basis(1), 2.0 * basis(1)])
     zero_first = np.column_stack([np.zeros(4), basis(1)])

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm, subspace_angles
 
 from shpulse.conjugate import conjugate_points, trust_horizon
-from shpulse.lagrangian import plucker
+from shpulse.lagrangian import plucker, sandwich_plane
 from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
@@ -22,7 +22,6 @@ from shpulse.shooting import (
     _step_maps,
     initial_frame,
     integrate_frame,
-    sandwich_determinant,
     write_trajectory,
 )
 
@@ -49,22 +48,35 @@ def test_initial_frame_orthonormal_and_same_plane(lam):
     assert np.allclose(q.T @ q, np.eye(2), atol=1e-14)
     raw = asymptotic_frames(lam, P05).unstable_frame
     assert subspace_angles(q, raw).max() < 1e-12
-    # closed-form basis has positive rows-(1,4) determinant; QR keeps it
-    assert sandwich_determinant(q) > 0
+    # the closed-form basis has positive P12 and P14; Gram-Schmidt with
+    # positive diagonal keeps its orientation
+    P = plucker(q)
+    assert np.allclose(P, plucker(raw), rtol=0, atol=1e-14)
+    assert P[0] > 0 and P[2] > 0
 
 
-def test_sandwich_determinant_examples():
+def test_p14_detector_examples():
+    # against the sandwich plane the Maslov engine's Plücker detector
+    # vector is exactly e_P14, so its detector is P14 to the bit
+    assert np.array_equal(plucker(J4.T @ sandwich_plane()), [0, 0, 1, 0, 0, 0])
     e = np.eye(4)
-    assert sandwich_determinant(e[:, [1, 2]]) == 0.0
-    assert sandwich_determinant(e[:, [0, 3]]) == 1.0
-    G = np.array([[2.0, 1.0], [0.5, 3.0]])
+    assert plucker(e[:, [1, 2]])[2] == 0.0
+    assert plucker(e[:, [0, 3]])[2] == 1.0
+    # P14 is the rows-(1,4) determinant over the Plücker norm, and a change
+    # of basis only flips its sign with the sign of its determinant
     F = np.arange(8.0).reshape(4, 2)
-    assert sandwich_determinant(F @ G) == pytest.approx(
-        sandwich_determinant(F) * np.linalg.det(G), rel=1e-12)
+    rows14 = F[0, 0] * F[3, 1] - F[0, 1] * F[3, 0]
+    P = plucker(F)
+    assert P[2] == pytest.approx(rows14 / np.linalg.norm(
+        [F[i, 0] * F[j, 1] - F[i, 1] * F[j, 0] for i, j in
+         ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]), rel=1e-15)
+    for G in ([[2.0, 1.0], [0.5, 3.0]], [[1.0, 2.0], [3.0, 0.5]]):
+        assert plucker(F @ G)[2] == pytest.approx(np.sign(np.linalg.det(G)) * P[2],
+                                                  rel=1e-14)
     with pytest.raises(ValueError):
-        sandwich_determinant(np.eye(3))
+        plucker(np.eye(3))
     with pytest.raises(ValueError, match="finite"):
-        sandwich_determinant(np.full((4, 2), np.nan))
+        plucker(np.full((4, 2), np.nan))
 
 
 def test_window_validation():
@@ -109,7 +121,7 @@ def test_plucker_norm_and_quadric_along_trajectory(traj_phi0):
 
 def test_deta_is_the_p14_coordinate(traj_phipi):
     p14 = np.array([s.plucker[2] for s in traj_phipi.samples])
-    assert np.allclose(traj_phipi.deta, p14, atol=1e-12)
+    assert np.array_equal(traj_phipi.deta, p14)
 
 
 def test_step_size_is_transparent(pulse_phi0):
@@ -322,27 +334,28 @@ def test_tail_oscillation_has_the_predicted_period(traj_phi0):
 def test_batched_plane_quantities_match_per_frame_calls(traj_phi0):
     frames = traj_phi0.frames
     P = plucker(frames)
-    d = sandwich_determinant(frames)
-    assert P.shape == (len(frames), 6) and d.shape == (len(frames),)
+    assert P.shape == (len(frames), 6) and traj_phi0.deta.shape == (len(frames),)
     assert np.array_equal(P, np.array([plucker(F) for F in frames]))
-    assert np.array_equal(d, np.array([sandwich_determinant(F) for F in frames]))
     assert np.array_equal(P, traj_phi0.plucker)
-    assert np.array_equal(d, traj_phi0.deta)
     bad = frames[:5].copy()
     bad[3, :, 1] = 2.0 * bad[3, :, 0]
     with pytest.raises(ValueError, match="rank-deficient"):
         plucker(bad)
 
 
-def test_sandwich_determinant_is_the_rows_14_formula_bitwise(traj_phi0, traj_phipi,
-                                                           traj_snaking):
-    # the pairing with the sandwich plane selects and negates rows exactly,
-    # so the detector keeps the bits of the rows-(1,4) determinant
+def test_deta_is_the_plucker_p14_column_bitwise(traj_phi0, traj_phipi, traj_snaking):
     for traj in (traj_phi0, traj_phipi, traj_snaking):
-        M = traj.frames
-        rows14 = M[..., 0, 0] * M[..., 3, 1] - M[..., 0, 1] * M[..., 3, 0]
-        assert sandwich_determinant(M).tobytes() == rows14.tobytes()
-        assert traj.deta.tobytes() == rows14.tobytes()
+        assert traj.deta.tobytes() == traj.plucker[:, 2].tobytes()
+
+
+def test_csv_deta_column_has_the_p14_bytes(traj_phi0, traj_phipi, traj_snaking):
+    for traj in (traj_phi0, traj_phipi, traj_snaking):
+        buf = io.StringIO()
+        write_trajectory(traj, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()]
+        assert rows[0][1] == "detA" and rows[0][4] == "P14"
+        assert len(rows) == len(traj.xs) + 1
+        assert all(row[1] == row[4] for row in rows[1:])
 
 
 def test_anchor_frames_are_read_only(traj_phi0):
