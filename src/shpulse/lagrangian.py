@@ -126,14 +126,16 @@ def pairing(frames, reference) -> np.ndarray:
 
 def _orthonormalize(M: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Two-column Gram-Schmidt with positive diagonal (same span and
-    orientation as ``M``), written into the 4-by-2 ``out``, which is returned."""
-    a, b = M[:, 0], M[:, 1]
+    orientation as ``M``) of one 4-by-2 frame or a ``(..., 4, 2)`` stack,
+    written into ``out`` of the same shape, which is returned.  A frame's
+    bits do not depend on the stack it is in."""
+    a, b = M[..., 0], M[..., 1]
     # fresh arrays, not in-place updates of the strided columns: a dot
     # product of two strided operands takes another kernel and other bits
-    a = a / math.sqrt(a @ a)
-    b = b - (a @ b) * a
-    out[:, 0] = a
-    np.divide(b, math.sqrt(b @ b), out=out[:, 1])
+    a = a / np.sqrt(np.vecdot(a, a))[..., None]
+    b = b - np.vecdot(a, b)[..., None] * a
+    out[..., 0] = a
+    np.divide(b, np.sqrt(np.vecdot(b, b))[..., None], out=out[..., 1])
     return out
 
 
@@ -178,14 +180,15 @@ def plucker(frames) -> np.ndarray:
     by a matrix with positive determinant leaves the result unchanged, a
     negative determinant flips it.  With singular values s1 >= s2 of a
     frame, ``|P| = s1 s2`` and ``|M|_F^2 = s1^2 + s2^2``, so the rank test
-    ``|P| <= 1e-12 |M|_F^2`` is ``s2 <= 1e-12 s1`` up to rounding.
+    ``|P| <= KERNEL_TOL |M|_F^2`` is :func:`_orthonormal`'s
+    ``s2 <= KERNEL_TOL s1`` up to rounding: both refuse the same frames.
     """
     M = _frame_matrix(frames, None)
     a, b = M[..., 0], M[..., 1]
     i, j = np.array(PLUCKER_PAIRS).T
     P = a[..., i] * b[..., j] - a[..., j] * b[..., i]
     norm = np.linalg.norm(P, axis=-1, keepdims=True)
-    if np.any(norm <= 1e-12 * np.sum(M * M, axis=(-2, -1))[..., None]):
+    if np.any(norm <= KERNEL_TOL * np.sum(M * M, axis=(-2, -1))[..., None]):
         raise ValueError("rank-deficient frame has no Plücker image")
     return P / norm
 

@@ -163,6 +163,11 @@ def test_orthonormalized_keeps_span_and_sign():
         # the transport's in-place step gives the same bits
         out = np.empty((4, 2))
         assert lg._orthonormalize(M, out) is out and np.array_equal(out, Q)
+    # a stack, with any leading axes, gets the bits of its frames one by one
+    frames = rng.normal(size=(3, 5, 4, 2))
+    stack = lg._orthonormalize(frames, np.empty_like(frames))
+    assert np.array_equal(stack, np.array([lg._orthonormal(M) for M in
+                                           frames.reshape(-1, 4, 2)]).reshape(frames.shape))
     # a frame that spans a line, or nothing, has no orthonormal frame
     for M in ([[1.0, 2.0], [0, 0], [0, 0], [0, 0]], np.zeros((4, 2))):
         with pytest.raises(ValueError, match="rank-deficient"):
@@ -500,6 +505,20 @@ def test_rank_deficient_frame_is_not_completed():
     with pytest.raises(ValueError, match="rank-deficient"):
         lg.intersection_basis(np.column_stack([basis(1), basis(1) + 1e-9 * basis(2)]),
                               lg.sandwich_plane())
+
+
+def test_detector_and_classifier_refuse_the_same_frames():
+    # one rank threshold, KERNEL_TOL on s2 / s1: a frame below it has no
+    # Plücker image and no orthonormal frame, one above it has both
+    thin = [[1.0, 1.0], [0.0, 1e-10], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lg.plucker(thin)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lg._orthonormal(thin)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lg.intersection_basis(thin, lg.sandwich_plane())
+    wide = [[1.0, 1.0], [0.0, 1e-6], [0.0, 0.0], [0.0, 0.0]]
+    assert np.array_equal(lg.plucker(wide), lg.plucker(lg._orthonormal(wide)))
 
 
 def test_non_lagrangian_reference_is_rejected():

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from shpulse.shooting import (
     _expm,
     _generators,
     _step_maps,
+    _transport,
     initial_frame,
     integrate_frame,
     write_trajectory,
@@ -167,24 +169,75 @@ def _gram_schmidt(M):
     return np.column_stack((a, b / math.sqrt(b @ b)))
 
 
-@pytest.mark.parametrize("dx, every", [(0.05, 1), (0.1, 2)])
-def test_frames_are_the_plain_step_loop_bitwise(pulse_phi0, dx, every):
-    """The in-place frame loop stores the bits of a textbook loop: one
-    ``Phi @ F`` and a fresh Gram-Schmidt per step, every ``every``-th frame
-    kept (dx = 0.1 takes two sub-steps per sample)."""
-    settings = ShootingSettings(dx=dx)
-    a, b = settings.window
-    h = dx / every
-    nsteps = int(round((b - a) / dx)) * every
-    F = _gram_schmidt(initial_frame(pulse_phi0.params))
+def _step_loop(pulse, x0, h, nsteps, F, every=1):
+    """The textbook transport: one ``Phi @ F`` and a fresh Gram-Schmidt per
+    step, every ``every``-th frame kept."""
+    F = _gram_schmidt(F)
     kept = [F]
-    for k, Phi in enumerate(_step_maps(pulse_phi0, 0.0, a + h * np.arange(nsteps), h),
+    for k, Phi in enumerate(_step_maps(pulse, 0.0, x0 + h * np.arange(nsteps), h),
                             start=1):
         F = _gram_schmidt(Phi @ F)
         if k % every == 0:
             kept.append(F)
-    assert np.array_equal(integrate_frame(pulse_phi0, settings=settings).frames,
-                          np.stack(kept))
+    return np.stack(kept)
+
+
+def _assert_orthonormal(frames):
+    gram = np.swapaxes(frames, -1, -2) @ frames
+    assert np.abs(gram - np.eye(2)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_blocked_transport_is_the_step_loop_plane(request, name):
+    """The blocked transport spans the planes of the textbook step loop on
+    the same maps: unit Plücker coordinates within 1e-13 up to the core
+    (x <= 0), every stored frame orthonormal, and every frame the
+    Gram-Schmidt of the step map applied to the frame before it (upper
+    triangular with a positive diagonal, so the columns keep their
+    orientation)."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    traj = request.getfixturevalue(f"traj_{name}")
+    a, h = traj.xs[0], traj.settings.dx
+    nsteps = len(traj.xs) - 1
+    loop = _step_loop(pulse, a, h, nsteps, initial_frame(pulse.params))
+    upstream = traj.xs <= 0.0
+    assert np.abs(traj.plucker[upstream] - plucker(loop[upstream])).max() <= 1e-13
+    frames = traj.frames
+    _assert_orthonormal(frames)
+    maps = _step_maps(pulse, 0.0, a + h * np.arange(nsteps), h)
+    R = np.swapaxes(frames[1:], 1, 2) @ maps @ frames[:-1]
+    assert np.all(R[:, 0, 0] > 0) and np.all(R[:, 1, 1] > 0)
+    assert np.abs(R[:, 1, 0]).max() <= 1e-13 * np.abs(R).max()
+
+
+@pytest.mark.parametrize("nsteps, every", [(7, 1), (7, 3), (2400, 2), (2401, 1)])
+def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps, every):
+    """Step counts with a short last block (7 in blocks of 3, 2400 in blocks
+    of 49) and without one (2401 = 49 * 49), every frame kept or a subset:
+    the planes of the step loop to 1e-13 up to the core."""
+    x0, h = -60.0, 0.05
+    F = initial_frame(pulse_phi0.params)
+    blocked = _transport(pulse_phi0, 0.0, x0, h, nsteps, F, every=every)
+    loop = _step_loop(pulse_phi0, x0, h, nsteps, F, every=every)
+    assert blocked.shape == loop.shape == (nsteps // every + 1, 4, 2)
+    _assert_orthonormal(blocked)
+    upstream = x0 + every * h * np.arange(len(loop)) <= 0.0
+    assert np.abs(plucker(blocked[upstream]) - plucker(loop[upstream])).max() <= 1e-13
+
+
+def test_frame_at_midpoint_is_the_step_loop_plane(pulse_phi0, traj_phi0):
+    """``frame_at`` between samples takes one partial step from the nearest
+    sample at dx = 0.05 and two at dx = 0.2: the planes of the step loop
+    from that sample."""
+    coarse = integrate_frame(pulse_phi0,
+                             settings=ShootingSettings(window=(-4.0, 4.0), dx=0.2))
+    for traj, offset, nsteps in ((traj_phi0, 0.02, 1), (coarse, 0.075, 2)):
+        anchor = traj.xs[len(traj.xs) // 3]
+        F = traj.frame_at(anchor + offset)
+        loop = _step_loop(traj.pulse, anchor, offset / nsteps, nsteps,
+                          traj.frame_at(anchor))
+        _assert_orthonormal(F)
+        assert np.abs(plucker(F) - plucker(loop[-1])).max() <= 1e-13
 
 
 def _default_generators(pulse):
@@ -236,8 +289,11 @@ def test_expm_matches_scipy_with_squaring():
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
 def test_transport_is_the_scipy_expm_loop_upstream(request, name):
-    """Up to the core (x <= 0) the transported frames are those of a plain
-    step loop on scipy's exponential of the same generators, to 1e-13."""
+    """Up to the core (x <= 0) the transported planes are those of a plain
+    step loop on scipy's exponential of the same generators: unit Plücker
+    coordinates, which the CSV and the counts read, within 1e-13.  The
+    basis inside the plane is not compared: through the snaking core its
+    direction amplifies last-bit differences of the shared generators."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     traj = request.getfixturevalue(f"traj_{name}")
     upstream = traj.xs <= 0.0
@@ -246,7 +302,7 @@ def test_transport_is_the_scipy_expm_loop_upstream(request, name):
     for Phi in expm(_default_generators(pulse)[:upstream.sum() - 1]):
         F = _gram_schmidt(Phi @ F)
         kept.append(F)
-    assert np.abs(traj.frames[upstream] - np.stack(kept)).max() <= 1e-13
+    assert np.abs(traj.plucker[upstream] - plucker(np.stack(kept))).max() <= 1e-13
 
 
 @pytest.mark.parametrize("coefficient, what", [(1e200, "potential"),
@@ -261,6 +317,29 @@ def test_overflow_raises_transport_error(coefficient, what):
     pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
     with pytest.raises(TransportError, match=f"{what}.* is not finite"):
         integrate_frame(pulse, settings=ShootingSettings(window=(-5.0, 5.0)))
+
+
+def test_overflow_inside_a_block_raises_transport_error():
+    """Finite step maps whose product grows past the square root of the
+    largest float partway through the first block stop the transport at
+    that step's frame, not at a later block start."""
+    a = np.zeros(9)
+    a[3] = 2e5
+    pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
+    settings = ShootingSettings(window=(-5.0, 5.0))
+    x0, h, nsteps = -5.0, settings.dx, 200
+    maps = _step_maps(pulse, 0.0, x0 + h * np.arange(nsteps), h)
+    assert np.all(np.isfinite(maps))
+    F = initial_frame(P05)
+    with np.errstate(over="ignore"):
+        for k, Phi in enumerate(maps, start=1):
+            F = Phi @ F
+            if not np.all(np.isfinite(np.sum(F * F, axis=0))):
+                break
+    assert 1 < k < math.isqrt(nsteps - 1) + 1
+    with pytest.raises(TransportError,
+                       match=re.escape(f"frame is not finite at x = {x0 + k * h:.6g}")):
+        integrate_frame(pulse, settings=settings)
 
 
 def test_frame_at_anchor_and_midpoint(traj_phi0):
