@@ -142,13 +142,17 @@ def _orthonormalize(M: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _orthonormal(frame) -> np.ndarray:
     """:func:`_orthonormalize` of a 4-by-2 ``frame``.  One whose smaller
     singular value is at most ``KERNEL_TOL`` times the larger spans no plane
-    and is a ValueError."""
+    and is a ValueError.  The frame is first scaled by the power of two that
+    brings its largest singular value into [0.5, 1): the column norms are
+    then neither overflowed nor underflowed squares, and the result keeps
+    the bits of the unscaled Gram-Schmidt wherever those squares are normal
+    floats."""
     M = _frame_matrix(frame)
     s = np.linalg.svd(M, compute_uv=False)
     if s[1] <= KERNEL_TOL * s[0]:
         raise ValueError(
             "a rank-deficient frame spans no plane, so it is not a Lagrangian plane")
-    return _orthonormalize(M, np.empty((4, 2)))
+    return _orthonormalize(np.ldexp(M, -np.frexp(s[0])[1]), np.empty((4, 2)))
 
 
 def _reference_frame(reference) -> np.ndarray:

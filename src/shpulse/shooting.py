@@ -60,10 +60,6 @@ MAX_STEP = 0.05
 # Relative noise level of the transported plane at the default step, as
 # pinned by the step-halving test; it bounds the trust horizon.
 TRANSPORT_NOISE = 1e-10
-# Most potential evaluations per call: the grid ``stability_report`` uses.
-# It bounds the (nodes x N) cosine table of ``pulse.evaluate``, and being
-# fixed it also fixes the rounding of that table's gemv for a given window.
-POTENTIAL_CHUNK = 4001
 # Degree and reach of the Taylor exponential: for 1-norms up to the reach
 # the remainder bound ``|X|^(m+1) / (m+1)! * e^|X|`` is 3.1e-18, below
 # 2^-53; a larger stack is scaled by 2^-s into it and squared s times.
@@ -83,7 +79,8 @@ class TransportError(RuntimeError):
 class ShootingSettings:
     """Numerical policy for the frame transport: window and sample spacing.
 
-    The window length must be an integer multiple of ``dx``.
+    The window length must be a positive integer multiple of ``dx``; a
+    window within rounding of zero steps is refused.
     """
 
     window: tuple[float, float] = (-60.0, 60.0)
@@ -96,10 +93,13 @@ class ShootingSettings:
         object.__setattr__(self, "window", (a, b))
         if not 0 < self.dx < np.inf:
             raise ValueError("dx must be positive and finite")
-        if abs(a + round((b - a) / self.dx) * self.dx - b) > 1e-9 * max(1.0, abs(b)):
+        nsteps = round((b - a) / self.dx)
+        if abs(a + nsteps * self.dx - b) > 1e-9 * max(1.0, abs(b)):
             raise ValueError(
                 f"window [{a:g}, {b:g}] of length {b - a:g} is not an integer "
                 f"multiple of dx = {self.dx:g}")
+        if nsteps == 0:
+            raise ValueError(f"window [{a:g}, {b:g}] holds no step of dx = {self.dx:g}")
 
 
 def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:
@@ -160,8 +160,7 @@ def _generators(pulse: FourierPulse, lam: float, starts: np.ndarray,
     """
     nodes = (starts[:, None] + h * _GAUSS).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.concatenate([potential(pulse, nodes[i:i + POTENTIAL_CHUNK])
-                            for i in range(0, nodes.size, POTENTIAL_CHUNK)])
+        v = potential(pulse, nodes)
         bad = ~np.isfinite(v)
         if bad.any():
             raise TransportError(

@@ -572,6 +572,13 @@ def test_window_not_a_multiple_of_dx_exits_two(tmp_path, capsys, flags, config):
     assert err.startswith("usage error:") and "not an integer multiple of dx" in err
 
 
+def test_window_without_a_step_exits_two(phi0_file, capsys):
+    rc = cli.main(["plucker", str(phi0_file), "--Lcp", "1e-11"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "usage error: window [-1e-11, 1e-11] holds no step of dx = 0.05\n")
+
+
 @pytest.mark.parametrize("entry", [{"N": 64.5}, {"N": True}, {"nu": "abc"},
                                    {"phi": "x"}],
                          ids=["N=64.5", "N=true", "nu=abc", "phi=x"])

@@ -174,6 +174,17 @@ def test_orthonormalized_keeps_span_and_sign():
             lg._orthonormal(M)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_orthonormal_of_a_huge_or_tiny_frame(scale):
+    # squaring these columns would overflow or underflow; the frame is
+    # scaled by a power of two first, so the result is e1, e2 exactly, and
+    # the intersection with the sandwich plane is e2, not a zero basis
+    frame = scale * np.eye(4)[:, :2]
+    assert np.array_equal(lg._orthonormal(frame), np.eye(4)[:, :2])
+    U = lg.intersection_basis(frame, lg.sandwich_plane())
+    assert U.shape == (4, 1) and np.allclose(np.abs(U[:, 0]), [0, 1, 0, 0], rtol=0, atol=1e-15)
+
+
 def test_fixture_families_solve_the_flow():
     ell1, ell2 = lg.fixture_paths()
     for path in (ell1, ell2):

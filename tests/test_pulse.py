@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import shpulse.pulse as sp
 from shpulse.model import Params
 from shpulse.pulse import FourierPulse, NewtonError, PulseFileError
-from shpulse.shooting import _GAUSS, POTENTIAL_CHUNK, ShootingSettings
+from shpulse.shooting import _GAUSS, ShootingSettings
 
 P = Params(nu=1.6, mu=0.05)
 
@@ -205,19 +205,61 @@ def test_evaluate_evenness():
     assert np.abs(sp.evaluate(pulse, x) - sp.evaluate(pulse, -x)).max() < 1e-12
 
 
-def test_evaluate_is_the_plain_cosine_sum_bitwise(pulse_phi0):
-    # the in-place table must give the bits of the textbook formula, here at
-    # the Gauss nodes of the default transport, in the transport's chunks
+def _transport_nodes():
+    """The Gauss nodes of the default transport, and x = 1.5."""
     (a, b), h = ShootingSettings().window, ShootingSettings().dx
     starts = a + h * np.arange(round((b - a) / h))
-    nodes = (starts[:, None] + h * _GAUSS).ravel()
-    rate = np.arange(1, pulse_phi0.N + 1) * np.pi / pulse_phi0.L_f
-    c = pulse_phi0.a
-    for i in range(0, nodes.size, POTENTIAL_CHUNK):
-        x = nodes[i:i + POTENTIAL_CHUNK]
-        plain = c[0] + 2.0 * np.cos(np.multiply.outer(x, rate)) @ c[1:]
-        assert np.array_equal(sp.evaluate(pulse_phi0, x), plain)
-    assert sp.evaluate(pulse_phi0, 1.5) == c[0] + 2.0 * np.cos(1.5 * rate) @ c[1:]
+    return np.append((starts[:, None] + h * _GAUSS).ravel(), 1.5)
+
+
+def _plain(pulse, x, dtype=float):
+    """The textbook sum a_0 + 2 sum_k a_k cos(k pi x / L_f), one cosine per
+    mode and point, in ``dtype``."""
+    a = pulse.a.astype(dtype)
+    rate = np.arange(1, pulse.N + 1, dtype=dtype) * dtype(np.pi) / dtype(pulse.L_f)
+    return a[0] + 2 * np.cos(np.multiply.outer(np.asarray(x, dtype=dtype), rate)) @ a[1:]
+
+
+def _evaluate_case(request, N):
+    """A reference pulse for N = 192 (phi0) and 256 (snaking), else N + 1
+    random coefficients."""
+    if N in (192, 256):
+        return request.getfixturevalue("pulse_phi0" if N == 192 else "pulse_snaking")
+    return make_pulse(np.random.default_rng(N).standard_normal(N + 1))
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 5, 192, 256])
+def test_evaluate_is_the_plain_cosine_sum(request, N):
+    # the angle-addition kernel against the textbook sum, at the default
+    # transport's Gauss nodes and x = 1.5.  Both round each angle k w x to
+    # a relative eps, which moves a mode by up to eps k w |x| |a_k|, so the
+    # bound is a few eps times the sum's condition number at x
+    pulse = _evaluate_case(request, N)
+    x = _transport_nodes()
+    w = np.pi / pulse.L_f
+    cond = abs(pulse.a[0]) + 2.0 * (
+        1.0 + np.multiply.outer(np.abs(x), w * np.arange(1, N + 1))) @ np.abs(pulse.a[1:])
+    bound = 8.0 * np.finfo(float).eps * cond
+    got = sp.evaluate(pulse, x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - _plain(pulse, x)) <= bound)
+    # a scalar in, a float out
+    value = sp.evaluate(pulse, 1.5)
+    assert type(value) is float and abs(value - _plain(pulse, 1.5)) <= bound[-1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_evaluate_is_no_farther_from_extended_precision_than_the_table(request, name):
+    # on the reference pulses the kernel is at least as close to an
+    # extended-precision sum as the N-wide cosine table in double is
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    x = _transport_nodes()
+    exact = _plain(pulse, x, np.longdouble)
+    kernel = np.abs(sp.evaluate(pulse, x) - exact).max()
+    table = np.abs(_plain(pulse, x) - exact).max()
+    assert kernel <= table
 
 
 def test_potential_jet_is_the_taylor_series(pulse_phi0):

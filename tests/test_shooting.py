@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, subspace_angles
 
+from shpulse import shooting
 from shpulse.conjugate import conjugate_points, trust_horizon
 from shpulse.lagrangian import plucker, sandwich_plane
-from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix
+from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix, nonlinearity_deriv
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
     TRANSPORT_NOISE,
@@ -42,6 +43,11 @@ def test_settings_validation():
         ShootingSettings(window=(0.0, np.inf))
     with pytest.raises(ValueError):
         ShootingSettings(dx=0.0)
+    # a window within rounding of zero steps holds none
+    with pytest.raises(ValueError, match=re.escape("window [-1e-11, 1e-11] holds no step "
+                                                   "of dx = 0.05")):
+        ShootingSettings(window=(-1e-11, 1e-11))
+    assert ShootingSettings(window=(0.0, 0.05)).window == (0.0, 0.05)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -238,6 +244,27 @@ def test_frame_at_midpoint_is_the_step_loop_plane(pulse_phi0, traj_phi0):
                           traj.frame_at(anchor))
         _assert_orthonormal(F)
         assert np.abs(plucker(F) - plucker(loop[-1])).max() <= 1e-13
+
+
+def _table_potential(pulse, x):
+    """f'(phi(x)) with phi summed from the N-wide cosine table."""
+    rate = np.arange(1, pulse.N + 1) * np.pi / pulse.L_f
+    phi = pulse.a[0] + 2.0 * np.cos(np.multiply.outer(x, rate)) @ pulse.a[1:]
+    return nonlinearity_deriv(phi, pulse.params)
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_planes_do_not_depend_on_the_cosine_kernel(request, monkeypatch, name):
+    """The transport on a potential summed from the plain cosine table
+    spans the planes of the angle-addition kernel: unit Plücker coordinates
+    within 1e-13 up to the core (x <= 0)."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    traj = request.getfixturevalue(f"traj_{name}")
+    monkeypatch.setattr(shooting, "potential", _table_potential)
+    table = integrate_frame(pulse, lam=0.0)
+    upstream = traj.xs <= 0.0
+    assert np.array_equal(table.xs, traj.xs)
+    assert np.abs(table.plucker[upstream] - traj.plucker[upstream]).max() <= 1e-13
 
 
 def _default_generators(pulse):
