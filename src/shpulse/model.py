@@ -46,11 +46,6 @@ class Params:
             raise ValueError(f"mu must be positive (got mu={self.mu})")
 
 
-def nonlinearity(u, p: Params):
-    """f(u) = nu*u^2 - u^3 - mu*u (vectorized in u)."""
-    return p.nu * u**2 - u**3 - p.mu * u
-
-
 def nonlinearity_deriv(u, p: Params):
     """f'(u) = 2*nu*u - 3*u^2 - mu (vectorized in u)."""
     return 2.0 * p.nu * u - 3.0 * u**2 - p.mu

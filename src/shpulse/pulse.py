@@ -250,17 +250,30 @@ def seed_from_normal_form(
 ) -> FourierPulse:
     """Project the small-amplitude profile scale*u_phi onto the Fourier basis.
 
-    Coefficients come from composite-trapezoid quadrature on a uniform grid
-    of 4N+1 points; for the smooth, even integrand this is spectrally
-    accurate, and a_k = (1/2L_f) integral u(x) cos(pi k x / L_f) dx.
+    a_k = (1/2L_f) integral u(x) cos(pi k x / L_f) dx by the composite
+    trapezoid rule on the 4N+1 points x_j = -L_f + j L_f / (2N); for the
+    smooth, even integrand this is spectrally accurate.  On that grid
+    cos(pi k x_j / L_f) = (-1)^k cos(2 pi k j / 4N), and the two
+    half-weight endpoints j = 0 and j = 4N share the same cosine, so they
+    fold into sample 0 and the rule is exactly (-1)^k / 4N times the real
+    part of a length-4N real DFT: one `rfft`, no (N+1) x (4N+1) cosine
+    table.  The full grid is kept on purpose: `linspace`'s samples are not
+    bitwise symmetric (u(x_j) and u(x_{4N-j}) differ by up to 1.8e-14 at
+    N = 192), so a DCT-I on the half grid would be another quadrature.  On
+    the reference pulses at N = 192 and 512 the DFT is 5-20x closer than
+    an (N+1) x (4N+1) cosine table to the same rule summed in long double
+    (4.5e-18 to 1.2e-17 of max|u| against 2.8e-17 to 1.0e-16), and the two
+    differ by at most 8e-17.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     x = np.linspace(-L_f, L_f, 4 * N + 1)
     u = scale * normal_form(x, phi, p)
-    k = np.arange(N + 1)
-    basis = np.cos(np.pi * np.outer(k, x) / L_f)
-    a = np.trapezoid(basis * u, x, axis=1) / (2.0 * L_f)
+    u[0] = 0.5 * (u[0] + u[-1])
+    a = np.fft.rfft(u[:-1])[: N + 1].real / (4 * N)
+    a[1::2] = -a[1::2]
     res = residual(_half_to_full(a), p, L_f)
     return FourierPulse(
         params=p,

@@ -117,6 +117,33 @@ def test_pulse_snaking_converges(snaking_file):
     assert evaluate(pulse, 0.0) == pytest.approx(1.0983, abs=1e-3)
 
 
+@pytest.mark.parametrize("flags, lines", [
+    (["--mu", "0.05", "--phi", "0", "--N", "192"],
+     ["coefficient tail |a_N|/max|a_k|: 5.866e-11",
+      "value at the origin: 0.298972580"]),
+    (["--mu", "0.05", "--phi", repr(np.pi), "--N", "192"],
+     ["coefficient tail |a_N|/max|a_k|: 5.489e-11",
+      "value at the origin: -0.190191043"]),
+    (["--mu", "0.20", "--phi", "0", "--scale", "3", "--N", "256"],
+     ["coefficient tail |a_N|/max|a_k|: 2.631e-11",
+      "value at the origin: 1.098311728"]),
+], ids=["phi0", "phipi", "snaking"])
+def test_pulse_stdout_is_pinned(tmp_path, capsys, flags, lines):
+    """`shpulse pulse` for the reference pulses at their reference N: the
+    tail and origin lines byte for byte; the residual line is rounding
+    noise, so only its format and that it meets the Newton tolerance."""
+    out_file = tmp_path / "pulse.json"
+    assert cli.main(["pulse", "--nu", "1.6", *flags, "--out", str(out_file)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"wrote {out_file}"
+    assert out[2:] == lines
+    prefix = "residual sup-norm: "
+    assert out[1].startswith(prefix)
+    value = out[1][len(prefix):]
+    assert f"{float(value):.3e}" == value
+    assert float(value) <= RunConfig().newton_tol
+
+
 def test_pulse_missing_flag_is_usage_error(capsys):
     rc = cli.main(["pulse", "--nu", "1.6", "--mu", "0.05"])
     assert rc == 2

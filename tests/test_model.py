@@ -12,7 +12,6 @@ from shpulse.model import (
     asymptotic_frames,
     coefficient_matrix,
     lambda_infinity_bound,
-    nonlinearity,
     nonlinearity_deriv,
     normal_form,
 )
@@ -33,16 +32,22 @@ def test_params_validation():
         Params(nu=1.6, mu=-0.1)
 
 
+def f(u):
+    """The nonlinearity f(u) = nu u^2 - u^3 - mu u at P."""
+    return 1.6 * u**2 - u**3 - 0.05 * u
+
+
 def test_nonlinearity_values():
-    assert nonlinearity(0.0, P) == 0.0
+    # f'(u) = 2 nu u - 3 u^2 - mu
     assert nonlinearity_deriv(0.0, P) == -0.05
-    assert nonlinearity(1.0, P) == pytest.approx(0.55, abs=1e-15)
+    assert nonlinearity_deriv(1.0, P) == pytest.approx(0.15, abs=1e-15)
+    assert nonlinearity_deriv(-1.0, P) == pytest.approx(-6.25, abs=1e-15)
 
 
 def test_nonlinearity_deriv_is_derivative():
     u = np.linspace(-2, 2, 41)
     h = 1e-6
-    fd = (nonlinearity(u + h, P) - nonlinearity(u - h, P)) / (2 * h)
+    fd = (f(u + h) - f(u - h)) / (2 * h)
     assert np.abs(fd - nonlinearity_deriv(u, P)).max() < 1e-8
 
 

@@ -1,6 +1,7 @@
 """Fourier pulse solver: convolutions, residual, parity blocks, Newton, I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import shpulse.pulse as sp
 from shpulse.model import Params
 from shpulse.pulse import FourierPulse, NewtonError, PulseFileError
 from shpulse.shooting import _GAUSS, ShootingSettings
+from shpulse.verify import REFERENCE_PULSES
 
 P = Params(nu=1.6, mu=0.05)
 
@@ -177,6 +179,9 @@ def test_seed_linearity_and_validation():
     assert np.allclose(s2.a, 2 * s1.a, rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         sp.seed_from_normal_form(P, 0.0, scale=0.0)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match=f"N must be at least 1, got {N}"):
+            sp.seed_from_normal_form(P, 0.0, N=N)
 
 
 def test_seed_reconstruction_and_tail():
@@ -185,6 +190,78 @@ def test_seed_reconstruction_and_tail():
     seed = sp.seed_from_normal_form(P, 0.0)
     assert abs(sp.evaluate(seed, 0.0) - normal_form(0.0, 0.0, P)) < 1e-8
     assert abs(seed.a[-1]) < 1e-8  # measured 2.0e-9 with the 4N+1 trapezoid rule
+
+
+def _table_seed(p, phi, L_f, N, scale):
+    """The seed as a cosine table: np.trapezoid of u(x) cos(pi k x / L_f)
+    over the 4N+1 `linspace` points, one row per mode k = 0..N."""
+    x = np.linspace(-L_f, L_f, 4 * N + 1)
+    u = scale * sp.normal_form(x, phi, p)
+    basis = np.cos(np.pi * np.outer(np.arange(N + 1), x) / L_f)
+    return np.trapezoid(basis * u, x, axis=1) / (2.0 * L_f), x, u
+
+
+def _assert_seed_is_the_table(p, phi, L_f, N, scale=1.0):
+    # both are sums of 4N+1 rounded terms, and the table also rounds each
+    # angle pi k x / L_f to a relative eps, so the bound is a few eps times
+    # sqrt(4N) (random rounding) times the condition number of a_k,
+    # (1/4N) sum_j |u_j| (1 + pi k |x_j| / L_f); the largest difference
+    # measured on these cases is 0.37 of that bound (N = 1), at most 0.08
+    # of it for N >= 2
+    table, x, u = _table_seed(p, phi, L_f, N, scale)
+    cond = (1.0 + np.pi * np.outer(np.arange(N + 1), np.abs(x)) / L_f) @ np.abs(u) / (4 * N)
+    bound = 2.0 * np.sqrt(4 * N) * np.finfo(float).eps * cond
+    got = sp.seed_from_normal_form(p, phi, L_f=L_f, N=N, scale=scale).a
+    assert got.shape == (N + 1,)
+    assert np.all(np.abs(got - table) <= bound)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 32, 192, 512])
+def test_seed_is_the_trapezoid_table(N):
+    for ref in REFERENCE_PULSES.values():
+        _assert_seed_is_the_table(ref["params"], ref["phi"], 100.0, N, ref["scale"])
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 32, 192, 512])
+def test_seed_is_the_trapezoid_table_for_any_samples(monkeypatch, N):
+    # random samples, not even and not equal at the two endpoints: this
+    # pins the endpoint fold and the real part of the DFT for any u
+    monkeypatch.setattr(sp, "normal_form",
+                        lambda x, phi, p: np.random.default_rng(x.size).standard_normal(x.shape))
+    for L_f in (100.0, 7.3):
+        _assert_seed_is_the_table(P, 0.0, L_f, N)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("N", [192, 512])
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_seed_is_no_farther_from_extended_precision_than_the_table(name, N):
+    # the reference is the trapezoid rule on the nominal points
+    # x_j = -L_f + j L_f / (2N), summed in long double over the same
+    # double samples u_j
+    ref = REFERENCE_PULSES[name]
+    L_f, ld = 100.0, np.longdouble
+    table, _, u = _table_seed(ref["params"], ref["phi"], L_f, N, ref["scale"])
+    x = -ld(L_f) + np.arange(4 * N + 1, dtype=ld) * (ld(L_f) / (2 * N))
+    weights = np.ones(4 * N + 1, dtype=ld)
+    weights[[0, -1]] = ld(0.5)
+    pi = ld("3.14159265358979323846264338327950288")
+    basis = np.cos(pi * np.multiply.outer(np.arange(N + 1, dtype=ld), x) / ld(L_f))
+    exact = basis @ (weights * u.astype(ld)) / (4 * N)
+    got = sp.seed_from_normal_form(ref["params"], ref["phi"], L_f=L_f, N=N, scale=ref["scale"]).a
+    assert np.abs(got - exact).max() <= np.abs(table - exact).max()
+
+
+def test_seed_allocates_no_table():
+    tracemalloc.start()
+    try:
+        sp.seed_from_normal_form(P, 0.0, N=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (513 x 2049) cosine table alone takes 8.4 MB
+    assert peak < 1_000_000
 
 
 def test_evaluate_basics():
