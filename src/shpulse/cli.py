@@ -52,7 +52,7 @@ class RunConfig:
     Groups: model parameters (``nu``, ``mu``, ``phi``, ``scale``), Fourier
     discretization (``L_f``, ``N``, ``newton_tol``) and plane transport
     (``L_cp``, ``sample_dx``: window half-width and sample spacing, which is
-    also the Magnus step up to 0.05, defaulting to :class:`ShootingSettings`).
+    also the transport's step up to 0.05, defaulting to :class:`ShootingSettings`).
     The decisions of the report take no settings: the eigenvalue count
     uses the spectrum's own noise floor and the simplicity warning the
     constant ``conjugate.SIMPLICITY_THRESHOLD``.

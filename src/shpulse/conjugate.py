@@ -107,8 +107,6 @@ class StabilityReport:
     unstable_eigenvalues: tuple[float, ...]
     conjugate_points: tuple[ConjugatePointRecord, ...]
     geometric_count: float
-    counts_match: bool
-    hypothesis_degeneracy_ok: bool
     lambda_infinity: float
     potential_tail: float
     horizon: float
@@ -118,6 +116,14 @@ class StabilityReport:
     @property
     def counts(self) -> tuple[int, float]:
         return (len(self.unstable_eigenvalues), self.geometric_count)
+
+    @property
+    def counts_match(self) -> bool:
+        return len(self.unstable_eigenvalues) == self.geometric_count
+
+    @property
+    def hypothesis_degeneracy_ok(self) -> bool:
+        return all(r.kernel_dim == 1 for r in self.conjugate_points)
 
 
 def conjugate_points(traj: FrameTrajectory, horizon: float
@@ -196,8 +202,6 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory) -> Stabil
         unstable_eigenvalues=tuple(spectral.unstable),
         conjugate_points=records,
         geometric_count=index,
-        counts_match=len(spectral.unstable) == index,
-        hypothesis_degeneracy_ok=all(r.kernel_dim == 1 for r in records),
         lambda_infinity=float(lam_inf),
         potential_tail=tail,
         horizon=horizon,

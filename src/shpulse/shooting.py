@@ -9,13 +9,16 @@ watching where it meets the sandwich plane ``span{e2, e3}`` is the geometric
 half of the stability computation, the counterpart of counting unstable
 eigenvalues of the linearization directly.
 
-The transport is a fixed-step sixth-order Magnus integrator (Blanes, Casas,
-Oteo & Ros, Phys. Rep. 2009).  The coefficient matrix is affine in the
-potential, ``B(x) = B0(lam) + f'(phi(x)) E`` with ``E`` the unit matrix at
-entry (3, 1), so one vectorised evaluation of the potential at the three
-Gauss nodes of every step and one batched matrix exponential give all step
-maps at once.  Each map is the exponential of a Hamiltonian matrix, hence
-symplectic, so the plane stays Lagrangian up to rounding.
+Each fixed step's map is a Taylor series.  ``B(x) = B0(lam) + f'(phi(x)) E``
+is affine in the potential (``E`` the unit matrix at (3, 1)), so with the
+potential's Taylor coefficients ``p_i`` (``pulse.potential_jet``, one call
+for all step starts) ``_taylor`` runs
+``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every start at
+once: from ``F_0 = I`` for ``_step_maps``, which sums it at the step, and
+from the transported frame for ``FrameTrajectory.jet``.  Its degree puts
+the next term ``(|B|_1 h)^(K+1) / (K+1)!`` below 2^-53 (10 at the default
+step), so a map is the product of its halves' maps, and symplectic, to
+rounding: the plane stays Lagrangian.
 
 The frame grows like ``exp(Re gamma * x)``; it is kept orthonormal by the
 package's one Gram-Schmidt (``lagrangian._orthonormalize``), which changes
@@ -30,20 +33,15 @@ columns grow at the same rate and a block only rotates the frame: on the
 reference pulses the singular-value ratio of a block product applied to
 its start frame stays below 6.
 
-The step maps are the exponentials of the Magnus generators, taken for the
-whole stack at once by a degree-``_TAYLOR_DEGREE`` Taylor polynomial with
-scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009).
-Its truncation error is below the double-precision unit roundoff.  So the
-trajectory agrees with a textbook loop (a per-step ``scipy.linalg.expm``,
-``Phi @ F`` and Gram-Schmidt) to rounding, not to the bit: the tests hold
-the planes for x <= 0, their unit Plücker coordinates, which the CSV and
-the counts read, within 1e-13 of that loop on the same maps and on scipy's.
-What is pinned bitwise is the CLI's printed output: the counts,
-eigenvalues and crossing table of the reference pulses.
+The planes agree with a textbook loop (``Phi @ F`` and Gram-Schmidt per
+step on the same maps) to rounding, not to the bit: the tests hold their
+unit Plücker coordinates for x <= 0 within 1e-13 of it.  The CLI's printed
+counts, eigenvalues and crossing tables are pinned bitwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,26 +51,25 @@ import numpy as np
 
 from .lagrangian import _orthonormal, _orthonormalize, plucker
 from .model import Params, asymptotic_frames, coefficient_matrix
-from .pulse import FourierPulse, potential, potential_jet
+from .pulse import FourierPulse, potential_jet
 
-# Longest Magnus step; a coarser sample spacing takes equal sub-steps.
+# Longest step; a coarser sample spacing takes equal sub-steps.
 MAX_STEP = 0.05
-# Relative noise level of the transported plane at the default step, as
-# pinned by the step-halving test; it bounds the trust horizon.
+# Relative noise level the trust horizon assumes for the plane; the steps
+# add rounding only (halving one moves the planes < 1e-14 up to the core).
 TRANSPORT_NOISE = 1e-10
-# Degree and reach of the Taylor exponential: for 1-norms up to the reach
-# the remainder bound ``|X|^(m+1) / (m+1)! * e^|X|`` is 3.1e-18, below
-# 2^-53; a larger stack is scaled by 2^-s into it and squared s times.
-_TAYLOR_DEGREE = 12
-_TAYLOR_REACH = 0.25
-
-_GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
-_E31 = np.zeros((4, 4))
-_E31[2, 0] = 1.0
+# Largest |B|_1 h of a step.  Where |B|_2 h < pi guarantees the Magnus series
+# converges (Moan & Niesen, Found. Comput. Math. 2008), |B|_1 h < 2 pi, as
+# |B|_1 <= 2 |B|_2 for 4 x 4 matrices; the Taylor series then takes ~40 terms.
+_REACH = 2.0 * math.pi
+_CHUNK = 512
+# The 1-norm of B's last three columns, which hold neither the potential nor lam.
+_FIXED_NORM = float(np.abs(coefficient_matrix(0.0, 0.0)[:, 1:]).sum(axis=0).max())
+_IDENTITY = np.eye(4)[:, None]
 
 
 class TransportError(RuntimeError):
-    """The transported frame left the finite range."""
+    """The potential or the frame left the finite range, or a step its series' reach."""
 
 
 @dataclass(frozen=True)
@@ -111,84 +108,77 @@ def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:
     return _orthonormal(asymptotic_frames(lam, p).unstable_frame)
 
 
-def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return X @ Y - Y @ X
+def _taylor(Bc: np.ndarray, p: np.ndarray, F0: np.ndarray, K: int,
+            h: float = 1.0) -> np.ndarray:
+    """Coefficients ``h^n F_n``, n = 0..K, of the Taylor series of ``F' = B F``
+    through ``F0``: ``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}``
+    with ``E`` the unit matrix at (3, 1), ``p_0..p_{K-1}`` the potential's
+    coefficients on ``p``'s last axis and ``B_0 = Bc + p_0 E`` (``Bc`` the
+    coefficient matrix without the potential; ``p_0`` joins the sum).  A 2-D
+    ``p`` holds a point per row; the points sit between a coefficient's rows
+    and its ``m`` columns, shape ``(K+1, 4) + p.shape[:-1] + (m,)``, so that
+    each ``B_0 F_n`` is one matrix product."""
+    F = np.empty((K + 1, 4) + p.shape[:-1] + F0.shape[-1:])
+    F[0] = F0
+    flat = F.reshape(K + 1, 4, -1)
+    Bh = h * Bc
+    # q_i = p_i h^(i+1), one row per order and one column per column of flat
+    q = np.repeat((np.atleast_2d(p)[:, :K] * h ** np.arange(1, K + 1)).T, F0.shape[-1], axis=1)
+    for n in range(K):
+        np.matmul(Bh, flat[n], out=flat[n + 1])
+        flat[n + 1, 2] += np.einsum("ij,ij->j", q[:n + 1], flat[n::-1, 0])
+        flat[n + 1] /= n + 1
+    return F
 
 
-def _expm(X: np.ndarray) -> np.ndarray:
-    """Exponential of every matrix of a stack ``(..., n, n)`` with finite
-    1-norms.
-
-    The Taylor polynomial of degree ``_TAYLOR_DEGREE`` is evaluated by
-    Horner's rule in stacked in-place ``matmul``s on ``X / 2^s``, with
-    ``s`` the least power that brings the stack's largest 1-norm within
-    ``_TAYLOR_REACH``, and then squared ``s`` times.  Any leading axes are
-    batch axes.
-    """
-    norm = float(np.abs(X).sum(axis=-2).max(initial=0.0))
-    s = max(0, math.ceil(math.log2(norm) - math.log2(_TAYLOR_REACH))) if norm > 0 else 0
-    X = np.ldexp(X, -s) if s else X
-    eye = np.eye(X.shape[-1])
-    P = X / _TAYLOR_DEGREE + eye
-    work = np.empty_like(P)
-    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-        np.matmul(X, P, out=work)
-        work /= k
-        work += eye
-        P, work = work, P
-    for _ in range(s):
-        np.matmul(P, P, out=work)
-        P, work = work, P
-    return P
-
-
-def _generators(pulse: FourierPulse, lam: float, starts: np.ndarray,
-                h: float) -> np.ndarray:
-    """Sixth-order Magnus generators of the steps ``[s, s + h]``, one per start.
-
-    With ``A_i`` the coefficient matrix at the Gauss nodes ``s + c_i h``,
-    the generator is built from ``a1 = h A_2``,
-    ``a2 = sqrt(15) h (A_3 - A_1) / 3`` and
-    ``a3 = 10 h (A_3 - 2 A_2 + A_1) / 3`` as
-    ``a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240`` with
-    ``C1 = [a1, a2]`` and ``C2 = -[a1, 2 a3 + C1] / 60``.
-
-    Raises
-    ------
-    TransportError
-        When the potential or a generator is not finite.
-    """
-    nodes = (starts[:, None] + h * _GAUSS).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = potential(pulse, nodes)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            raise TransportError(
-                f"the potential f'(phi(x)) is not finite at x = {nodes[bad][0]:.6g}")
-        A = coefficient_matrix(0.0, lam) + v.reshape(-1, 3, 1, 1) * _E31
-        a1 = h * A[:, 1]
-        a2 = (math.sqrt(15.0) * h / 3.0) * (A[:, 2] - A[:, 0])
-        a3 = (10.0 * h / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0])
-        C1 = _commutator(a1, a2)
-        C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-        omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
-        # NaN and inf propagate into the 1-norm, which ``_expm`` scales by
-        bad = ~np.isfinite(np.abs(omega).sum(axis=1).max(axis=1))
-    if bad.any():
-        raise TransportError(
-            f"the 1-norm of the Magnus generator is not finite at x = {starts[bad][0]:.6g}")
-    return omega
+def _degree(reach: float) -> int:
+    """Least ``K`` whose next term ``reach^(K+1) / (K+1)!`` is below 2^-53."""
+    return next(K for K in itertools.count() if reach**(K + 1) / math.factorial(K + 1) < 2**-53)
 
 
 def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
                h: float) -> np.ndarray:
-    """Sixth-order Magnus maps of the steps ``[s, s + h]``, one per start: the
-    exponentials of ``_generators``."""
-    omega = _generators(pulse, lam, starts, h)
-    # a huge finite generator overflows in the squarings; the caller's
-    # finiteness check on the frames reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _expm(omega)
+    """Maps of the steps ``[s, s + h]``, one per start: ``_taylor`` from
+    ``F_0 = I`` summed at ``h``, to ``_degree(|B|_1 h)`` with ``|B|_1`` at
+    the start.  All steps first take the degree of ``_FIXED_NORM``, which
+    yields the potential at the starts; those whose potential raises the
+    norm are taken again to the largest one's degree, ``_CHUNK`` at a time.
+
+    Raises
+    ------
+    TransportError
+        When the potential at a start is not finite, or a step's
+        ``|B|_1 h`` exceeds ``_REACH``.
+    """
+    Bc = coefficient_matrix(0.0, lam)
+    fixed = abs(h) * _FIXED_NORM
+    K = _degree(fixed)
+    maps = np.empty((len(starts), 4, 4))
+
+    def summed(jet, degree):
+        # the series is summed from its smallest terms up
+        return _taylor(Bc, jet, _IDENTITY, degree, h)[::-1].sum(axis=0).swapaxes(0, 1)
+
+    for i in range(0, len(starts), _CHUNK):
+        x = starts[i:i + _CHUNK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = potential_jet(pulse, x, K - 1)
+            # the potential enters B only at (3, 1), the only entry of its column
+            reach = np.maximum(abs(h) * np.abs(Bc[2, 0] + p[:, 0]), fixed)
+        top = reach.max()
+        if not top <= _REACH:
+            j = int(np.argmax(~(reach <= _REACH)))
+            raise TransportError(
+                f"the potential f'(phi(x)) is not finite at x = {x[j]:.6g}"
+                if not np.isfinite(reach[j]) else
+                f"the step at x = {x[j]:.6g} has |B|_1 h = {reach[j]:.3g}, beyond "
+                f"the reach {_REACH:.3g} of its Taylor series")
+        maps[i:i + _CHUNK] = summed(p, K)
+        more_K = _degree(top) if top > fixed else K
+        if more_K > K:
+            more = reach > fixed
+            maps[i:i + _CHUNK][more] = summed(potential_jet(pulse, x[more], more_K - 1), more_K)
+    return maps
 
 
 def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
@@ -255,7 +245,7 @@ class FrameTrajectory:
     ``plucker``, the crossing detector ``deta`` (their ``P14`` column) and
     the symplectic-form drift ``omega_drift = |P13 + P24|`` are computed
     for all samples at once.
-    ``frame_at`` takes one partial Magnus step from the nearest sample,
+    ``frame_at`` takes one partial step from the nearest sample,
     which keeps arbitrary-point evaluation cheap and as accurate as the
     stored samples; ``jet`` extends that frame to its Taylor coefficients,
     the plane family the crossing engine classifies.
@@ -308,20 +298,10 @@ class FrameTrajectory:
 
     def jet(self, x: float, K: int) -> np.ndarray:
         """Taylor coefficients ``F_0..F_K``, shape ``(K+1, 4, 2)``, at ``x`` of
-        the solution of ``F' = B F`` through ``frame_at(x)``: the plane's jet.
-
-        With the potential's coefficients ``p_i`` and ``E`` the unit matrix
-        at (3, 1), ``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}``.
-        """
-        F = np.empty((K + 1, 4, 2))
-        F[0] = self.frame_at(x)
-        p = potential_jet(self.pulse, float(x), K)
-        B0 = coefficient_matrix(p[0], self.lam)
-        for n in range(K):
-            F[n + 1] = B0 @ F[n]
-            F[n + 1, 2] += p[1:n + 1] @ F[:n][::-1, 0]
-            F[n + 1] /= n + 1
-        return F
+        the solution of ``F' = B F`` through ``frame_at(x)``: the plane's jet,
+        by the recurrence of ``_taylor`` that also gives the step maps."""
+        p = potential_jet(self.pulse, float(x), K - 1) if K else np.empty(0)
+        return _taylor(coefficient_matrix(0.0, self.lam), p, self.frame_at(x), K)
 
 
 def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
@@ -329,13 +309,14 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
     """Transport the asymptotic unstable plane across the window.
 
     The frame starts at the unstable plane of the constant tail matrix and
-    is advanced by Magnus steps of the sample spacing ``dx``, or by equal
+    is advanced by steps of the sample spacing ``dx``, or by equal
     sub-steps of at most ``MAX_STEP`` when ``dx`` is coarser.
 
     Raises
     ------
     TransportError
-        When the potential or the frame stops being finite.
+        When the potential or the frame stops being finite, or a step
+        exceeds the reach of its Taylor series.
     """
     a, b = settings.window
     if a < -pulse.L_f or b > pulse.L_f:

@@ -101,9 +101,9 @@ def build_bundles() -> dict[str, PulseBundle]:
 # --- criterion 1: two-route count table ---------------------------------
 
 def check_counts(bundles: dict[str, PulseBundle]) -> CheckResult:
-    expected = {"phi0": (1, 1), "phipi": (2, 2), "snaking": (0, 0)}
     parts, ok = [], True
-    for name, want in expected.items():
+    for name, eigenvalues in EXPECTED_EIGENVALUES.items():
+        want = (len(eigenvalues), len(EXPECTED_CONJUGATE_POINTS[name]))
         b = bundles[name]
         got = b.report.counts
         ok &= got == want and b.report.counts_match and b.elapsed < 120.0
@@ -112,38 +112,36 @@ def check_counts(bundles: dict[str, PulseBundle]) -> CheckResult:
                        "(eigenvalues, conjugate points) " + ", ".join(parts))
 
 
+def _check_published(check: str, bundles: dict[str, PulseBundle], expected: dict,
+                     values, tol: float, mismatch) -> CheckResult:
+    worst, ok = 0.0, True
+    for name, want in expected.items():
+        got = values(bundles[name])
+        if len(got) != len(want):
+            return CheckResult(check, False, mismatch(name, want, got))
+        for g, w in zip(sorted(got), sorted(want)):
+            worst = max(worst, abs(g - w))
+            ok &= abs(g - w) < tol
+    return CheckResult(check, ok,
+                       f"max |deviation| from published values {worst:.2e} (tol {tol:g})")
+
+
 # --- criterion 2: eigenvalue values --------------------------------------
 
 def check_eigenvalues(bundles: dict[str, PulseBundle]) -> CheckResult:
-    worst, ok = 0.0, True
-    for name, want in EXPECTED_EIGENVALUES.items():
-        got = bundles[name].report.unstable_eigenvalues
-        if len(got) != len(want):
-            return CheckResult("eigenvalues", False,
-                               f"{name}: expected {len(want)} unstable, got {len(got)}")
-        for g, w in zip(sorted(got), sorted(want)):
-            worst = max(worst, abs(g - w))
-            ok &= abs(g - w) < EIGENVALUE_TOL
-    return CheckResult("eigenvalues", ok,
-                       f"max |deviation| from published values {worst:.2e} "
-                       f"(tol {EIGENVALUE_TOL:g})")
+    return _check_published(
+        "eigenvalues", bundles, EXPECTED_EIGENVALUES,
+        lambda b: b.report.unstable_eigenvalues, EIGENVALUE_TOL,
+        lambda name, want, got: f"{name}: expected {len(want)} unstable, got {len(got)}")
 
 
 # --- criterion 3: conjugate-point locations ------------------------------
 
 def check_conjugate_locations(bundles: dict[str, PulseBundle]) -> CheckResult:
-    worst, ok = 0.0, True
-    for name, want in EXPECTED_CONJUGATE_POINTS.items():
-        got = [r.x_star for r in bundles[name].report.conjugate_points]
-        if len(got) != len(want):
-            return CheckResult("conjugate-locations", False,
-                               f"{name}: expected {list(want)}, got {got}")
-        for g, w in zip(sorted(got), sorted(want)):
-            worst = max(worst, abs(g - w))
-            ok &= abs(g - w) < LOCATION_TOL
-    return CheckResult("conjugate-locations", ok,
-                       f"max |deviation| from published values {worst:.2e} "
-                       f"(tol {LOCATION_TOL:g})")
+    return _check_published(
+        "conjugate-locations", bundles, EXPECTED_CONJUGATE_POINTS,
+        lambda b: [r.x_star for r in b.report.conjugate_points], LOCATION_TOL,
+        lambda name, want, got: f"{name}: expected {list(want)}, got {got}")
 
 
 # --- criterion 4: simplicity and degeneracy flags -------------------------

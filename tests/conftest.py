@@ -2,7 +2,7 @@
 
 The mode counts are chosen so the Fourier coefficient tail bottoms out
 below the transport's noise level (``shooting.TRANSPORT_NOISE``, 1e-10, the
-accuracy of the sixth-order Magnus step).  A coarser series leaves
+noise the trust horizon assumes for the plane).  A coarser series leaves
 a truncation floor in the far tail of the pulse, and the transported
 unstable plane — which carries the translation mode, an exponentially
 decaying direction — detaches from its true orbit where that floor takes

@@ -431,6 +431,18 @@ def test_conjugate_overflowing_pulse_exits_one(phi0_file, tmp_path, capsys):
     assert captured.err.startswith("error:") and "not finite" in captured.err
 
 
+def test_conjugate_step_beyond_the_reach_exits_one(phi0_file, tmp_path, capsys):
+    # |a_3| = 1e120: the residual overflows, so the file loads, and the
+    # potential is finite but puts every step far beyond the series' reach
+    bad = _with_coefficient(phi0_file, tmp_path / "steep.json", 1e120)
+    assert _main_without_warnings(["conjugate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the step at x = -60 has |B|_1 h = ")
+    assert "beyond the reach 6.28 of its Taylor series" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [CrossingError, TransversalityError])
 def test_conjugate_crossing_failure_exits_one(phi0_file, monkeypatch, capsys, error):
     def fail(*args, **kwargs):

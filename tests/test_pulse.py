@@ -1,6 +1,7 @@
 """Fourier pulse solver: convolutions, residual, parity blocks, Newton, I/O."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import shpulse.pulse as sp
 from shpulse.model import Params
 from shpulse.pulse import FourierPulse, NewtonError, PulseFileError
-from shpulse.shooting import _GAUSS, ShootingSettings
+from shpulse.shooting import ShootingSettings
 from shpulse.verify import REFERENCE_PULSES
 
 P = Params(nu=1.6, mu=0.05)
@@ -283,10 +284,11 @@ def test_evaluate_evenness():
 
 
 def _transport_nodes():
-    """The Gauss nodes of the default transport, and x = 1.5."""
+    """The step starts of the default transport, the points a third of a
+    step past them, and x = 1.5."""
     (a, b), h = ShootingSettings().window, ShootingSettings().dx
     starts = a + h * np.arange(round((b - a) / h))
-    return np.append((starts[:, None] + h * _GAUSS).ravel(), 1.5)
+    return np.append((starts[:, None] + h * np.array([0.0, 1.0 / 3.0])).ravel(), 1.5)
 
 
 def _plain(pulse, x, dtype=float):
@@ -308,7 +310,7 @@ def _evaluate_case(request, N):
 @pytest.mark.parametrize("N", [0, 1, 4, 5, 192, 256])
 def test_evaluate_is_the_plain_cosine_sum(request, N):
     # the angle-addition kernel against the textbook sum, at the default
-    # transport's Gauss nodes and x = 1.5.  Both round each angle k w x to
+    # transport's step starts, points between them and x = 1.5.  Both round each angle k w x to
     # a relative eps, which moves a mode by up to eps k w |x| |a_k|, so the
     # bound is a few eps times the sum's condition number at x
     pulse = _evaluate_case(request, N)
@@ -339,6 +341,61 @@ def test_evaluate_is_no_farther_from_extended_precision_than_the_table(request, 
     assert kernel <= table
 
 
+def _one_order_kernel(pulse, x):
+    """The angle-addition evaluation of phi alone, as ``evaluate`` has always
+    computed it: one (M, Q) coefficient matrix, the transpose of a C-ordered
+    (Q, M) array."""
+    x = np.asarray(x, dtype=float)
+    M = math.isqrt(pulse.N) + 1
+    Q = -(-pulse.N // M)
+    A = np.zeros(M * Q)
+    A[:pulse.N] = pulse.a[1:]
+    A = A.reshape(Q, M).T
+    w = np.pi / pulse.L_f
+    fine = np.multiply.outer(x, np.arange(1, M + 1) * w)
+    coarse = np.multiply.outer(x, np.arange(Q) * (M * w))
+    terms = (np.cos(fine) @ A) * np.cos(coarse) - (np.sin(fine) @ A) * np.sin(coarse)
+    return pulse.a[0] + 2.0 * terms.sum(axis=-1)
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 5, 192, 256])
+def test_evaluate_keeps_the_bits_of_the_one_order_kernel(request, N):
+    # evaluate is order 0 of the jet kernel, which stacks the weighted
+    # coefficient matrices of every order; order 0 takes the same products
+    # and sums, so a vector of points and single points keep their bits
+    pulse = _evaluate_case(request, N)
+    x = _transport_nodes()
+    assert np.array_equal(sp.evaluate(pulse, x), _one_order_kernel(pulse, x))
+    for point in (-60.0, -17.2, 0.0, 1.2399, 1.3, 41.1):
+        assert sp.evaluate(pulse, point) == float(_one_order_kernel(pulse, point))
+
+
+def _table_jet(pulse, x, K):
+    """Taylor coefficients of phi from the N-wide cosine table: order j
+    weights a_k by (k w)^j / j! on the cycle cos, -sin, -cos, sin."""
+    rate = np.arange(1, pulse.N + 1) * np.pi / pulse.L_f
+    angle = np.multiply.outer(np.asarray(x, dtype=float), rate)
+    cycle = (np.cos(angle), -np.sin(angle), -np.cos(angle), np.sin(angle))
+    jet = np.stack([2.0 * (cycle[j % 4] * rate**j / math.factorial(j)) @ pulse.a[1:]
+                    for j in range(K + 1)], axis=-1)
+    jet[..., 0] += pulse.a[0]
+    return jet
+
+
+@pytest.mark.parametrize("N", [1, 4, 5, 192, 256])
+def test_series_jet_is_the_weighted_cosine_table(request, N):
+    # every order of the kernel against the table, relative to the order's
+    # largest term sum_k |a_k| (k w)^j / j!
+    pulse = _evaluate_case(request, N)
+    x = _transport_nodes()[::7]
+    K = 11
+    got = np.moveaxis(sp._series_jet(pulse, x, K), 0, -1)
+    rate = np.arange(1, N + 1) * np.pi / pulse.L_f
+    scale = np.array([np.abs(pulse.a[1:]) @ (rate**j / math.factorial(j)) for j in range(K + 1)])
+    assert got.shape == x.shape + (K + 1,)
+    assert np.all(np.abs(got - _table_jet(pulse, x, K)) <= 1e-13 * (scale + abs(pulse.a[0])))
+
+
 def test_potential_jet_is_the_taylor_series(pulse_phi0):
     # one mode, phi = cos(w x): f'(phi)' = (2 nu - 6 phi) phi' with
     # phi' = -w sin(w x), and f'(phi)''/2 follows from phi'' = -w^2 phi
@@ -351,11 +408,20 @@ def test_potential_jet_is_the_taylor_series(pulse_phi0):
     assert p[1] == pytest.approx((2 * P.nu - 6 * phi) * dphi, abs=1e-15)
     assert p[2] == pytest.approx(((2 * P.nu - 6 * phi) * d2phi - 6 * dphi**2) / 2, abs=1e-15)
     # a reference pulse: the order-9 Taylor sum is the potential a step away
-    for x in (-30.0, 0.0, 1.24, 17.6):
-        p = sp.potential_jet(pulse_phi0, x, 9)
+    points = np.array([-30.0, 0.0, 1.24, 17.6])
+    jets = sp.potential_jet(pulse_phi0, points, 9)
+    assert jets.shape == (4, 10)
+    for x, p in zip(points, jets):
+        assert np.allclose(p, sp.potential_jet(pulse_phi0, x, 9), rtol=1e-13, atol=1e-17)
         for h in (0.05, -0.05):
             assert np.polyval(p[::-1], h) == pytest.approx(
                 sp.potential(pulse_phi0, x + h), abs=1e-13)
+    # any array of points: the orders go last
+    grid = points.reshape(2, 2)
+    assert np.allclose(sp.potential_jet(pulse_phi0, grid, 3), jets[:, :4].reshape(2, 2, 4),
+                       rtol=1e-13, atol=1e-17)
+    # order 0 is the potential of ``evaluate``'s values
+    assert np.abs(jets[:, 0] - sp.potential(pulse_phi0, points)).max() <= 1e-15
     with pytest.raises(ValueError, match="outside the pulse domain"):
         sp.potential_jet(single, 100.5, 3)
 

@@ -12,15 +12,13 @@ from scipy.linalg import expm, subspace_angles
 from shpulse import shooting
 from shpulse.conjugate import conjugate_points, trust_horizon
 from shpulse.lagrangian import plucker, sandwich_plane
-from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix, nonlinearity_deriv
+from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
-    TRANSPORT_NOISE,
     FrameTrajectory,
     ShootingSettings,
     TransportError,
-    _expm,
-    _generators,
+    _degree,
     _step_maps,
     _transport,
     initial_frame,
@@ -148,16 +146,18 @@ def test_step_size_is_transparent(pulse_phi0):
     assert max(crossings) - min(crossings) < 1e-6
 
 
-def test_step_halving_accuracy(pulse_phi0, traj_phi0):
-    """The default step agrees with half the step to 1e-10 up to the core.
-
-    This is the transport's noise level behind ``TRANSPORT_NOISE`` and the
-    trust horizon.
-    """
-    fine = integrate_frame(pulse_phi0, settings=ShootingSettings(dx=0.025))
-    upstream = traj_phi0.xs <= 0.0
-    err = np.abs(fine.plucker[::2] - traj_phi0.plucker)[upstream]
-    assert err.max() < TRANSPORT_NOISE
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_step_halving_accuracy(request, name):
+    """The default step agrees with half the step to 1e-12 up to the core:
+    the series' truncation is below rounding, so only rounding is left
+    (measured <= 7.4e-15), far under the ``TRANSPORT_NOISE`` the trust
+    horizon assumes."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    traj = request.getfixturevalue(f"traj_{name}")
+    fine = integrate_frame(pulse, settings=ShootingSettings(dx=0.025))
+    upstream = traj.xs <= 0.0
+    err = np.abs(fine.plucker[::2] - traj.plucker)[upstream]
+    assert err.max() < 1e-12
 
 
 def test_coarse_sampling_takes_sub_steps(pulse_phi0, traj_phi0):
@@ -246,127 +246,144 @@ def test_frame_at_midpoint_is_the_step_loop_plane(pulse_phi0, traj_phi0):
         assert np.abs(plucker(F) - plucker(loop[-1])).max() <= 1e-13
 
 
-def _table_potential(pulse, x):
-    """f'(phi(x)) with phi summed from the N-wide cosine table."""
+def _table_potential_jet(pulse, x, K):
+    """Taylor coefficients of f'(phi) at the entries of x with phi's summed
+    from the N-wide cosine table (order j weights a_k by (k w)^j / j! on
+    the cycle cos, -sin, -cos, sin)."""
     rate = np.arange(1, pulse.N + 1) * np.pi / pulse.L_f
-    phi = pulse.a[0] + 2.0 * np.cos(np.multiply.outer(x, rate)) @ pulse.a[1:]
-    return nonlinearity_deriv(phi, pulse.params)
+    angle = np.multiply.outer(np.asarray(x, dtype=float), rate)
+    cycle = (np.cos(angle), -np.sin(angle), -np.cos(angle), np.sin(angle))
+    phi = np.stack([2.0 * (cycle[j % 4] * rate**j / math.factorial(j)) @ pulse.a[1:]
+                    for j in range(K + 1)], axis=-1)
+    phi[..., 0] += pulse.a[0]
+    square = np.stack([(phi[..., :n + 1] * phi[..., n::-1]).sum(axis=-1)
+                       for n in range(K + 1)], axis=-1)
+    p = 2.0 * pulse.params.nu * phi - 3.0 * square
+    p[..., 0] -= pulse.params.mu
+    return p
 
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
 def test_planes_do_not_depend_on_the_cosine_kernel(request, monkeypatch, name):
-    """The transport on a potential summed from the plain cosine table
+    """The transport on a potential jet summed from the plain cosine table
     spans the planes of the angle-addition kernel: unit Plücker coordinates
     within 1e-13 up to the core (x <= 0)."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     traj = request.getfixturevalue(f"traj_{name}")
-    monkeypatch.setattr(shooting, "potential", _table_potential)
+    monkeypatch.setattr(shooting, "potential_jet", _table_potential_jet)
     table = integrate_frame(pulse, lam=0.0)
     upstream = traj.xs <= 0.0
     assert np.array_equal(table.xs, traj.xs)
     assert np.abs(table.plucker[upstream] - traj.plucker[upstream]).max() <= 1e-13
 
 
-def _default_generators(pulse):
-    (a, b), h = ShootingSettings().window, ShootingSettings().dx
-    return _generators(pulse, 0.0, a + h * np.arange(round((b - a) / h)), h)
+@pytest.mark.parametrize("mu, lam, h", [(0.05, 0.0, 0.05), (0.05, 0.0, -0.02),
+                                        (0.05, 1.0, 0.05), (0.2, 0.5, 0.1),
+                                        (100.0, 0.0, 0.05)])
+def test_step_maps_of_a_constant_potential_are_the_exponential(mu, lam, h):
+    """Without a pulse the potential is the constant -mu and every step map
+    is ``expm(B h)``, within 4 eps of its largest entry; the last case has
+    |B|_1 h = 5.05, past the pi within which the Magnus series is known to
+    converge, and its series runs to degree 35."""
+    pulse = zero_pulse(Params(nu=1.6, mu=mu))
+    maps = _step_maps(pulse, lam, np.array([-7.0, 0.0, 2.5]), h)
+    exact = expm(coefficient_matrix(-mu, lam) * h)
+    assert np.abs(maps - exact).max() <= 4 * np.finfo(float).eps * np.abs(exact).max()
+
+
+def test_degree_is_the_least_whose_next_term_is_below_unit_roundoff():
+    for reach in (1e-3, 0.075, 0.15, 0.174, 1.0, 5.05, 2.0 * math.pi):
+        K = _degree(reach)
+        assert reach ** (K + 1) / math.factorial(K + 1) < 2.0**-53
+        assert reach ** K / math.factorial(K) >= 2.0**-53
+    assert _degree(0.15) == 10
+
+
+def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi0):
+    """Every step is first taken to the degree of the columns without the
+    potential (|B|_1 h = 3 h), and those whose potential raises the norm
+    again, to the largest such degree: mu = 100 puts |B|_1 h = 5.05 at
+    every start, while phi0's potential never exceeds those columns."""
+    calls = []
+
+    def spy(Bc, p, F0, K, h=1.0):
+        calls.append((len(np.atleast_2d(p)), K))
+        return taylor(Bc, p, F0, K, h)
+
+    taylor = shooting._taylor
+    monkeypatch.setattr(shooting, "_taylor", spy)
+    _step_maps(zero_pulse(Params(nu=1.6, mu=100.0)), 0.0, np.array([-7.0, 0.0, 2.5]), 0.05)
+    assert calls == [(3, 10), (3, 35)]
+    calls.clear()
+    _step_maps(pulse_phi0, 0.0, -60.0 + 0.05 * np.arange(2400), 0.05)
+    assert calls == [(512, 10)] * 4 + [(352, 10)]
 
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
-def test_expm_matches_scipy_on_the_transport_generators(request, name):
-    """On the default steps of a reference pulse (1-norms <= 0.18, so no
-    squaring) the Taylor exponential is scipy's to rounding, and each map
-    is symplectic to rounding."""
-    omega = _default_generators(request.getfixturevalue(f"pulse_{name}"))
-    M = _expm(omega)
-    assert M.shape == omega.shape
-    assert np.abs(M - expm(omega)).max() <= 4e-16
-    assert np.abs(np.swapaxes(M, 1, 2) @ J4 @ M - J4).max() <= 1e-14
-
-
-def test_expm_matches_scipy_with_squaring():
-    """Hamiltonian matrices J S with 1-norms from 1e-3 to 50 (up to eight
-    squarings), one at a time and as one stack squared for its largest norm.
-
-    Two families whose exponential scipy's Pade reference itself gets to
-    ~1e-14: S positive definite (an imaginary spectrum), and
-    S = [[0, D], [D, 0]] with D diagonal, so J S = diag(D, -D) has a real
-    eigenvalue equal to its 1-norm and the Taylor remainder is as large as
-    its bound.  (For a general indefinite S scipy's own error reaches 1e-12.)
-    """
-    rng = np.random.default_rng(0)
-    norms = np.logspace(-3, math.log10(50.0), 40)
-    A = rng.standard_normal((40, 4, 4))
-    elliptic = J4 @ (A @ np.swapaxes(A, 1, 2))
-    elliptic *= (norms / np.abs(elliptic).sum(axis=1).max(axis=1))[:, None, None]
-    hyperbolic = np.zeros((40, 4, 4))
-    hyperbolic[:, [0, 2], [2, 0]] = norms[:, None]
-    hyperbolic[:, [1, 3], [3, 1]] = (norms * rng.uniform(-1.0, 1.0, 40))[:, None]
-    hyperbolic = J4 @ hyperbolic
-    for X in (elliptic, hyperbolic):
-        E = expm(X)
-        scale = np.abs(E).max(axis=(1, 2))
-        one_by_one = np.array([np.abs(_expm(x) - e).max() for x, e in zip(X, E)])
-        assert (one_by_one / scale).max() <= 1e-13
-        assert (np.abs(_expm(X) - E).max(axis=(1, 2)) / scale).max() <= 1e-13
-        # any leading axes are batch axes
-        assert np.array_equal(_expm(X.reshape(8, 5, 4, 4)),
-                              _expm(X).reshape(8, 5, 4, 4))
-
-
-@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
-def test_transport_is_the_scipy_expm_loop_upstream(request, name):
-    """Up to the core (x <= 0) the transported planes are those of a plain
-    step loop on scipy's exponential of the same generators: unit Plücker
-    coordinates, which the CSV and the counts read, within 1e-13.  The
-    basis inside the plane is not compared: through the snaking core its
-    direction amplifies last-bit differences of the shared generators."""
+def test_step_map_is_the_product_of_its_halves(request, name):
+    """On the default steps the map over [s, s + h] is the map over its
+    second half times that over its first, within 1e-14 of its largest
+    entry (measured 3.3e-16; sixth-order Magnus maps miss by 5.8e-13 to
+    2.1e-12)."""
     pulse = request.getfixturevalue(f"pulse_{name}")
-    traj = request.getfixturevalue(f"traj_{name}")
-    upstream = traj.xs <= 0.0
-    F = _gram_schmidt(initial_frame(pulse.params))
-    kept = [F]
-    for Phi in expm(_default_generators(pulse)[:upstream.sum() - 1]):
-        F = _gram_schmidt(Phi @ F)
-        kept.append(F)
-    assert np.abs(traj.plucker[upstream] - plucker(np.stack(kept))).max() <= 1e-13
+    (a, b), h = ShootingSettings().window, ShootingSettings().dx
+    starts = a + h * np.arange(round((b - a) / h))
+    whole = _step_maps(pulse, 0.0, starts, h)
+    halves = _step_maps(pulse, 0.0, starts + h / 2, h / 2) @ _step_maps(pulse, 0.0, starts, h / 2)
+    scale = np.abs(whole).max(axis=(1, 2))
+    assert (np.abs(whole - halves).max(axis=(1, 2)) / scale).max() <= 1e-14
 
 
-@pytest.mark.parametrize("coefficient, what", [(1e200, "potential"),
-                                               (1e100, "Magnus generator"),
-                                               (1e20, "frame")])
+@pytest.mark.parametrize("coefficient, what", [(1e200, "potential"), (1e100, "reach"),
+                                               (1e20, "reach"), (10.0, "reach")])
 def test_overflow_raises_transport_error(coefficient, what):
-    """An overflowing potential, a finite one whose Magnus generators
-    overflow, or finite generators whose step maps overflow, stop the
-    transport instead of yielding a NaN trajectory."""
+    """An overflowing potential, or a finite one whose steps exceed the
+    reach of the Taylor series, stops the transport instead of yielding a
+    NaN trajectory; the refusal names the step and its |B|_1 h."""
     a = np.zeros(9)
     a[3] = coefficient
     pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
-    with pytest.raises(TransportError, match=f"{what}.* is not finite"):
+    match = {"potential": r"the potential f'\(phi\(x\)\) is not finite at x = ",
+             "reach": r"the step at x = \S+ has \|B\|_1 h = \S+, beyond the reach 6.28 "}[what]
+    with pytest.raises(TransportError, match=match):
         integrate_frame(pulse, settings=ShootingSettings(window=(-5.0, 5.0)))
 
 
-def test_overflow_inside_a_block_raises_transport_error():
+def test_reach_refuses_the_first_step_beyond_it():
+    """With |B|_1 = 1 + mu the steps of a zero pulse are all alike: at
+    h = 0.05 the reach admits mu = 124 (|B|_1 h = 6.25) and refuses
+    mu = 126 (6.35) at the window's first step."""
+    window = ShootingSettings(window=(-1.0, 1.0))
+    admitted = integrate_frame(zero_pulse(Params(nu=1.6, mu=124.0)), settings=window)
+    assert admitted.frames.shape == (41, 4, 2)
+    with pytest.raises(TransportError, match=re.escape(
+            "the step at x = -1 has |B|_1 h = 6.35, beyond the reach 6.28")):
+        integrate_frame(zero_pulse(Params(nu=1.6, mu=126.0)), settings=window)
+
+
+def test_overflow_inside_a_block_raises_transport_error(monkeypatch):
     """Finite step maps whose product grows past the square root of the
     largest float partway through the first block stop the transport at
-    that step's frame, not at a later block start."""
-    a = np.zeros(9)
-    a[3] = 2e5
-    pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
+    that step's frame, not at a later block start.  A map within the reach
+    grows a frame by at most e^(2 pi) ~ 535, and no pulse has been seen to
+    overflow a block that way, so the maps here are 1e20 times the
+    identity."""
+    def growing_maps(pulse, lam, starts, h):
+        return np.broadcast_to(1e20 * np.eye(4), (len(starts), 4, 4)).copy()
+
+    monkeypatch.setattr(shooting, "_step_maps", growing_maps)
     settings = ShootingSettings(window=(-5.0, 5.0))
     x0, h, nsteps = -5.0, settings.dx, 200
-    maps = _step_maps(pulse, 0.0, x0 + h * np.arange(nsteps), h)
-    assert np.all(np.isfinite(maps))
     F = initial_frame(P05)
     with np.errstate(over="ignore"):
-        for k, Phi in enumerate(maps, start=1):
+        for k, Phi in enumerate(growing_maps(None, 0.0, np.arange(nsteps), h), start=1):
             F = Phi @ F
             if not np.all(np.isfinite(np.sum(F * F, axis=0))):
                 break
     assert 1 < k < math.isqrt(nsteps - 1) + 1
     with pytest.raises(TransportError,
                        match=re.escape(f"frame is not finite at x = {x0 + k * h:.6g}")):
-        integrate_frame(pulse, settings=settings)
+        integrate_frame(zero_pulse(P05), settings=settings)
 
 
 def test_frame_at_anchor_and_midpoint(traj_phi0):
