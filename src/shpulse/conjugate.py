@@ -132,7 +132,7 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
 
     The stored samples ``traj.xs``/``traj.frames`` at or before ``horizon``
     go to :func:`~shpulse.lagrangian.maslov_index` against the sandwich
-    plane; bisection and dip minimisation evaluate ``traj.frame_at``
+    plane; the zero search and dip minimisation evaluate ``traj.frame_at``
     between samples, and the crossing forms ``traj.jet`` at each crossing.
     Returns the index, which is not rounded (an endpoint crossing leaves a
     half), and one record per crossing.  A horizon before the second sample

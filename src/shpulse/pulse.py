@@ -310,10 +310,18 @@ def _series_jet(pulse: FourierPulse, x, K: int) -> np.ndarray:
     fine, coarse = np.multiply.outer(points, fine), np.multiply.outer(points, coarse)
     Cf, Sf = np.cos(fine) @ A, np.sin(fine) @ A
     Cc, Sc = np.cos(coarse), np.sin(coarse)
-    terms = np.empty_like(Cf)
-    terms[0::2] = Cf[0::2] * Cc - Sf[0::2] * Sc
-    terms[1::2] = Sf[1::2] * Cc + Cf[1::2] * Sc
-    out = 2.0 * terms.sum(axis=-1)
+    # the products overwrite their factors, with the bits of fresh ones: an
+    # even order's terms end in Cf, an odd one's in Sf
+    Cf[0::2] *= Cc
+    Sf[0::2] *= Sc
+    Cf[0::2] -= Sf[0::2]
+    Sf[1::2] *= Cc
+    Cf[1::2] *= Sc
+    Sf[1::2] += Cf[1::2]
+    out = np.empty(Cf.shape[:-1])
+    Cf[0::2].sum(axis=-1, out=out[0::2])
+    Sf[1::2].sum(axis=-1, out=out[1::2])
+    out *= 2.0
     out[0] += pulse.a[0]
     return out.reshape((K + 1,) + x.shape)
 
@@ -350,10 +358,10 @@ def potential_jet(pulse: FourierPulse, x, K: int) -> np.ndarray:
     """Taylor coefficients p_0..p_K of f'(phi) = 2 nu phi - 3 phi^2 - mu at
     every entry of x, shape ``x.shape + (K+1,)``."""
     phi = _series_jet(pulse, x, K)
-    # the square's Cauchy product; a lag n - i < 0 indexes the zero padding
-    lag = np.arange(K + 1)
-    padded = np.concatenate([phi, np.zeros_like(phi[:K])])
-    square = np.einsum("i...,in...->n...", phi, padded[lag - lag[:, None]])
+    # the square's Cauchy product, summed over i = 0..n in order
+    square = phi * phi[0]
+    for i in range(1, K + 1):
+        square[i:] += phi[i] * phi[:K + 1 - i]
     p = 2.0 * pulse.params.nu * phi - 3.0 * square
     p[0] -= pulse.params.mu
     return p.transpose(*range(1, p.ndim), 0)

@@ -12,13 +12,17 @@ eigenvalues of the linearization directly.
 Each fixed step's map is a Taylor series.  ``B(x) = B0(lam) + f'(phi(x)) E``
 is affine in the potential (``E`` the unit matrix at (3, 1)), so with the
 potential's Taylor coefficients ``p_i`` (``pulse.potential_jet``, one call
-for all step starts) ``_taylor`` runs
-``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every start at
-once: from ``F_0 = I`` for ``_step_maps``, which sums it at the step, and
-from the transported frame for ``FrameTrajectory.jet``.  Its degree puts
-the next term ``(|B|_1 h)^(K+1) / (K+1)!`` below 2^-53 (10 at the default
-step), so a map is the product of its halves' maps, and symplectic, to
-rounding: the plane stays Lagrangian.
+per chunk of step starts) ``_taylor`` runs
+``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every start of
+a chunk at once: from ``F_0 = I`` for ``_step_maps``, which sums it at the
+step, and from the transported frame for ``FrameTrajectory.jet``.  Its
+degree puts the next term ``(|B|_1 h)^(K+1) / (K+1)!`` below 2^-53 (10 at
+the default step), so a map is the product of its halves' maps, and
+symplectic, to rounding: the plane stays Lagrangian.
+
+The chunks are small (``_CHUNK`` starts) so that each one's Taylor stack
+and cosine-series products fit in the memory the last chunk freed: a
+transport after the first maps no fresh pages.
 
 The frame grows like ``exp(Re gamma * x)``; it is kept orthonormal by the
 package's one Gram-Schmidt (``lagrangian._orthonormalize``), which changes
@@ -62,7 +66,15 @@ TRANSPORT_NOISE = 1e-10
 # converges (Moan & Niesen, Found. Comput. Math. 2008), |B|_1 h < 2 pi, as
 # |B|_1 <= 2 |B|_2 for 4 x 4 matrices; the Taylor series then takes ~40 terms.
 _REACH = 2.0 * math.pi
-_CHUNK = 512
+# Step starts per pass of the recurrence, chosen by measurement.  Each chunk
+# frees its working set (the (K+1, 4, 256, 4) Taylor stack, 360 kB at degree
+# 10, and the cosine series' (K+1, 256, Q) products) for the next to reuse,
+# so a transport runs in memory the process already holds: with 512 starts
+# the snaking transport faulted in ~1500 fresh pages each time (~3000 with a
+# separate array per series product), with 256 none.  Of 96-512 starts, 256
+# was the fastest on snaking and within 5% of it on phi0 (13-14 ms, one BLAS
+# thread).
+_CHUNK = 256
 # The 1-norm of B's last three columns, which hold neither the potential nor lam.
 _FIXED_NORM = float(np.abs(coefficient_matrix(0.0, 0.0)[:, 1:]).sum(axis=0).max())
 _IDENTITY = np.eye(4)[:, None]
@@ -341,10 +353,13 @@ def write_trajectory(trajectory: FrameTrajectory, destination) -> None:
     """
 
     def _write(fh) -> None:
-        rows = np.column_stack([trajectory.xs, trajectory.deta, trajectory.plucker,
-                                trajectory.omega_drift])
+        # detA is the P14 column, bit for bit, so its strings are formatted once
+        x, p12, p13, p14, p23, p24, p34, drift = (
+            list(map(repr, column)) for column in np.column_stack(
+                [trajectory.xs, trajectory.plucker, trajectory.omega_drift]).T.tolist())
         fh.write("x,detA,P12,P13,P14,P23,P24,P34,omega_drift\r\n")
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist()))
+        fh.write("".join(",".join(row) + "\r\n"
+                         for row in zip(x, p14, p12, p13, p14, p23, p24, p34, drift)))
 
     if hasattr(destination, "write"):
         _write(destination)

@@ -117,6 +117,26 @@ def test_simplicity_is_the_two_norm_of_the_pairing(traj_phi0, traj_phipi):
             assert rec.simplicity_norm == pytest.approx(norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["phi0", "phipi"])
+def test_each_crossing_costs_at_most_ten_frames(monkeypatch, request, name):
+    # the zero search starts from the two samples around a crossing and the
+    # crossing form reads one jet there; bisection to 1e-10 would take 29
+    # partial transports per crossing, the ITP search takes a handful
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    traj = request.getfixturevalue(f"traj_{name}")
+    calls = []
+    frame_at = type(traj).frame_at
+
+    def spy(self, x):
+        calls.append(x)
+        return frame_at(self, x)
+
+    monkeypatch.setattr(type(traj), "frame_at", spy)
+    _, records = conjugate_points(traj, trust_horizon(pulse))
+    assert len(records) == {"phi0": 1, "phipi": 2}[name]
+    assert len(calls) <= 10 * len(records)
+
+
 def test_pulse_route_labels_a_third_order_crossing_case_two():
     """A crossing whose first two forms vanish is printed as case II with
     its third-order value."""

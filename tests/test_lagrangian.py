@@ -627,3 +627,68 @@ def test_maslov_rejects_a_bad_sample_grid():
         lg.maslov_index(ell1, sand, [0.0], frames[:1])
     with pytest.raises(ValueError, match=r"\(2, 4, 2\) stack"):
         lg.maslov_index(ell1, sand, [0.0, 0.5], frames[:1])
+
+
+# ---------------------------------------------------------------------------
+# Zero search
+# ---------------------------------------------------------------------------
+
+# A zero c off the bracket's midpoint, where no probe lands on it exactly.
+ZERO = 0.3721
+DETECTORS = {
+    "t": lambda t: t,
+    "sin(40 t)": lambda t: math.sin(40.0 * t),
+    "tanh(1e6 t)": lambda t: math.tanh(1e6 * t),
+    "t^3": lambda t: t**3,
+    "t^5": lambda t: t**5,
+    "t^7": lambda t: t**7,
+}
+SIMPLE = {"t", "sin(40 t)"}
+
+
+def _search(detector, lo, sign=1.0):
+    """``locate_zeros`` on the 0.05 bracket [lo, lo + 0.05] to 1e-10, with the
+    probes it took."""
+    probes = []
+
+    def value_at(t):
+        probes.append(t)
+        return sign * detector(t - ZERO)
+
+    ts = np.array([lo, lo + 0.05])
+    zeros, dips = lg.locate_zeros(ts, np.array([value_at(t) for t in ts]), value_at,
+                                  1e-10, 0.0)
+    return zeros, dips, probes[2:]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [0.0137, 0.0481, 0.0009])
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_locate_zeros_takes_at_most_one_probe_more_than_bisection(name, offset, sign):
+    # bisection from 0.05 to 1e-10 takes 29 probes; ITP at most 30, also
+    # where the zero is degenerate, and a handful where it is simple
+    zeros, dips, probes = _search(DETECTORS[name], ZERO - offset, sign)
+    assert dips == [] and len(zeros) == 1
+    assert abs(zeros[0] - ZERO) <= 0.5e-10
+    assert len(probes) <= 30
+    if name in SIMPLE:
+        assert len(probes) <= 10
+
+
+def test_locate_zeros_returns_a_probe_that_is_exactly_zero():
+    # a detector that vanishes on a whole interval: the first probe inside
+    # it ends the search and is the zero
+    zeros, _, probes = _search(lambda t: 0.0 if abs(t) < 1e-3 else math.copysign(1.0, t),
+                               ZERO - 0.0137)
+    assert zeros == [probes[-1]]
+    assert abs(probes[-1] - ZERO) < 1e-3
+    assert all(abs(t - ZERO) >= 1e-3 for t in probes[:-1])
+
+
+def test_locate_zeros_keeps_the_samples_that_are_zero():
+    probes = []
+    ts = np.array([-0.1, 0.0, 0.05, 0.1])
+    zeros, _ = lg.locate_zeros(ts, np.array([-1.0, 0.0, 0.02, -0.03]),
+                               lambda t: probes.append(t) or 0.07 - t, 1e-10, 0.0)
+    assert zeros[0] == 0.0 and abs(zeros[1] - 0.07) <= 0.5e-10
+    assert all(0.05 < t < 0.1 for t in probes)

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,7 +304,9 @@ def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi
     """Every step is first taken to the degree of the columns without the
     potential (|B|_1 h = 3 h), and those whose potential raises the norm
     again, to the largest such degree: mu = 100 puts |B|_1 h = 5.05 at
-    every start, while phi0's potential never exceeds those columns."""
+    every start, while phi0's potential never exceeds those columns, so its
+    2400 default steps take one call per chunk of ``_CHUNK`` starts, all at
+    degree 10."""
     calls = []
 
     def spy(Bc, p, F0, K, h=1.0):
@@ -316,7 +319,23 @@ def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi
     assert calls == [(3, 10), (3, 35)]
     calls.clear()
     _step_maps(pulse_phi0, 0.0, -60.0 + 0.05 * np.arange(2400), 0.05)
-    assert calls == [(512, 10)] * 4 + [(352, 10)]
+    full, rest = divmod(2400, shooting._CHUNK)
+    assert calls == [(shooting._CHUNK, 10)] * full + [(rest, 10)] * (rest > 0)
+
+
+def test_transport_working_set_is_bounded(pulse_snaking):
+    # one default transport holds its 2400 step maps and 2401 frames (0.5 MB)
+    # and one chunk's Taylor stack and cosine-series products: measured
+    # 1.16 MB; 512-start chunks take 2.0 MB, and 3.3 MB with a separate
+    # array for each of the series' products
+    integrate_frame(pulse_snaking)
+    tracemalloc.start()
+    try:
+        integrate_frame(pulse_snaking)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_750_000
 
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
