@@ -4,11 +4,12 @@ A conjugate point is a position ``x*`` where the transported unstable plane
 meets the sandwich plane ``span{e2, e3}``.  The geometric count is the
 Maslov index of the transported plane against that reference, computed by
 :func:`shpulse.lagrangian.maslov_index` on the trajectory's own samples:
-zeros and dips of the detector are located, and each crossing contributes
-the signature of its first nondegenerate crossing form when that form has
-odd order.  A regular crossing (order 1, ``Q1 > 0``) counts once; a fully
-degenerate one, such as a two-dimensional intersection whose third-order
-form is definite, contributes its signature instead of being skipped.
+the detector's zeros are located, and so are its touches at dips, by the
+sign change of its slope; each crossing contributes the signature of its
+first nondegenerate crossing form when that form has odd order.  A regular
+crossing (order 1, ``Q1 > 0``) counts once; a fully degenerate one, such
+as a two-dimensional intersection whose third-order form is definite,
+contributes its signature instead of being skipped.
 
 The total is compared against the number of unstable eigenvalues of the
 Fourier-residual Jacobian, computed independently by :mod:`.spectrum`.
@@ -132,8 +133,9 @@ def conjugate_points(traj: FrameTrajectory, horizon: float
 
     The stored samples ``traj.xs``/``traj.frames`` at or before ``horizon``
     go to :func:`~shpulse.lagrangian.maslov_index` against the sandwich
-    plane; the zero search and dip minimisation evaluate ``traj.frame_at``
-    between samples, and the crossing forms ``traj.jet`` at each crossing.
+    plane; the zero search evaluates ``traj.frame_at`` between samples, the
+    slope search across a dip ``traj.jet`` at order 1, and the crossing
+    forms ``traj.jet`` at each crossing.
     Returns the index, which is not rounded (an endpoint crossing leaves a
     half), and one record per crossing.  A horizon before the second sample
     is a ValueError: nothing of the window could be checked.

@@ -30,7 +30,9 @@ every orthonormal frame comes from the transport's Gram-Schmidt
   power-series solve gives from the family's jet at ``t0``, for every order
   at once;
 * crossing search: :func:`locate_zeros` finds the zeros and the
-  sign-preserving dips of a sampled crossing detector;
+  sign-preserving dips of a sampled crossing detector, and :func:`_itp`
+  locates both a sign change of the detector and one of its slope across a
+  dip, where an even-order crossing touches zero;
 * Maslov index: each isolated crossing contributes the signature of its
   first nondegenerate form when that order is odd, nothing when it is even,
   and boundary crossings are weighted by one half.  The same computation
@@ -50,8 +52,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import minimize_scalar
 
 from .model import J4
 
@@ -175,6 +175,13 @@ def _reference_frame(reference) -> np.ndarray:
 PLUCKER_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unnormalized Plücker coordinates ``a_i b_j - a_j b_i`` of two
+    columns (or ``(..., 4)`` stacks of them), shape ``(..., 6)``."""
+    i, j = np.array(PLUCKER_PAIRS).T
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 def plucker(frames) -> np.ndarray:
     """Unit-norm Plücker coordinates ``(P12, P13, P14, P23, P24, P34)``.
 
@@ -188,9 +195,7 @@ def plucker(frames) -> np.ndarray:
     ``s2 <= KERNEL_TOL s1`` up to rounding: both refuse the same frames.
     """
     M = _frame_matrix(frames, None)
-    a, b = M[..., 0], M[..., 1]
-    i, j = np.array(PLUCKER_PAIRS).T
-    P = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    P = _wedge(M[..., 0], M[..., 1])
     norm = np.linalg.norm(P, axis=-1, keepdims=True)
     if np.any(norm <= KERNEL_TOL * np.sum(M * M, axis=(-2, -1))[..., None]):
         raise ValueError("rank-deficient frame has no Plücker image")
@@ -242,10 +247,9 @@ def _graph_forms(F: np.ndarray, W: np.ndarray, U: np.ndarray, t: float) -> np.nd
             f"graph coordinates break down at t = {t:.6g}: "
             f"condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
         )
-    lu = lu_factor(S)
     c, forms = [], []
     for j in range(len(F)):
-        z = lu_solve(lu, -sum(F[i] @ c[j - i] for i in range(1, j + 1)) if j else U)
+        z = np.linalg.solve(S, -sum(F[i] @ c[j - i] for i in range(1, j + 1)) if j else U)
         c.append(z[:2])
         forms.append(math.factorial(j) * pairing(W @ z[2:], U))
     return np.array(forms)
@@ -465,8 +469,8 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
     degenerate crossing) and a handful on a simple zero.  ``dips`` holds the
     interior samples where ``|value|`` has a local minimum below
     ``dip_level`` without a sign change across it: candidate even-order
-    touches, which contribute nothing to a count and which the caller
-    examines further.
+    touches, which contribute nothing to a count and which
+    :func:`maslov_index` locates by the sign change of the detector's slope.
     """
     zeros: list[float] = []
     for i in np.where(values == 0.0)[0]:
@@ -494,8 +498,9 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
 
 
 # Relative size of |det| that counts as a crossing, relative size below
-# which a local minimum of |det| is searched for an even-order touch, and
-# the location accuracy of both searches.
+# which a local minimum of |det| is searched for an even-order touch (a
+# sign change of the detector's slope), and the location accuracy of both
+# the zero search and the slope search.
 DET_TOL = 1e-8
 DIP_TOL = 1e-6
 REFINE_TOL = 1e-10
@@ -519,10 +524,12 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     orthonormal frames and so the signed product of the sines of the
     principal angles, is evaluated on that stack and searched by
     :func:`locate_zeros`: its zeros are located to ``REFINE_TOL`` through
-    ``path``, and each dip below ``DIP_TOL`` (relative to the largest
-    sample) is minimised between its neighbouring samples and kept when it
-    reaches ``DET_TOL`` (even-order crossings touch zero without a sign
-    change); an end sample below ``DET_TOL`` is an endpoint crossing.
+    ``path``.  Even-order crossings touch zero without a sign change, so at
+    each dip below ``DIP_TOL`` (relative to the largest sample) the
+    detector's slope, from the order-1 jet ``path(t, 1)``, is searched by
+    :func:`_itp` for a sign change between the dip's neighbouring samples;
+    the point found is kept when ``|det|`` there is below ``DET_TOL``.  An
+    end sample below ``DET_TOL`` is an endpoint crossing.
     Each crossing is classified with :func:`crossing_form`; interior
     crossings of odd order contribute their signature, interior even-order
     crossings contribute nothing, and endpoint crossings contribute half
@@ -538,6 +545,13 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     def det_fn(t: float) -> float:
         return float(plucker(_jet(path, float(t), 0)[0]) @ ref)
 
+    def slope_fn(t: float) -> float:
+        # d/dt of (P . ref) / |P| with P = a ^ b and P' = a' ^ b + a ^ b'
+        (a, b), (da, db) = _jet(path, float(t), 1).transpose(0, 2, 1)
+        P, dP = _wedge(a, b), _wedge(da, b) + _wedge(a, db)
+        norm = np.linalg.norm(P)
+        return float(dP @ ref / norm - (P @ ref) * (P @ dP) / norm**3)
+
     dets = plucker(frames) @ ref
     scale = float(np.max(np.abs(dets)))
     if scale < 1e-12:
@@ -551,10 +565,12 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
                    if abs(d) < DET_TOL * scale] + zeros
     for t in dips:
         i = int(np.searchsorted(ts, t))
-        res = minimize_scalar(lambda s: abs(det_fn(s)), bounds=(ts[i - 1], ts[i + 1]),
-                              method="bounded", options={"xatol": REFINE_TOL})
-        if abs(res.fun) < DET_TOL * scale:
-            crossing_ts.append(float(res.x))
+        lo, hi = float(ts[i - 1]), float(ts[i + 1])
+        slo, shi = slope_fn(lo), slope_fn(hi)
+        if np.sign(slo) * np.sign(shi) < 0:
+            touch = _itp(slope_fn, lo, hi, slo, shi, REFINE_TOL)
+            if abs(det_fn(touch)) < DET_TOL * scale:
+                crossing_ts.append(touch)
 
     crossing_ts.sort()
     merged: list[float] = []

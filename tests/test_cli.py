@@ -652,6 +652,34 @@ def test_subprocess_spectrum_roundtrip(phi0_file):
     assert "0.1209" in proc.stdout
 
 
+_WITHOUT_SCIPY = """
+import sys
+import shpulse.cli
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+sys.modules["scipy"] = None
+import numpy as np
+from shpulse import lagrangian as lg, verify
+from shpulse.model import J4
+print(all(r.passed for r in verify.run_all(quick=True)))
+sand = lg.sandwich_plane()
+path = lg.polynomial_family([sand, 0 * sand, 0 * sand, J4 @ sand @ np.diag([1.0, 2.0])])
+ts = np.linspace(-1.0, 1.0, 1000)
+(c,) = lg.maslov_index(path, sand, ts, path(ts, 0)[:, 0]).crossings
+print(c.order, c.kernel_dim, c.signature)
+"""
+
+
+def test_runtime_needs_no_scipy():
+    """scipy is a test dependency only: a fresh interpreter imports the CLI
+    without loading any scipy module, and with scipy blocked the quick
+    verification passes and the t^3 diag(1, 2) touch between two samples
+    is still found and classified."""
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "3 2 -2"]
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

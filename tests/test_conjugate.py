@@ -155,7 +155,7 @@ def test_pulse_route_counts_a_two_dimensional_crossing(num):
 
     The rows-(1,4) determinant is 2 t^6 there and never changes sign; on
     1000 samples the crossing lies between two samples and is found only by
-    minimising the dip.
+    the sign change of the detector's slope across the dip.
     """
     sand = sandwich_plane()
     coeffs = np.zeros((4, 4, 2))

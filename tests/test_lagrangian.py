@@ -432,6 +432,7 @@ def test_fully_degenerate_crossing_of_any_order(k, num):
     assert (c.order, c.kernel_dim, c.signature) == (k, 2, -2)
     assert result.index == (-2 if k % 2 else 0)
     assert c.value == pytest.approx(-2.0 * math.factorial(k), rel=1e-9)
+    assert abs(c.t) <= lg.REFINE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +591,26 @@ def test_maslov_even_order_crossing_contributes_nothing(num):
     assert len(result.crossings) == 1
     assert result.crossings[0].order == 2
     assert result.crossings[0].contribution == 0.0
-    assert abs(result.crossings[0].t) < 1e-6
+    assert abs(result.crossings[0].t) <= lg.REFINE_TOL
+
+
+@pytest.mark.parametrize("eps, touches", [(1e-7, 0), (1e-10, 1)])
+def test_maslov_dip_is_a_touch_only_below_det_tol(eps, touches):
+    """The graph of diag(t^4 + eps, 1) over span{e1, e2} dips towards the
+    reference between two samples of a 1000-point grid, without a sign
+    change.  The slope search finds the bottom at t = 0, and it is a
+    crossing (an order-4 touch, contributing nothing) only when |det|
+    there, about eps / sqrt(2), is below DET_TOL.  Minimising |det| locates
+    this bottom only to about 1e-7: |det| is flat to rounding there."""
+    coeffs = np.zeros((5, 4, 2))
+    coeffs[0] = HORIZONTAL
+    coeffs[0, 2, 0] = eps
+    coeffs[0, 3, 1] = 1.0
+    coeffs[4, 2, 0] = 1.0
+    result = _maslov(lg.polynomial_family(coeffs), HORIZONTAL, num=1000)
+    assert result.index == 0
+    assert [(c.order, c.kernel_dim) for c in result.crossings] == [(4, 1)] * touches
+    assert all(abs(c.t) <= lg.REFINE_TOL for c in result.crossings)
 
 
 def test_maslov_endpoint_crossings_count_half():
