@@ -39,7 +39,7 @@ import numpy as np
 
 from .lagrangian import maslov_index, sandwich_plane
 from .model import asymptotic_frames, lambda_infinity_bound
-from .pulse import FourierPulse, potential
+from .pulse import FourierPulse, grid_potential_jet
 from .shooting import TRANSPORT_NOISE, FrameTrajectory
 from .spectrum import count_unstable
 
@@ -182,8 +182,7 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory) -> Stabil
     index, records = conjugate_points(trajectory, horizon)
 
     a, b = trajectory.settings.window
-    grid = np.linspace(a, b, 4001)
-    pot = potential(pulse, grid)
+    pot = grid_potential_jet(pulse, a, (b - a) / 4000, 4001, 0)[:, 0]
     lam_inf = lambda_infinity_bound(pot)
     tail = float(max(abs(pot[0] + pulse.params.mu), abs(pot[-1] + pulse.params.mu)))
 

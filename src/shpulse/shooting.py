@@ -11,8 +11,9 @@ eigenvalues of the linearization directly.
 
 Each fixed step's map is a Taylor series.  ``B(x) = B0(lam) + f'(phi(x)) E``
 is affine in the potential (``E`` the unit matrix at (3, 1)), so with the
-potential's Taylor coefficients ``p_i`` (``pulse.potential_jet``, one call
-per chunk of step starts) ``_taylor`` runs
+potential's Taylor coefficients ``p_i`` (``pulse.grid_potential_jet``, one
+call per chunk of step starts, which lie on the uniform grid ``x0 + j h``)
+``_taylor`` runs
 ``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every start of
 a chunk at once: from ``F_0 = I`` for ``_step_maps``, which sums it at the
 step, and from the transported frame for ``FrameTrajectory.jet``.  Its
@@ -21,8 +22,9 @@ the default step), so a map is the product of its halves' maps, and
 symplectic, to rounding: the plane stays Lagrangian.
 
 The chunks are small (``_CHUNK`` starts) so that each one's Taylor stack
-and cosine-series products fit in the memory the last chunk freed: a
-transport after the first maps no fresh pages.
+and cosine-series products fit in the memory the last chunk freed, and the
+series' offset table is kept between chunks and transports: a transport
+after the first maps no fresh pages.
 
 The frame grows like ``exp(Re gamma * x)``; it is kept orthonormal by the
 package's one Gram-Schmidt (``lagrangian._orthonormalize``), which changes
@@ -55,7 +57,7 @@ import numpy as np
 
 from .lagrangian import _orthonormal, _orthonormalize, plucker
 from .model import Params, asymptotic_frames, coefficient_matrix
-from .pulse import FourierPulse, potential_jet
+from .pulse import FourierPulse, grid_potential_jet, potential_jet
 
 # Longest step; a coarser sample spacing takes equal sub-steps.
 MAX_STEP = 0.05
@@ -68,11 +70,12 @@ TRANSPORT_NOISE = 1e-10
 _REACH = 2.0 * math.pi
 # Step starts per pass of the recurrence, chosen by measurement.  Each chunk
 # frees its working set (the (K+1, 4, 256, 4) Taylor stack, 360 kB at degree
-# 10, and the cosine series' (K+1, 256, Q) products) for the next to reuse,
-# so a transport runs in memory the process already holds: with 512 starts
-# the snaking transport faulted in ~1500 fresh pages each time (~3000 with a
-# separate array per series product), with 256 none.  Of 96-512 starts, 256
-# was the fastest on snaking and within 5% of it on phi0 (13-14 ms, one BLAS
+# 10, and the cosine series' (K+1, 4, 2N) weighted anchor rows, 164 kB at
+# N = 256) for the next to reuse, so a transport runs in memory the process
+# already holds and faults in no fresh pages.  A snaking transport's
+# tracemalloc peak is 0.88 MB with 256 starts, 1.04 MB with 384 and 1.28 MB
+# with 512, which were not faster beyond the noise of a shared 2-vCPU host;
+# 128 starts were ~40% slower, from twice the Python-level passes (one BLAS
 # thread).
 _CHUNK = 256
 # The 1-norm of B's last three columns, which hold neither the potential nor lam.
@@ -148,13 +151,15 @@ def _degree(reach: float) -> int:
     return next(K for K in itertools.count() if reach**(K + 1) / math.factorial(K + 1) < 2**-53)
 
 
-def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
-               h: float) -> np.ndarray:
-    """Maps of the steps ``[s, s + h]``, one per start: ``_taylor`` from
+def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
+               nsteps: int) -> np.ndarray:
+    """Maps of the steps ``[s, s + h]`` from the starts ``s = x0 + j h``,
+    ``j < nsteps``: ``_taylor`` from
     ``F_0 = I`` summed at ``h``, to ``_degree(|B|_1 h)`` with ``|B|_1`` at
     the start.  All steps first take the degree of ``_FIXED_NORM``, which
     yields the potential at the starts; those whose potential raises the
-    norm are taken again to the largest one's degree, ``_CHUNK`` at a time.
+    norm are taken again to the largest one's degree, ``_CHUNK`` at a time,
+    with the chunk's grid summed again to that degree.
 
     Raises
     ------
@@ -165,16 +170,16 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
     Bc = coefficient_matrix(0.0, lam)
     fixed = abs(h) * _FIXED_NORM
     K = _degree(fixed)
-    maps = np.empty((len(starts), 4, 4))
+    maps = np.empty((nsteps, 4, 4))
 
     def summed(jet, degree):
         # the series is summed from its smallest terms up
         return _taylor(Bc, jet, _IDENTITY, degree, h)[::-1].sum(axis=0).swapaxes(0, 1)
 
-    for i in range(0, len(starts), _CHUNK):
-        x = starts[i:i + _CHUNK]
+    for i in range(0, nsteps, _CHUNK):
+        x = x0 + h * np.arange(i, min(i + _CHUNK, nsteps))
         with np.errstate(over="ignore", invalid="ignore"):
-            p = potential_jet(pulse, x, K - 1)
+            p = grid_potential_jet(pulse, x[0], h, len(x), K - 1)
             # the potential enters B only at (3, 1), the only entry of its column
             reach = np.maximum(abs(h) * np.abs(Bc[2, 0] + p[:, 0]), fixed)
         top = reach.max()
@@ -189,7 +194,8 @@ def _step_maps(pulse: FourierPulse, lam: float, starts: np.ndarray,
         more_K = _degree(top) if top > fixed else K
         if more_K > K:
             more = reach > fixed
-            maps[i:i + _CHUNK][more] = summed(potential_jet(pulse, x[more], more_K - 1), more_K)
+            p = grid_potential_jet(pulse, x[0], h, len(x), more_K - 1)[more]
+            maps[i:i + _CHUNK][more] = summed(p, more_K)
     return maps
 
 
@@ -213,7 +219,7 @@ def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
     The blocks are in steps, not in stored samples, so a coarser ``every``
     stores exactly a subset of the same frames.
     """
-    maps = _step_maps(pulse, lam, x0 + h * np.arange(nsteps), h)
+    maps = _step_maps(pulse, lam, x0, h, nsteps)
     b = math.isqrt(nsteps - 1) + 1
     nblocks = -(-nsteps // b)
     starts = np.empty((nblocks, 4, 2))

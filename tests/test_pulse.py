@@ -309,10 +309,11 @@ def _evaluate_case(request, N):
 
 @pytest.mark.parametrize("N", [0, 1, 4, 5, 192, 256])
 def test_evaluate_is_the_plain_cosine_sum(request, N):
-    # the angle-addition kernel against the textbook sum, at the default
-    # transport's step starts, points between them and x = 1.5.  Both round each angle k w x to
-    # a relative eps, which moves a mode by up to eps k w |x| |a_k|, so the
-    # bound is a few eps times the sum's condition number at x
+    # evaluate, whose points are their own anchors, against the textbook
+    # sum, at the default transport's step starts, points between them and
+    # x = 1.5.  Both round each angle k w x to a relative eps, which moves a
+    # mode by up to eps k w |x| |a_k|, so the bound is a few eps times the
+    # sum's condition number at x
     pulse = _evaluate_case(request, N)
     x = _transport_nodes()
     w = np.pi / pulse.L_f
@@ -341,33 +342,37 @@ def test_evaluate_is_no_farther_from_extended_precision_than_the_table(request, 
     assert kernel <= table
 
 
-def _one_order_kernel(pulse, x):
-    """The angle-addition evaluation of phi alone, as ``evaluate`` has always
-    computed it: one (M, Q) coefficient matrix, the transpose of a C-ordered
-    (Q, M) array."""
-    x = np.asarray(x, dtype=float)
-    M = math.isqrt(pulse.N) + 1
-    Q = -(-pulse.N // M)
-    A = np.zeros(M * Q)
-    A[:pulse.N] = pulse.a[1:]
-    A = A.reshape(Q, M).T
-    w = np.pi / pulse.L_f
-    fine = np.multiply.outer(x, np.arange(1, M + 1) * w)
-    coarse = np.multiply.outer(x, np.arange(Q) * (M * w))
-    terms = (np.cos(fine) @ A) * np.cos(coarse) - (np.sin(fine) @ A) * np.sin(coarse)
-    return pulse.a[0] + 2.0 * terms.sum(axis=-1)
+def _grid_points(x0, h, n):
+    """The points of ``_series_jet``'s grid of n steps h from x0: anchors
+    x0 + q J h plus offsets i h, J = min(_SPAN, n), the first n of them."""
+    J = min(sp._SPAN, n)
+    anchors = x0 + (J * h) * np.arange(-(-n // J))
+    return (anchors[:, None] + h * np.arange(J)).ravel()[:n]
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
 @pytest.mark.parametrize("N", [0, 1, 4, 5, 192, 256])
-def test_evaluate_keeps_the_bits_of_the_one_order_kernel(request, N):
-    # evaluate is order 0 of the jet kernel, which stacks the weighted
-    # coefficient matrices of every order; order 0 takes the same products
-    # and sums, so a vector of points and single points keep their bits
+def test_grid_order_zero_is_the_plain_and_the_extended_sum(request, N):
+    # order 0 of the grid kernel at the default transport's step starts,
+    # against the textbook sum in double and in long double: within the
+    # bound of test_evaluate_is_the_plain_cosine_sum of both, and on the
+    # reference pulses no farther from the long-double sum than the table
     pulse = _evaluate_case(request, N)
-    x = _transport_nodes()
-    assert np.array_equal(sp.evaluate(pulse, x), _one_order_kernel(pulse, x))
-    for point in (-60.0, -17.2, 0.0, 1.2399, 1.3, 41.1):
-        assert sp.evaluate(pulse, point) == float(_one_order_kernel(pulse, point))
+    (a, b), h = ShootingSettings().window, ShootingSettings().dx
+    n = round((b - a) / h)
+    x = _grid_points(a, h, n)
+    got = sp._series_jet(pulse, a, 0, h, n)[0]
+    w = np.pi / pulse.L_f
+    cond = abs(pulse.a[0]) + 2.0 * (
+        1.0 + np.multiply.outer(np.abs(x), w * np.arange(1, N + 1))) @ np.abs(pulse.a[1:])
+    bound = 8.0 * np.finfo(float).eps * cond
+    exact = _plain(pulse, x, np.longdouble)
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - _plain(pulse, x)) <= bound)
+    assert np.all(np.abs(got - exact) <= bound)
+    if N in (192, 256):
+        assert np.abs(got - exact).max() <= np.abs(_plain(pulse, x) - exact).max()
 
 
 def _table_jet(pulse, x, K):
@@ -389,11 +394,33 @@ def test_series_jet_is_the_weighted_cosine_table(request, N):
     pulse = _evaluate_case(request, N)
     x = _transport_nodes()[::7]
     K = 11
-    got = np.moveaxis(sp._series_jet(pulse, x, K), 0, -1)
+    got = np.moveaxis(sp._series_jet(pulse, x, K)[..., 0], 0, -1)
     rate = np.arange(1, N + 1) * np.pi / pulse.L_f
     scale = np.array([np.abs(pulse.a[1:]) @ (rate**j / math.factorial(j)) for j in range(K + 1)])
     assert got.shape == x.shape + (K + 1,)
     assert np.all(np.abs(got - _table_jet(pulse, x, K)) <= 1e-13 * (scale + abs(pulse.a[0])))
+
+
+@pytest.mark.parametrize("n", [1, sp._SPAN - 1, sp._SPAN, sp._SPAN + 1, 2400])
+@pytest.mark.parametrize("h", [0.05, -0.05, 0.0375])
+@pytest.mark.parametrize("N", [5, 192, 256])
+def test_grid_series_jet_is_the_weighted_cosine_table(request, N, h, n):
+    # the grid kernel from the domain's edge, at the transport's step, the
+    # step backwards and a partial step of frame_at, against the table at
+    # the grid's points by the bound of test_series_jet_is_the_weighted_cosine_table
+    pulse = _evaluate_case(request, N)
+    K = 11
+    x0 = -pulse.L_f if h > 0 else pulse.L_f
+    got = sp._series_jet(pulse, x0, K, h, n).T
+    rate = np.arange(1, N + 1) * np.pi / pulse.L_f
+    scale = np.array([np.abs(pulse.a[1:]) @ (rate**j / math.factorial(j)) for j in range(K + 1)])
+    assert got.shape == (n, K + 1)
+    table = _table_jet(pulse, _grid_points(x0, h, n), K)
+    assert np.all(np.abs(got - table) <= 1e-13 * (scale + abs(pulse.a[0])))
+    # a grid whose last point leaves the domain
+    over = math.floor(2 * pulse.L_f / abs(h)) + 2
+    with pytest.raises(ValueError, match="outside the pulse domain"):
+        sp._series_jet(pulse, x0, K, h, over)
 
 
 def test_potential_jet_is_the_taylor_series(pulse_phi0):

@@ -181,8 +181,7 @@ def _step_loop(pulse, x0, h, nsteps, F, every=1):
     step, every ``every``-th frame kept."""
     F = _gram_schmidt(F)
     kept = [F]
-    for k, Phi in enumerate(_step_maps(pulse, 0.0, x0 + h * np.arange(nsteps), h),
-                            start=1):
+    for k, Phi in enumerate(_step_maps(pulse, 0.0, x0, h, nsteps), start=1):
         F = _gram_schmidt(Phi @ F)
         if k % every == 0:
             kept.append(F)
@@ -211,7 +210,7 @@ def test_blocked_transport_is_the_step_loop_plane(request, name):
     assert np.abs(traj.plucker[upstream] - plucker(loop[upstream])).max() <= 1e-13
     frames = traj.frames
     _assert_orthonormal(frames)
-    maps = _step_maps(pulse, 0.0, a + h * np.arange(nsteps), h)
+    maps = _step_maps(pulse, 0.0, a, h, nsteps)
     R = np.swapaxes(frames[1:], 1, 2) @ maps @ frames[:-1]
     assert np.all(R[:, 0, 0] > 0) and np.all(R[:, 1, 1] > 0)
     assert np.abs(R[:, 1, 0]).max() <= 1e-13 * np.abs(R).max()
@@ -266,13 +265,21 @@ def _table_potential_jet(pulse, x, K):
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
 def test_planes_do_not_depend_on_the_cosine_kernel(request, monkeypatch, name):
-    """The transport on a potential jet summed from the plain cosine table
-    spans the planes of the angle-addition kernel: unit Plücker coordinates
-    within 1e-13 up to the core (x <= 0)."""
+    """The transport on a potential jet summed from the plain N-wide cosine
+    table at every step start spans the planes of the grid kernel: unit
+    Plücker coordinates within 1e-13 up to the core (x <= 0).  The table
+    replaces the grid evaluator itself, and must see every start."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     traj = request.getfixturevalue(f"traj_{name}")
-    monkeypatch.setattr(shooting, "potential_jet", _table_potential_jet)
+    grids = []
+
+    def table_grid_jet(pulse, x0, h, n, K):
+        grids.append(n)
+        return _table_potential_jet(pulse, x0 + h * np.arange(n), K)
+
+    monkeypatch.setattr(shooting, "grid_potential_jet", table_grid_jet)
     table = integrate_frame(pulse, lam=0.0)
+    assert sum(grids) >= len(traj.xs) - 1
     upstream = traj.xs <= 0.0
     assert np.array_equal(table.xs, traj.xs)
     assert np.abs(table.plucker[upstream] - traj.plucker[upstream]).max() <= 1e-13
@@ -287,7 +294,7 @@ def test_step_maps_of_a_constant_potential_are_the_exponential(mu, lam, h):
     |B|_1 h = 5.05, past the pi within which the Magnus series is known to
     converge, and its series runs to degree 35."""
     pulse = zero_pulse(Params(nu=1.6, mu=mu))
-    maps = _step_maps(pulse, lam, np.array([-7.0, 0.0, 2.5]), h)
+    maps = _step_maps(pulse, lam, -7.0, h, 3)
     exact = expm(coefficient_matrix(-mu, lam) * h)
     assert np.abs(maps - exact).max() <= 4 * np.finfo(float).eps * np.abs(exact).max()
 
@@ -315,10 +322,10 @@ def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi
 
     taylor = shooting._taylor
     monkeypatch.setattr(shooting, "_taylor", spy)
-    _step_maps(zero_pulse(Params(nu=1.6, mu=100.0)), 0.0, np.array([-7.0, 0.0, 2.5]), 0.05)
+    _step_maps(zero_pulse(Params(nu=1.6, mu=100.0)), 0.0, -7.0, 0.05, 3)
     assert calls == [(3, 10), (3, 35)]
     calls.clear()
-    _step_maps(pulse_phi0, 0.0, -60.0 + 0.05 * np.arange(2400), 0.05)
+    _step_maps(pulse_phi0, 0.0, -60.0, 0.05, 2400)
     full, rest = divmod(2400, shooting._CHUNK)
     assert calls == [(shooting._CHUNK, 10)] * full + [(rest, 10)] * (rest > 0)
 
@@ -346,9 +353,10 @@ def test_step_map_is_the_product_of_its_halves(request, name):
     2.1e-12)."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     (a, b), h = ShootingSettings().window, ShootingSettings().dx
-    starts = a + h * np.arange(round((b - a) / h))
-    whole = _step_maps(pulse, 0.0, starts, h)
-    halves = _step_maps(pulse, 0.0, starts + h / 2, h / 2) @ _step_maps(pulse, 0.0, starts, h / 2)
+    nsteps = round((b - a) / h)
+    whole = _step_maps(pulse, 0.0, a, h, nsteps)
+    half = _step_maps(pulse, 0.0, a, h / 2, 2 * nsteps)
+    halves = half[1::2] @ half[0::2]
     scale = np.abs(whole).max(axis=(1, 2))
     assert (np.abs(whole - halves).max(axis=(1, 2)) / scale).max() <= 1e-14
 
@@ -387,15 +395,15 @@ def test_overflow_inside_a_block_raises_transport_error(monkeypatch):
     grows a frame by at most e^(2 pi) ~ 535, and no pulse has been seen to
     overflow a block that way, so the maps here are 1e20 times the
     identity."""
-    def growing_maps(pulse, lam, starts, h):
-        return np.broadcast_to(1e20 * np.eye(4), (len(starts), 4, 4)).copy()
+    def growing_maps(pulse, lam, x0, h, nsteps):
+        return np.broadcast_to(1e20 * np.eye(4), (nsteps, 4, 4)).copy()
 
     monkeypatch.setattr(shooting, "_step_maps", growing_maps)
     settings = ShootingSettings(window=(-5.0, 5.0))
     x0, h, nsteps = -5.0, settings.dx, 200
     F = initial_frame(P05)
     with np.errstate(over="ignore"):
-        for k, Phi in enumerate(growing_maps(None, 0.0, np.arange(nsteps), h), start=1):
+        for k, Phi in enumerate(growing_maps(None, 0.0, x0, h, nsteps), start=1):
             F = Phi @ F
             if not np.all(np.isfinite(np.sum(F * F, axis=0))):
                 break
