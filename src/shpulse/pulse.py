@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import Params, nonlinearity_deriv, normal_form
+from .model import Params, normal_form
 
 __all__ = [
     "FourierPulse",
@@ -35,8 +35,6 @@ __all__ = [
     "newton_solve",
     "seed_from_normal_form",
     "evaluate",
-    "potential",
-    "potential_jet",
     "grid_potential_jet",
     "save",
     "load",
@@ -287,8 +285,9 @@ def seed_from_normal_form(
 
 
 # Points per anchor of a uniform grid, the width of ``_series_jet``'s offset
-# table.  A grid of n points takes min(_SPAN, n), so a one-step grid (every
-# ``frame_at`` between samples) pays for one column, not 64.
+# table.  A grid of fewer points is its own anchors with the single offset 0,
+# so that every short grid (``frame_at``'s partial steps, a jet's one point)
+# shares one cached table instead of keying one by its h.
 _SPAN = 64
 
 
@@ -299,16 +298,17 @@ def _series_jet(pulse: FourierPulse, x, K: int, h: float = 0.0, n: int = 1) -> n
     Order j of phi(x) = a_0 + 2 sum_k a_k cos(k w x), w = pi / L_f, weights
     a_k by (k w)^j / j! on the cycle cos, -sin, -cos, sin.  The points are
     split as X_q + r_i, anchors X_q = x + q J h and offsets r_i = i h
-    (i < J = min(_SPAN, n)), and angle addition gives cos(k w (X + r)) =
-    cX cR - sX sR and sin(k w (X + r)) = sX cR + cX sR.  With the signed
-    weights W_j of ``_weights``, order j at an anchor's J points is its row
-    [W_j cX | -W_j sX] (even j) or [W_j sX | W_j cX] (odd j) times the
-    (2N, J) offset table [cR; sR] of ``_offsets``: one matrix product for
-    all orders and anchors, and 2N sines and cosines per anchor, so per
-    point 2N / J of them and 4N(K+1) flops.  An arbitrary array is its own
-    anchors with the single offset 0, the N-wide cosine table.  On the
-    default transport's 2400 step starts order 0 is closer to a long-double
-    sum than the N-wide table in double is (4.1e-16, 4.1e-16 and 2.1e-15
+    (i < J, J = _SPAN if n >= _SPAN else 1), and angle addition gives
+    cos(k w (X + r)) = cX cR - sX sR and sin(k w (X + r)) = sX cR + cX sR.
+    With the signed weights W_j of ``_weights``, order j at an anchor's J
+    points is its row [W_j cX | -W_j sX] (even j) or [W_j sX | W_j cX]
+    (odd j) times the (2N, J) offset table [cR; sR] of ``_offsets``: one
+    matrix product for all orders and anchors, and 2N sines and cosines per
+    anchor, so per point 2N / J of them and 4N(K+1) flops.  A grid shorter
+    than _SPAN, and an arbitrary array (``evaluate``), is its own anchors
+    with the single offset 0, the N-wide cosine table.  On the default
+    transport's 2400 step starts order 0 is closer to a long-double sum
+    than the N-wide table in double is (4.1e-16, 4.1e-16 and 2.1e-15
     against 7.1e-16, 7.7e-16 and 3.0e-15 on phi0, phipi and snaking).  A
     point outside [-L_f, L_f] by more than rounding is a ValueError: the
     last point of a grid ending at L_f may round past it.
@@ -317,7 +317,7 @@ def _series_jet(pulse: FourierPulse, x, K: int, h: float = 0.0, n: int = 1) -> n
     ends = np.abs(np.concatenate([x.ravel(), x.ravel() + (n - 1) * h]))
     if np.any(ends > pulse.L_f * (1.0 + 4 * np.finfo(float).eps)):
         raise ValueError(f"x outside the pulse domain [-{pulse.L_f}, {pulse.L_f}]")
-    J = min(_SPAN, n)
+    J = _SPAN if n >= _SPAN else 1
     Q = -(-n // J)
     anchors = np.add.outer(x, (J * h) * np.arange(Q)).ravel()
     N = pulse.N
@@ -332,7 +332,7 @@ def _series_jet(pulse: FourierPulse, x, K: int, h: float = 0.0, n: int = 1) -> n
     left = np.empty((K + 1, anchors.size, 2 * N))
     np.multiply(weights[0::2, None], trig[:, :2 * N], out=left[0::2])
     np.multiply(weights[1::2, None], trig[:, N:], out=left[1::2])
-    # a single offset is 0 whatever h is, so every one-column grid and every
+    # a single offset is 0 whatever h is, so every short grid and every
     # arbitrary array share one table
     offsets = _offsets(N, pulse.L_f, h if J > 1 else 0.0, J)
     out = left.reshape((K + 1) * anchors.size, 2 * N) @ offsets
@@ -377,35 +377,20 @@ def evaluate(pulse: FourierPulse, x):
     return float(out) if out.ndim == 0 else out
 
 
-def potential(pulse: FourierPulse, x):
-    """f'(phi(x)) — the x-dependent potential of the linearized equation."""
-    return nonlinearity_deriv(evaluate(pulse, x), pulse.params)
-
-
-def _potential_series(pulse: FourierPulse, phi: np.ndarray) -> np.ndarray:
-    """Taylor coefficients of f'(phi) = 2 nu phi - 3 phi^2 - mu from phi's,
-    orders on the first axis in and on the last axis out."""
-    K = len(phi) - 1
-    # the square's Cauchy product, summed over i = 0..n in order
+def grid_potential_jet(pulse: FourierPulse, x0: float, h: float, n: int,
+                       K: int) -> np.ndarray:
+    """Taylor coefficients p_0..p_K of f'(phi) = 2 nu phi - 3 phi^2 - mu at
+    the n grid points x0 + i h, i < n, shape ``(n, K+1)``, from phi's on
+    ``_series_jet``'s grid: the one way the potential reaches the transport
+    and the crossing jets."""
+    phi = _series_jet(pulse, float(x0), K, h, n)
+    # the square's Cauchy product, summed over i = 0..K in order
     square = phi * phi[0]
     for i in range(1, K + 1):
         square[i:] += phi[i] * phi[:K + 1 - i]
     p = 2.0 * pulse.params.nu * phi - 3.0 * square
     p[0] -= pulse.params.mu
-    return p.transpose(*range(1, p.ndim), 0)
-
-
-def potential_jet(pulse: FourierPulse, x, K: int) -> np.ndarray:
-    """Taylor coefficients p_0..p_K of f'(phi) = 2 nu phi - 3 phi^2 - mu at
-    every entry of x, shape ``x.shape + (K+1,)``."""
-    return _potential_series(pulse, _series_jet(pulse, x, K)[..., 0])
-
-
-def grid_potential_jet(pulse: FourierPulse, x0: float, h: float, n: int,
-                       K: int) -> np.ndarray:
-    """``potential_jet`` at the n grid points x0 + i h, i < n, shape
-    ``(n, K+1)``, with the grid's offset table."""
-    return _potential_series(pulse, _series_jet(pulse, float(x0), K, h, n))
+    return p.T
 
 
 _FIELDS = ("nu", "mu", "phi", "L_f", "N", "coefficients", "residual_norm")

@@ -11,15 +11,16 @@ eigenvalues of the linearization directly.
 
 Each fixed step's map is a Taylor series.  ``B(x) = B0(lam) + f'(phi(x)) E``
 is affine in the potential (``E`` the unit matrix at (3, 1)), so with the
-potential's Taylor coefficients ``p_i`` (``pulse.grid_potential_jet``, one
-call per chunk of step starts, which lie on the uniform grid ``x0 + j h``)
-``_taylor`` runs
+potential's Taylor coefficients ``p_i`` (``pulse.grid_potential_jet``, the
+only source of them: a grid of a chunk's step starts ``x0 + j h``, or the
+one point of a jet) ``_taylor`` runs
 ``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every start of
 a chunk at once: from ``F_0 = I`` for ``_step_maps``, which sums it at the
-step, and from the transported frame for ``FrameTrajectory.jet``.  Its
-degree puts the next term ``(|B|_1 h)^(K+1) / (K+1)!`` below 2^-53 (10 at
-the default step), so a map is the product of its halves' maps, and
-symplectic, to rounding: the plane stays Lagrangian.
+step, and from the transported frame for ``FrameTrajectory.jet``.  A
+chunk's degree puts the next term ``(|B|_1 h)^(K+1) / (K+1)!`` of its
+largest step below 2^-53 (10 at the default step), so a map is the product
+of its halves' maps, and symplectic, to rounding: the plane stays
+Lagrangian.
 
 The chunks are small (``_CHUNK`` starts) so that each one's Taylor stack
 and cosine-series products fit in the memory the last chunk freed, and the
@@ -29,8 +30,8 @@ after the first maps no fresh pages.
 The frame grows like ``exp(Re gamma * x)``; it is kept orthonormal by the
 package's one Gram-Schmidt (``lagrangian._orthonormalize``), which changes
 neither the spanned plane nor its unit Plücker coordinates, whose ``P14``,
-the crossing detector ``deta``, vanishes exactly where the plane meets the
-sandwich plane.  Gram-Schmidt need not run after every step, only often
+the crossing detector, vanishes exactly where the plane meets the sandwich
+plane.  Gram-Schmidt need not run after every step, only often
 enough to keep the frame well conditioned: ``_transport`` multiplies the
 maps out inside blocks of about ``sqrt(nsteps)`` steps and orthonormalizes
 each block's products applied to the block's start frame in one stacked
@@ -57,7 +58,7 @@ import numpy as np
 
 from .lagrangian import _orthonormal, _orthonormalize, plucker
 from .model import Params, asymptotic_frames, coefficient_matrix
-from .pulse import FourierPulse, grid_potential_jet, potential_jet
+from .pulse import FourierPulse, grid_potential_jet
 
 # Longest step; a coarser sample spacing takes equal sub-steps.
 MAX_STEP = 0.05
@@ -154,12 +155,11 @@ def _degree(reach: float) -> int:
 def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
                nsteps: int) -> np.ndarray:
     """Maps of the steps ``[s, s + h]`` from the starts ``s = x0 + j h``,
-    ``j < nsteps``: ``_taylor`` from
-    ``F_0 = I`` summed at ``h``, to ``_degree(|B|_1 h)`` with ``|B|_1`` at
-    the start.  All steps first take the degree of ``_FIXED_NORM``, which
-    yields the potential at the starts; those whose potential raises the
-    norm are taken again to the largest one's degree, ``_CHUNK`` at a time,
-    with the chunk's grid summed again to that degree.
+    ``j < nsteps``: ``_taylor`` from ``F_0 = I`` summed at ``h``, one call
+    per chunk of ``_CHUNK`` starts, to ``_degree(|B|_1 h)`` with ``|B|_1``
+    the largest at the chunk's starts.  The potential at the starts comes
+    with the degree of ``_FIXED_NORM``, the least any step takes; a chunk
+    whose potential raises the norm sums its grid again to its own degree.
 
     Raises
     ------
@@ -171,11 +171,6 @@ def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
     fixed = abs(h) * _FIXED_NORM
     K = _degree(fixed)
     maps = np.empty((nsteps, 4, 4))
-
-    def summed(jet, degree):
-        # the series is summed from its smallest terms up
-        return _taylor(Bc, jet, _IDENTITY, degree, h)[::-1].sum(axis=0).swapaxes(0, 1)
-
     for i in range(0, nsteps, _CHUNK):
         x = x0 + h * np.arange(i, min(i + _CHUNK, nsteps))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -190,12 +185,12 @@ def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
                 if not np.isfinite(reach[j]) else
                 f"the step at x = {x[j]:.6g} has |B|_1 h = {reach[j]:.3g}, beyond "
                 f"the reach {_REACH:.3g} of its Taylor series")
-        maps[i:i + _CHUNK] = summed(p, K)
-        more_K = _degree(top) if top > fixed else K
-        if more_K > K:
-            more = reach > fixed
-            p = grid_potential_jet(pulse, x[0], h, len(x), more_K - 1)[more]
-            maps[i:i + _CHUNK][more] = summed(p, more_K)
+        degree = _degree(top)
+        if degree > K:
+            p = grid_potential_jet(pulse, x[0], h, len(x), degree - 1)
+        terms = _taylor(Bc, p, _IDENTITY, degree, h)
+        # the series is summed from its smallest terms up
+        maps[i:i + _CHUNK] = terms[::-1].sum(axis=0).swapaxes(0, 1)
     return maps
 
 
@@ -260,8 +255,8 @@ class FrameTrajectory:
 
     ``frames`` holds the orthonormal frame at each grid point ``xs`` as one
     read-only ``(len(xs), 4, 2)`` array; the unit Plücker coordinates
-    ``plucker``, the crossing detector ``deta`` (their ``P14`` column) and
-    the symplectic-form drift ``omega_drift = |P13 + P24|`` are computed
+    ``plucker`` (their ``P14`` column is the crossing detector) and the
+    symplectic-form drift ``omega_drift = |P13 + P24|`` are computed
     for all samples at once.
     ``frame_at`` takes one partial step from the nearest sample,
     which keeps arbitrary-point evaluation cheap and as accurate as the
@@ -274,10 +269,6 @@ class FrameTrajectory:
     settings: ShootingSettings
     xs: np.ndarray
     frames: np.ndarray
-
-    @cached_property
-    def deta(self) -> np.ndarray:
-        return self.plucker[:, 2]
 
     @cached_property
     def plucker(self) -> np.ndarray:
@@ -293,7 +284,7 @@ class FrameTrajectory:
         return tuple(
             PathSample(x=float(x), frame=F, deta=float(d), plucker=P,
                        omega_drift=float(w))
-            for x, F, d, P, w in zip(self.xs, self.frames, self.deta,
+            for x, F, d, P, w in zip(self.xs, self.frames, self.plucker[:, 2],
                                      self.plucker, self.omega_drift))
 
     def frame_at(self, x: float) -> np.ndarray:
@@ -318,7 +309,7 @@ class FrameTrajectory:
         """Taylor coefficients ``F_0..F_K``, shape ``(K+1, 4, 2)``, at ``x`` of
         the solution of ``F' = B F`` through ``frame_at(x)``: the plane's jet,
         by the recurrence of ``_taylor`` that also gives the step maps."""
-        p = potential_jet(self.pulse, float(x), K - 1) if K else np.empty(0)
+        p = grid_potential_jet(self.pulse, x, 0.0, 1, K - 1)[0] if K else np.empty(0)
         return _taylor(coefficient_matrix(0.0, self.lam), p, self.frame_at(x), K)
 
 

@@ -394,6 +394,23 @@ def test_conjugate_report_is_deterministic(phi0_file, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("name, dx", [("phi0", 0.1), ("phi0", 0.2), ("phi0", 0.25),
+                                      ("phipi", 0.2), ("snaking", 0.2)])
+def test_conjugate_stdout_does_not_depend_on_the_sample_spacing(request, name, dx,
+                                                                tmp_path, capsys):
+    """A coarser ``sample_dx`` from a config file prints the default run's
+    bytes: its sub-steps are the default steps, and the crossings are found
+    and classified between the samples."""
+    path = str(request.getfixturevalue(f"{name}_file"))
+    capsys.readouterr()
+    assert cli.main(["conjugate", path]) == 0
+    default = capsys.readouterr().out
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"sample_dx": dx}))
+    assert cli.main(["conjugate", path, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == default
+
+
 @pytest.mark.parametrize("name, rows", [
     ("phi0", ["      1.239897     I      0.939251             -      0.8193"]),
     ("phipi", ["     -0.631220     I      0.333801             -      0.7464",

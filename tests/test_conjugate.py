@@ -282,7 +282,8 @@ def test_coarse_tail_is_clipped_not_reported():
     pulse = newton_solve(
         seed_from_normal_form(Params(1.6, 0.20), 0.0, scale=3.0, N=128))
     traj = integrate_frame(pulse, lam=0.0)
-    raw = np.where(np.sign(traj.deta[:-1]) * np.sign(traj.deta[1:]) < 0)[0]
+    detA = traj.plucker[:, 2]
+    raw = np.where(np.sign(detA[:-1]) * np.sign(detA[1:]) < 0)[0]
     assert raw.size > 0  # the artifact is really present in the samples
     report = stability_report(pulse, traj)
     assert report.clipped

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shpulse.pulse as sp
-from shpulse.model import Params
+from shpulse.model import Params, nonlinearity_deriv
 from shpulse.pulse import FourierPulse, NewtonError, PulseFileError
 from shpulse.shooting import ShootingSettings
 from shpulse.verify import REFERENCE_PULSES
@@ -268,7 +268,7 @@ def test_seed_allocates_no_table():
 def test_evaluate_basics():
     zero = make_pulse(np.zeros(5))
     assert sp.evaluate(zero, 12.3) == 0.0
-    assert sp.potential(zero, 12.3) == -0.05
+    assert sp.grid_potential_jet(zero, 12.3, 0.0, 1, 0)[0, 0] == -0.05
     single = make_pulse([0.0, 0.5])
     assert sp.evaluate(single, 0.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
@@ -344,8 +344,9 @@ def test_evaluate_is_no_farther_from_extended_precision_than_the_table(request, 
 
 def _grid_points(x0, h, n):
     """The points of ``_series_jet``'s grid of n steps h from x0: anchors
-    x0 + q J h plus offsets i h, J = min(_SPAN, n), the first n of them."""
-    J = min(sp._SPAN, n)
+    x0 + q J h plus offsets i h, J = _SPAN (1 for n < _SPAN), the first n
+    of them."""
+    J = sp._SPAN if n >= sp._SPAN else 1
     anchors = x0 + (J * h) * np.arange(-(-n // J))
     return (anchors[:, None] + h * np.arange(J)).ravel()[:n]
 
@@ -429,28 +430,28 @@ def test_potential_jet_is_the_taylor_series(pulse_phi0):
     single = make_pulse([0.0, 0.5])
     w, x = np.pi / single.L_f, 12.3
     phi, dphi, d2phi = np.cos(w * x), -w * np.sin(w * x), -w**2 * np.cos(w * x)
-    p = sp.potential_jet(single, x, 2)
-    assert p.shape == (3,)
-    assert p[0] == pytest.approx(sp.potential(single, x), abs=1e-15)
+    p = sp.grid_potential_jet(single, x, 0.0, 1, 2)
+    assert p.shape == (1, 3)
+    p = p[0]
+    assert p[0] == pytest.approx(nonlinearity_deriv(sp.evaluate(single, x), P), abs=1e-15)
     assert p[1] == pytest.approx((2 * P.nu - 6 * phi) * dphi, abs=1e-15)
     assert p[2] == pytest.approx(((2 * P.nu - 6 * phi) * d2phi - 6 * dphi**2) / 2, abs=1e-15)
-    # a reference pulse: the order-9 Taylor sum is the potential a step away
-    points = np.array([-30.0, 0.0, 1.24, 17.6])
-    jets = sp.potential_jet(pulse_phi0, points, 9)
-    assert jets.shape == (4, 10)
-    for x, p in zip(points, jets):
-        assert np.allclose(p, sp.potential_jet(pulse_phi0, x, 9), rtol=1e-13, atol=1e-17)
+    # a reference pulse: the order-9 Taylor sum is the potential a step away,
+    # a point's one-point jet is its row of a grid's, and order 0 is the
+    # potential of ``evaluate``'s values
+    def potential(x):
+        return nonlinearity_deriv(sp.evaluate(pulse_phi0, x), pulse_phi0.params)
+
+    for x in (-30.0, 0.0, 1.24, 17.6):
         for h in (0.05, -0.05):
-            assert np.polyval(p[::-1], h) == pytest.approx(
-                sp.potential(pulse_phi0, x + h), abs=1e-13)
-    # any array of points: the orders go last
-    grid = points.reshape(2, 2)
-    assert np.allclose(sp.potential_jet(pulse_phi0, grid, 3), jets[:, :4].reshape(2, 2, 4),
-                       rtol=1e-13, atol=1e-17)
-    # order 0 is the potential of ``evaluate``'s values
-    assert np.abs(jets[:, 0] - sp.potential(pulse_phi0, points)).max() <= 1e-15
+            grid = sp.grid_potential_jet(pulse_phi0, x, h, 2, 9)
+            assert grid.shape == (2, 10)
+            assert np.allclose(grid[0], sp.grid_potential_jet(pulse_phi0, x, 0.0, 1, 9)[0],
+                               rtol=1e-13, atol=1e-17)
+            assert np.polyval(grid[0, ::-1], h) == pytest.approx(potential(x + h), abs=1e-13)
+            assert np.abs(grid[:, 0] - potential(x + h * np.arange(2))).max() <= 1e-15
     with pytest.raises(ValueError, match="outside the pulse domain"):
-        sp.potential_jet(single, 100.5, 3)
+        sp.grid_potential_jet(single, 100.5, 0.0, 1, 3)
 
 
 @pytest.mark.parametrize("mu,scale", [(0.05, 1.0), (0.20, 3.0)])

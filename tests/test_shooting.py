@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, subspace_angles
 
+import shpulse.pulse as sp
 from shpulse import shooting
 from shpulse.conjugate import conjugate_points, trust_horizon
 from shpulse.lagrangian import plucker, sandwich_plane
-from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix
+from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix, nonlinearity_deriv
 from shpulse.pulse import FourierPulse
 from shpulse.shooting import (
     FrameTrajectory,
@@ -109,7 +110,8 @@ def test_constant_coefficients_plane_is_invariant():
     """The asymptotic unstable plane is invariant: detA never moves."""
     pulse = zero_pulse(Params(nu=1.6, mu=0.2))
     traj = integrate_frame(pulse, settings=ShootingSettings(window=(-10.0, 10.0)))
-    assert np.max(np.abs(traj.deta - traj.deta[0])) < 1e-10
+    detA = traj.plucker[:, 2]
+    assert np.max(np.abs(detA - detA[0])) < 1e-10
 
 
 def test_omega_drift_stays_small(traj_phi0, traj_phipi, traj_snaking):
@@ -126,11 +128,6 @@ def test_plucker_norm_and_quadric_along_trajectory(traj_phi0):
         assert abs(quadric) < 1e-12
 
 
-def test_deta_is_the_p14_coordinate(traj_phipi):
-    p14 = np.array([s.plucker[2] for s in traj_phipi.samples])
-    assert np.array_equal(traj_phipi.deta, p14)
-
-
 def test_step_size_is_transparent(pulse_phi0):
     """Finer steps and coarser sampling give the same plane and crossing."""
     runs = {dx: integrate_frame(pulse_phi0,
@@ -140,7 +137,7 @@ def test_step_size_is_transparent(pulse_phi0):
     for dx, traj in runs.items():
         stride = int(round(0.1 / dx))
         assert np.array_equal(traj.xs[::stride], base.xs)
-        assert np.max(np.abs(traj.deta[::stride] - base.deta)) < 1e-7
+        assert np.max(np.abs(traj.plucker[::stride, 2] - base.plucker[:, 2])) < 1e-7
     points = [conjugate_points(traj, trust_horizon(pulse_phi0)) for traj in runs.values()]
     assert all(index == 1 and len(records) == 1 for index, records in points)
     crossings = [records[0].x_star for _, records in points]
@@ -167,6 +164,22 @@ def test_coarse_sampling_takes_sub_steps(pulse_phi0, traj_phi0):
     coarse = integrate_frame(pulse_phi0, settings=ShootingSettings(dx=0.1))
     assert len(coarse.samples) == 1201
     assert np.array_equal(coarse.frames, traj_phi0.frames[::2])
+
+
+def test_coarse_frame_at_keeps_the_transport_tables(pulse_phi0):
+    """Between the samples of dx = 0.2, ``frame_at`` takes two partial steps
+    of an h of its own.  Such a short grid shares the series' zero-offset
+    table, so 40 calls add at most that table to the cache, and the next
+    default transport finds its own tables there."""
+    traj = integrate_frame(pulse_phi0, settings=ShootingSettings(dx=0.2))
+    integrate_frame(pulse_phi0)
+    before = sp._offsets.cache_info().misses
+    for k in range(40):
+        traj.frame_at(traj.xs[100 + k] + 0.06 + 0.001 * k)
+    after = sp._offsets.cache_info().misses
+    assert after - before <= 1
+    integrate_frame(pulse_phi0)
+    assert sp._offsets.cache_info().misses == after
 
 
 def _gram_schmidt(M):
@@ -308,12 +321,12 @@ def test_degree_is_the_least_whose_next_term_is_below_unit_roundoff():
 
 
 def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi0):
-    """Every step is first taken to the degree of the columns without the
-    potential (|B|_1 h = 3 h), and those whose potential raises the norm
-    again, to the largest such degree: mu = 100 puts |B|_1 h = 5.05 at
-    every start, while phi0's potential never exceeds those columns, so its
-    2400 default steps take one call per chunk of ``_CHUNK`` starts, all at
-    degree 10."""
+    """A chunk of ``_CHUNK`` step starts runs the recurrence once, to the
+    degree of its largest |B|_1 h, never below that of the columns without
+    the potential (|B|_1 h = 3 h): mu = 100 puts |B|_1 h = 5.05 at every
+    start, so its chunk takes degree 35, while phi0's potential never
+    exceeds those columns, so its 2400 default steps take one call per
+    chunk, all at degree 10."""
     calls = []
 
     def spy(Bc, p, F0, K, h=1.0):
@@ -323,7 +336,7 @@ def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi
     taylor = shooting._taylor
     monkeypatch.setattr(shooting, "_taylor", spy)
     _step_maps(zero_pulse(Params(nu=1.6, mu=100.0)), 0.0, -7.0, 0.05, 3)
-    assert calls == [(3, 10), (3, 35)]
+    assert calls == [(3, 35)]
     calls.clear()
     _step_maps(pulse_phi0, 0.0, -60.0, 0.05, 2400)
     full, rest = divmod(2400, shooting._CHUNK)
@@ -427,10 +440,9 @@ def test_frame_at_anchor_and_midpoint(traj_phi0):
 def _advance(traj, sample, h):
     from scipy.integrate import solve_ivp
 
-    from shpulse.pulse import potential
-
     def rhs(x, y):
-        B = coefficient_matrix(potential(traj.pulse, x), traj.lam)
+        B = coefficient_matrix(
+            nonlinearity_deriv(sp.evaluate(traj.pulse, x), traj.pulse.params), traj.lam)
         return (B @ y.reshape(4, 2)).ravel()
 
     sol = solve_ivp(rhs, (sample.x, sample.x + h), sample.frame.ravel(),
@@ -467,7 +479,7 @@ def test_jet_sums_to_the_transported_plane(request, name):
 
 def test_tail_oscillation_has_the_predicted_period(traj_phi0):
     """Far from the pulse the detA samples oscillate with period pi/Im(gamma)."""
-    xs, d = traj_phi0.xs, traj_phi0.deta
+    xs, d = traj_phi0.xs, traj_phi0.plucker[:, 2]
     m = (xs >= 25.0) & (xs <= 55.0)
     sig = d[m] - d[m].mean()
     ac = np.correlate(sig, sig, mode="full")[sig.size - 1:]
@@ -484,18 +496,13 @@ def test_tail_oscillation_has_the_predicted_period(traj_phi0):
 def test_batched_plane_quantities_match_per_frame_calls(traj_phi0):
     frames = traj_phi0.frames
     P = plucker(frames)
-    assert P.shape == (len(frames), 6) and traj_phi0.deta.shape == (len(frames),)
+    assert P.shape == (len(frames), 6)
     assert np.array_equal(P, np.array([plucker(F) for F in frames]))
     assert np.array_equal(P, traj_phi0.plucker)
     bad = frames[:5].copy()
     bad[3, :, 1] = 2.0 * bad[3, :, 0]
     with pytest.raises(ValueError, match="rank-deficient"):
         plucker(bad)
-
-
-def test_deta_is_the_plucker_p14_column_bitwise(traj_phi0, traj_phipi, traj_snaking):
-    for traj in (traj_phi0, traj_phipi, traj_snaking):
-        assert traj.deta.tobytes() == traj.plucker[:, 2].tobytes()
 
 
 def test_csv_deta_column_has_the_p14_bytes(traj_phi0, traj_phipi, traj_snaking):
@@ -538,7 +545,7 @@ def test_write_trajectory_is_the_csv_module_bytewise(tmp_path, traj_phi0):
     writer = csv.writer(expected)
     writer.writerow(["x", "detA", "P12", "P13", "P14", "P23", "P24", "P34",
                      "omega_drift"])
-    rows = np.column_stack([traj_phi0.xs, traj_phi0.deta, traj_phi0.plucker,
+    rows = np.column_stack([traj_phi0.xs, traj_phi0.plucker[:, 2], traj_phi0.plucker,
                             traj_phi0.omega_drift])
     writer.writerows([repr(v) for v in row] for row in rows.tolist())
     buf = io.StringIO()
@@ -553,4 +560,4 @@ def test_integrate_is_deterministic(pulse_phi0):
     st = ShootingSettings(window=(-5.0, 5.0))
     a = integrate_frame(pulse_phi0, settings=st)
     b = integrate_frame(pulse_phi0, settings=st)
-    assert np.array_equal(a.deta, b.deta)
+    assert np.array_equal(a.plucker, b.plucker)
