@@ -47,6 +47,7 @@ detector and trajectory export.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -479,17 +480,11 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
         zeros.append(_itp(value_at, float(ts[i]), float(ts[i + 1]),
                           float(values[i]), float(values[i + 1]), tol))
 
-    absd = np.abs(values)
-    dips = [
-        float(ts[i])
-        for i in range(1, len(values) - 1)
-        if absd[i] < dip_level
-        and absd[i] <= absd[i - 1]
-        and absd[i] <= absd[i + 1]
-        and np.sign(values[i - 1]) == np.sign(values[i + 1])
-        and values[i] != 0.0
-    ]
-    return sorted(zeros), dips
+    absd, sign = np.abs(values), np.sign(values)
+    mid = absd[1:-1]
+    dip = ((mid < dip_level) & (mid <= absd[:-2]) & (mid <= absd[2:])
+           & (sign[:-2] == sign[2:]) & (values[1:-1] != 0.0))
+    return sorted(zeros), np.asarray(ts, dtype=float)[1:-1][dip].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +598,19 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _shift_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``C(m, i)`` and ``max(m - i, 0)`` for ``i, m < n``, the Taylor shift's
+    weights and powers, read-only: a trajectory builds a family per sample
+    it expands, of a handful of sizes."""
+    m = np.arange(n)
+    binom = np.array([[math.comb(j, i) for j in m] for i in m], dtype=float)
+    shift = np.maximum(m[None, :] - m[:, None], 0)
+    binom.setflags(write=False)
+    shift.setflags(write=False)
+    return binom, shift
+
+
 def polynomial_family(coeffs) -> Family:
     """The family ``t -> sum_m coeffs[m] t^m`` (``coeffs`` of shape
     ``(d+1, 4, 2)``) as an exact jet, the Taylor shift
@@ -610,9 +618,7 @@ def polynomial_family(coeffs) -> Family:
     array ``t`` gives one jet per entry: ``path(ts, 0)[:, 0]`` samples a grid.
     """
     P = _frame_matrix(coeffs, (len(coeffs), 4, 2)).reshape(len(coeffs), 8)
-    m = np.arange(len(P))
-    binom = np.array([[math.comb(j, i) for j in m] for i in m], dtype=float)
-    shift = np.maximum(m[None, :] - m[:, None], 0)
+    binom, shift = _shift_tables(len(P))
 
     def jet(t, K: int) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None, None]

@@ -286,8 +286,9 @@ def seed_from_normal_form(
 
 # Points per anchor of a uniform grid, the width of ``_series_jet``'s offset
 # table.  A grid of fewer points is its own anchors with the single offset 0,
-# so that every short grid (``frame_at``'s partial steps, a jet's one point)
-# shares one cached table instead of keying one by its h.
+# so that every short grid (a short window's steps, the one point of a
+# trajectory's cached series) shares one cached table instead of keying one
+# by its h.
 _SPAN = 64
 
 

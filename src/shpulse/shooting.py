@@ -12,17 +12,27 @@ eigenvalues of the linearization directly.
 Each fixed step's map is a Taylor series.  ``B(x) = B0(lam) + f'(phi(x)) E``
 is affine in the potential (``E`` the unit matrix at (3, 1)), so with the
 potential's Taylor coefficients ``p_i`` (``pulse.grid_potential_jet``, the
-only source of them: a grid of a chunk's step starts ``x0 + j h``, or the
-one point of a jet) ``_taylor`` runs
-``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every start of
-a chunk at once: from ``F_0 = I`` for ``_step_maps``, which sums it at the
-step, and from the transported frame for ``FrameTrajectory.jet``.  A
+only source of them: a grid of a chunk's expansion points, or the one point
+of a sample) ``_taylor`` runs
+``(n+1) F_{n+1} = B_0 F_n + sum_{i=1..n} p_i E F_{n-i}`` for every point of
+a chunk at once.  ``_step_maps`` runs it from ``F_0 = I`` about the
+midpoint ``c`` of every pair of steps: summed at ``h`` it is the map of
+``[c, c + h]``, summed at ``-h`` the map back to ``c - h``, whose symplectic
+inverse (its entries moved and negated) is the map of ``[c - h, c]``.  A
 chunk's degree puts the next term ``(|B|_1 h)^(K+1) / (K+1)!`` of its
 largest step below 2^-53 (10 at the default step), so a map is the product
 of its halves' maps, and symplectic, to rounding: the plane stays
 Lagrangian.
 
-The chunks are small (``_CHUNK`` starts) so that each one's Taylor stack
+``FrameTrajectory`` runs the same recurrence once per sample it is asked
+about, from the stored frame, and keeps the series: ``frame_at`` and
+``jet`` between the samples are the nearest sample's series shifted to the
+point, so a crossing search that probes one bracket many times expands
+only its two ends.  At a sample spacing above ``MAX_STEP`` the series are
+about the transport's step points instead, each started from the frame
+its neighbour's series carries to it from the nearest sample.
+
+The chunks are small (``_CHUNK`` midpoints) so that each one's Taylor stack
 and cosine-series products fit in the memory the last chunk freed, and the
 series' offset table is kept between chunks and transports: a transport
 after the first maps no fresh pages.
@@ -56,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lagrangian import _orthonormal, _orthonormalize, plucker
+from .lagrangian import Family, _orthonormal, _orthonormalize, plucker, polynomial_family
 from .model import Params, asymptotic_frames, coefficient_matrix
 from .pulse import FourierPulse, grid_potential_jet
 
@@ -69,14 +79,15 @@ TRANSPORT_NOISE = 1e-10
 # converges (Moan & Niesen, Found. Comput. Math. 2008), |B|_1 h < 2 pi, as
 # |B|_1 <= 2 |B|_2 for 4 x 4 matrices; the Taylor series then takes ~40 terms.
 _REACH = 2.0 * math.pi
-# Step starts per pass of the recurrence, chosen by measurement.  Each chunk
-# frees its working set (the (K+1, 4, 256, 4) Taylor stack, 360 kB at degree
-# 10, and the cosine series' (K+1, 4, 2N) weighted anchor rows, 164 kB at
+# Expansion points (midpoints of pairs of steps) per pass of the recurrence,
+# chosen by measurement when each point was a step start.  Each chunk frees
+# its working set (the (K+1, 4, 256, 4) Taylor stack, 360 kB at degree 10,
+# and the cosine series' (K+1, 4, 2N) weighted anchor rows, 164 kB at
 # N = 256) for the next to reuse, so a transport runs in memory the process
 # already holds and faults in no fresh pages.  A snaking transport's
-# tracemalloc peak is 0.88 MB with 256 starts, 1.04 MB with 384 and 1.28 MB
+# tracemalloc peak was 0.88 MB with 256 points, 1.04 MB with 384 and 1.28 MB
 # with 512, which were not faster beyond the noise of a shared 2-vCPU host;
-# 128 starts were ~40% slower, from twice the Python-level passes (one BLAS
+# 128 points were ~40% slower, from twice the Python-level passes (one BLAS
 # thread).
 _CHUNK = 256
 # The 1-norm of B's last three columns, which hold neither the potential nor lam.
@@ -152,46 +163,73 @@ def _degree(reach: float) -> int:
     return next(K for K in itertools.count() if reach**(K + 1) / math.factorial(K + 1) < 2**-53)
 
 
+def _reach(Bc: np.ndarray, p0: np.ndarray, h: float) -> np.ndarray:
+    """``|B|_1 h`` at points whose potential is ``p0``: the potential enters
+    B only at (3, 1), the only entry of its column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(abs(h) * np.abs(Bc[2, 0] + p0), abs(h) * _FIXED_NORM)
+
+
+def _symplectic_inverse(M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``J^T M^T J = [[D^T, -B^T], [-C^T, A^T]]`` of maps ``M = [[A, B], [C, D]]``
+    on the last two axes, written into ``out``: the inverse of a symplectic
+    map, by moving and negating its entries, so without a rounding."""
+    T = M.swapaxes(-1, -2)
+    out[..., :2, :2] = T[..., 2:, 2:]
+    np.negative(T[..., 2:, :2], out=out[..., :2, 2:])
+    np.negative(T[..., :2, 2:], out=out[..., 2:, :2])
+    out[..., 2:, 2:] = T[..., :2, :2]
+    return out
+
+
 def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
                nsteps: int) -> np.ndarray:
     """Maps of the steps ``[s, s + h]`` from the starts ``s = x0 + j h``,
-    ``j < nsteps``: ``_taylor`` from ``F_0 = I`` summed at ``h``, one call
-    per chunk of ``_CHUNK`` starts, to ``_degree(|B|_1 h)`` with ``|B|_1``
-    the largest at the chunk's starts.  The potential at the starts comes
+    ``j < nsteps``, two steps from each expansion.  ``_taylor`` runs from
+    ``F_0 = I`` about every midpoint ``c = x0 + (2k + 1) h`` of a pair of
+    steps, one call per chunk of ``_CHUNK`` midpoints, to
+    ``_degree(|B|_1 h)`` with ``|B|_1`` the largest at the chunk's midpoints.
+    Summed at ``h`` the series is the map of ``[c, c + h]``; summed with
+    alternating signs it is the map back from ``c`` to ``c - h``, whose
+    symplectic inverse is the map of ``[c - h, c]``.  An odd step count
+    drops the last pair's forward map.  The potential at the midpoints comes
     with the degree of ``_FIXED_NORM``, the least any step takes; a chunk
     whose potential raises the norm sums its grid again to its own degree.
 
     Raises
     ------
     TransportError
-        When the potential at a start is not finite, or a step's
-        ``|B|_1 h`` exceeds ``_REACH``.
+        When the potential at a midpoint is not finite, or a pair's
+        ``|B|_1 h`` exceeds ``_REACH``; the message names the pair's start.
     """
     Bc = coefficient_matrix(0.0, lam)
-    fixed = abs(h) * _FIXED_NORM
-    K = _degree(fixed)
-    maps = np.empty((nsteps, 4, 4))
-    for i in range(0, nsteps, _CHUNK):
-        x = x0 + h * np.arange(i, min(i + _CHUNK, nsteps))
+    K = _degree(abs(h) * _FIXED_NORM)
+    npairs = -(-nsteps // 2)
+    maps = np.empty((2 * npairs, 4, 4))
+    for i in range(0, npairs, _CHUNK):
+        n = min(_CHUNK, npairs - i)
+        c = x0 + (2 * i + 1) * h
         with np.errstate(over="ignore", invalid="ignore"):
-            p = grid_potential_jet(pulse, x[0], h, len(x), K - 1)
-            # the potential enters B only at (3, 1), the only entry of its column
-            reach = np.maximum(abs(h) * np.abs(Bc[2, 0] + p[:, 0]), fixed)
+            p = grid_potential_jet(pulse, c, 2 * h, n, K - 1)
+        reach = _reach(Bc, p[:, 0], h)
         top = reach.max()
         if not top <= _REACH:
             j = int(np.argmax(~(reach <= _REACH)))
+            x = x0 + 2 * (i + j) * h
             raise TransportError(
-                f"the potential f'(phi(x)) is not finite at x = {x[j]:.6g}"
+                f"the potential f'(phi(x)) is not finite at x = {x + h:.6g}"
                 if not np.isfinite(reach[j]) else
-                f"the step at x = {x[j]:.6g} has |B|_1 h = {reach[j]:.3g}, beyond "
+                f"the step at x = {x:.6g} has |B|_1 h = {reach[j]:.3g}, beyond "
                 f"the reach {_REACH:.3g} of its Taylor series")
         degree = _degree(top)
         if degree > K:
-            p = grid_potential_jet(pulse, x[0], h, len(x), degree - 1)
+            p = grid_potential_jet(pulse, c, 2 * h, n, degree - 1)
         terms = _taylor(Bc, p, _IDENTITY, degree, h)
-        # the series is summed from its smallest terms up
-        maps[i:i + _CHUNK] = terms[::-1].sum(axis=0).swapaxes(0, 1)
-    return maps
+        # the series is summed from its smallest terms up, at h and at -h
+        maps[2 * i + 1:2 * (i + n):2] = terms[::-1].sum(axis=0).swapaxes(0, 1)
+        terms[1::2] *= -1.0
+        _symplectic_inverse(terms[::-1].sum(axis=0).swapaxes(0, 1), maps[2 * i:2 * (i + n):2])
+    return maps[:nsteps]
 
 
 def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
@@ -258,10 +296,12 @@ class FrameTrajectory:
     ``plucker`` (their ``P14`` column is the crossing detector) and the
     symplectic-form drift ``omega_drift = |P13 + P24|`` are computed
     for all samples at once.
-    ``frame_at`` takes one partial step from the nearest sample,
-    which keeps arbitrary-point evaluation cheap and as accurate as the
-    stored samples; ``jet`` extends that frame to its Taylor coefficients,
-    the plane family the crossing engine classifies.
+    ``frame_at`` and ``jet``, the plane family the crossing engine
+    classifies, sum the Taylor series about the nearest of the transport's
+    step points, which are the samples at a spacing up to ``MAX_STEP``.
+    Each point's series runs once, from the stored frame at a sample, and
+    is kept: arbitrary-point evaluation is a shift of a cached series and
+    as accurate as the stored samples.
     """
 
     pulse: FourierPulse
@@ -287,8 +327,23 @@ class FrameTrajectory:
             for x, F, d, P, w in zip(self.xs, self.frames, self.plucker[:, 2],
                                      self.plucker, self.omega_drift))
 
-    def frame_at(self, x: float) -> np.ndarray:
-        """Orthonormal frame at ``x`` (a read-only view at a grid point)."""
+    @cached_property
+    def _expansions(self) -> dict[int, tuple[int, Family]]:
+        return {}
+
+    @cached_property
+    def _every(self) -> int:
+        return _substeps(self.settings.dx)
+
+    def _point(self, j: int) -> float:
+        """Step point ``j`` of the transport: the sample ``round(j / every)``,
+        moved by the steps left over."""
+        i = round(j / self._every)
+        return float(self.xs[i]) + (j - i * self._every) * (self.settings.dx / self._every)
+
+    def _nearest(self, x: float) -> tuple[int, float]:
+        """The step point nearest ``x`` and the offset of ``x`` from it, 0
+        within 1e-13 of the point."""
         x = float(x)
         a, b = self.settings.window
         if not self.xs[0] <= x <= self.xs[-1]:
@@ -296,21 +351,64 @@ class FrameTrajectory:
                 f"x = {x:.6g} lies outside the integration window [{a:g}, {b:g}]"
             )
         i = round((x - a) / self.settings.dx)
-        anchor = float(self.xs[i])
-        if abs(anchor - x) < 1e-13:
-            return self.frames[i]
-        nsteps = math.ceil(abs(x - anchor) / MAX_STEP)
-        h = (x - anchor) / nsteps
-        out = _transport(self.pulse, self.lam, anchor, h, nsteps, self.frames[i],
-                         every=nsteps)
-        return out[-1]
+        j = i * self._every + round((x - float(self.xs[i])) * self._every / self.settings.dx)
+        dt = x - self._point(j)
+        return j, dt if abs(dt) >= 1e-13 else 0.0
+
+    def _expansion(self, j: int, K: int) -> Family:
+        """The plane's Taylor series about step point ``j``, to the degree
+        that sums it to rounding over a step plus ``K``, so that its shift
+        gives orders ``0..K`` anywhere within a step; computed once per
+        point, and again for a higher ``K``.  At a sample it starts from the
+        stored frame; between samples (a spacing above ``MAX_STEP``) from
+        the frame the series of the points between carry there from the
+        nearest sample, one step each."""
+        known = self._expansions.get(j)
+        if known is None or known[0] < K:
+            h = self.settings.dx / self._every
+            r = j - round(j / self._every) * self._every
+            if r:
+                s = 1 if r > 0 else -1
+                for m in range(j - r, j, s):
+                    if m not in self._expansions:
+                        self._expansion(m, 0)
+                F0 = _orthonormalize(self._expansions[j - s][1](s * h, 0)[0], np.empty((4, 2)))
+            else:
+                F0 = self.frames[j // self._every]
+            Bc = coefficient_matrix(0.0, self.lam)
+            x = self._point(j)
+            p = grid_potential_jet(self.pulse, x, 0.0, 1, _degree(h * _FIXED_NORM) + K - 1)[0]
+            D = _degree(float(_reach(Bc, p[0], h))) + K
+            if D > len(p):
+                p = grid_potential_jet(self.pulse, x, 0.0, 1, D - 1)[0]
+            known = self._expansions[j] = (K, polynomial_family(_taylor(Bc, p, F0, D)))
+        return known[1]
+
+    def frame_at(self, x: float) -> np.ndarray:
+        """Orthonormal frame at ``x`` (a read-only view at a grid point)."""
+        j, dt = self._nearest(x)
+        if dt == 0.0 and j % self._every == 0:
+            return self.frames[j // self._every]
+        return _orthonormalize(self._expansion(j, 0)(dt, 0)[0], np.empty((4, 2)))
 
     def jet(self, x: float, K: int) -> np.ndarray:
         """Taylor coefficients ``F_0..F_K``, shape ``(K+1, 4, 2)``, at ``x`` of
         the solution of ``F' = B F`` through ``frame_at(x)``: the plane's jet,
-        by the recurrence of ``_taylor`` that also gives the step maps."""
-        p = grid_potential_jet(self.pulse, x, 0.0, 1, K - 1)[0] if K else np.empty(0)
-        return _taylor(coefficient_matrix(0.0, self.lam), p, self.frame_at(x), K)
+        the nearest step point's series shifted to ``x`` and re-based by the
+        inverse of the triangular factor of its order-0 Gram-Schmidt."""
+        F = self.frame_at(x)
+        j, dt = self._nearest(x)
+        S = self._expansion(j, K)(dt, K)
+        if dt != 0.0 and K:
+            S[1:] = S[1:] @ np.linalg.inv(np.triu(F.T @ S[0]))
+        S[0] = F
+        return S
+
+
+def _substeps(dx: float) -> int:
+    """Transport steps per sample spacing ``dx``: the fewest of at most
+    ``MAX_STEP``."""
+    return math.ceil(dx / MAX_STEP - 1e-9)
 
 
 def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
@@ -333,7 +431,7 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
             f"window [{a:g}, {b:g}] exceeds the pulse's half-period {pulse.L_f:g}"
         )
     nsamples = int(round((b - a) / settings.dx))
-    every = math.ceil(settings.dx / MAX_STEP - 1e-9)
+    every = _substeps(settings.dx)
     frames = _transport(pulse, lam, a, settings.dx / every, nsamples * every,
                         initial_frame(pulse.params, lam), every=every)
     frames.setflags(write=False)

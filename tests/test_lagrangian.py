@@ -712,3 +712,45 @@ def test_locate_zeros_keeps_the_samples_that_are_zero():
                                lambda t: probes.append(t) or 0.07 - t, 1e-10, 0.0)
     assert zeros[0] == 0.0 and abs(zeros[1] - 0.07) <= 0.5e-10
     assert all(0.05 < t < 0.1 for t in probes)
+
+
+def _loop_dips(ts, values, dip_level):
+    """The per-sample dip test, kept as the oracle of the vectorized one."""
+    absd = np.abs(values)
+    return [float(ts[i]) for i in range(1, len(values) - 1)
+            if absd[i] < dip_level and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1]
+            and np.sign(values[i - 1]) == np.sign(values[i + 1]) and values[i] != 0.0]
+
+
+def _fixture_detector(path, reference, ts):
+    return lg.plucker(path(ts, 0)[:, 0]) @ lg.plucker(J4.T @ reference)
+
+
+@pytest.mark.parametrize("dip_level", [0.0, 1e-3, 0.5, np.inf])
+def test_vectorized_dips_are_the_per_sample_test(dip_level):
+    """The dips ``locate_zeros`` returns are the floats, in the order, of the
+    per-sample test, on random detectors (with exact zeros, signed zeros,
+    plateaus and minima at the end samples) and on fixture detectors."""
+    rng = np.random.default_rng(25)
+    ts = np.linspace(-1.0, 1.0, 1000)
+    coarse = rng.integers(-3, 4, ts.size) * 0.25
+    coarse[[0, -1]] = 0.0
+    plateau = np.abs(np.round(np.sin(7.0 * ts), 1)) + 1e-4
+    plateau[:3] = plateau[-3:] = 1e-6
+    signed = np.where(rng.random(ts.size) < 0.5, -0.0, 0.0)
+    signed[::7] = rng.standard_normal(signed[::7].size)
+    ell1, ell2 = lg.fixture_paths()
+    detectors = [rng.standard_normal(ts.size), coarse, plateau, -plateau, signed,
+                 _fixture_detector(ell1, lg.sandwich_plane(), ts),
+                 _fixture_detector(ell2, lg.sandwich_plane(), ts),
+                 _fixture_detector(_graph_path(2, 2), HORIZONTAL, ts),
+                 _fixture_detector(_graph_path(2, 4), HORIZONTAL, ts[::3])]
+    found = 0
+    for values in detectors:
+        grid = ts[:values.size]
+        _, dips = lg.locate_zeros(grid, values, lambda t: 1.0, 1e-10, dip_level)
+        expected = _loop_dips(grid, values, dip_level)
+        assert dips == expected
+        assert all(type(t) is float for t in dips)
+        found += len(dips)
+    assert found > 0 or dip_level == 0.0

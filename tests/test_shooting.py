@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm, subspace_angles
 
 import shpulse.pulse as sp
-from shpulse import shooting
+from shpulse import lagrangian, shooting
 from shpulse.conjugate import conjugate_points, trust_horizon
 from shpulse.lagrangian import plucker, sandwich_plane
 from shpulse.model import J4, Params, asymptotic_frames, coefficient_matrix, nonlinearity_deriv
@@ -167,10 +167,11 @@ def test_coarse_sampling_takes_sub_steps(pulse_phi0, traj_phi0):
 
 
 def test_coarse_frame_at_keeps_the_transport_tables(pulse_phi0):
-    """Between the samples of dx = 0.2, ``frame_at`` takes two partial steps
-    of an h of its own.  Such a short grid shares the series' zero-offset
-    table, so 40 calls add at most that table to the cache, and the next
-    default transport finds its own tables there."""
+    """Between the samples of dx = 0.2, ``frame_at`` expands the step
+    points between, each from the potential's jet at its one point.  Such a
+    short grid shares the series' zero-offset table, so 40 calls add at most
+    that table to the cache, and the next default transport finds its own
+    tables there."""
     traj = integrate_frame(pulse_phi0, settings=ShootingSettings(dx=0.2))
     integrate_frame(pulse_phi0)
     before = sp._offsets.cache_info().misses
@@ -245,9 +246,10 @@ def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps, every):
 
 
 def test_frame_at_midpoint_is_the_step_loop_plane(pulse_phi0, traj_phi0):
-    """``frame_at`` between samples takes one partial step from the nearest
-    sample at dx = 0.05 and two at dx = 0.2: the planes of the step loop
-    from that sample."""
+    """``frame_at`` between samples sums the nearest step point's series:
+    the sample's at dx = 0.05, and at dx = 0.2 that of a point the series
+    between carry there from the sample, a 0.05 step each.  Both are the
+    planes of the step loop from that sample."""
     coarse = integrate_frame(pulse_phi0,
                              settings=ShootingSettings(window=(-4.0, 4.0), dx=0.2))
     for traj, offset, nsteps in ((traj_phi0, 0.02, 1), (coarse, 0.075, 2)):
@@ -279,20 +281,24 @@ def _table_potential_jet(pulse, x, K):
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
 def test_planes_do_not_depend_on_the_cosine_kernel(request, monkeypatch, name):
     """The transport on a potential jet summed from the plain N-wide cosine
-    table at every step start spans the planes of the grid kernel: unit
+    table at every expansion point spans the planes of the grid kernel: unit
     Plücker coordinates within 1e-13 up to the core (x <= 0).  The table
-    replaces the grid evaluator itself, and must see every start."""
+    replaces the grid evaluator itself, and must see every expansion point,
+    the midpoint of each of the ceil(nsteps / 2) pairs of steps."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     traj = request.getfixturevalue(f"traj_{name}")
     grids = []
 
     def table_grid_jet(pulse, x0, h, n, K):
-        grids.append(n)
-        return _table_potential_jet(pulse, x0 + h * np.arange(n), K)
+        grids.append(x0 + h * np.arange(n))
+        return _table_potential_jet(pulse, grids[-1], K)
 
     monkeypatch.setattr(shooting, "grid_potential_jet", table_grid_jet)
     table = integrate_frame(pulse, lam=0.0)
-    assert sum(grids) >= len(traj.xs) - 1
+    seen = np.unique(np.concatenate(grids))
+    midpoints = traj.xs[1::2]
+    assert len(midpoints) == -(-(len(traj.xs) - 1) // 2)
+    assert np.abs(seen[np.searchsorted(seen, midpoints - 1e-9)] - midpoints).max() <= 1e-9
     upstream = traj.xs <= 0.0
     assert np.array_equal(table.xs, traj.xs)
     assert np.abs(table.plucker[upstream] - traj.plucker[upstream]).max() <= 1e-13
@@ -307,9 +313,12 @@ def test_step_maps_of_a_constant_potential_are_the_exponential(mu, lam, h):
     |B|_1 h = 5.05, past the pi within which the Magnus series is known to
     converge, and its series runs to degree 35."""
     pulse = zero_pulse(Params(nu=1.6, mu=mu))
-    maps = _step_maps(pulse, lam, -7.0, h, 3)
     exact = expm(coefficient_matrix(-mu, lam) * h)
-    assert np.abs(maps - exact).max() <= 4 * np.finfo(float).eps * np.abs(exact).max()
+    # an odd step count drops the last pair's forward map, an even one keeps it
+    for nsteps in (3, 4):
+        maps = _step_maps(pulse, lam, -7.0, h, nsteps)
+        assert maps.shape == (nsteps, 4, 4)
+        assert np.abs(maps - exact).max() <= 4 * np.finfo(float).eps * np.abs(exact).max()
 
 
 def test_degree_is_the_least_whose_next_term_is_below_unit_roundoff():
@@ -321,11 +330,12 @@ def test_degree_is_the_least_whose_next_term_is_below_unit_roundoff():
 
 
 def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi0):
-    """A chunk of ``_CHUNK`` step starts runs the recurrence once, to the
-    degree of its largest |B|_1 h, never below that of the columns without
-    the potential (|B|_1 h = 3 h): mu = 100 puts |B|_1 h = 5.05 at every
-    start, so its chunk takes degree 35, while phi0's potential never
-    exceeds those columns, so its 2400 default steps take one call per
+    """A chunk of ``_CHUNK`` expansion points (the midpoints of pairs of
+    steps) runs the recurrence once, to the degree of its largest |B|_1 h,
+    never below that of the columns without the potential (|B|_1 h = 3 h):
+    mu = 100 puts |B|_1 h = 5.05 at every point, so the two expansions of
+    its 3 steps take degree 35, while phi0's potential never exceeds those
+    columns, so its 2400 default steps, 1200 pairs, take one call per
     chunk, all at degree 10."""
     calls = []
 
@@ -336,11 +346,11 @@ def test_steps_the_potential_raises_take_their_own_degree(monkeypatch, pulse_phi
     taylor = shooting._taylor
     monkeypatch.setattr(shooting, "_taylor", spy)
     _step_maps(zero_pulse(Params(nu=1.6, mu=100.0)), 0.0, -7.0, 0.05, 3)
-    assert calls == [(3, 35)]
+    assert calls == [(2, 35)]
     calls.clear()
     _step_maps(pulse_phi0, 0.0, -60.0, 0.05, 2400)
-    full, rest = divmod(2400, shooting._CHUNK)
-    assert calls == [(shooting._CHUNK, 10)] * full + [(rest, 10)] * (rest > 0)
+    assert shooting._CHUNK == 256
+    assert calls == [(256, 10)] * 4 + [(176, 10)]
 
 
 def test_transport_working_set_is_bounded(pulse_snaking):
@@ -372,6 +382,51 @@ def test_step_map_is_the_product_of_its_halves(request, name):
     halves = half[1::2] @ half[0::2]
     scale = np.abs(whole).max(axis=(1, 2))
     assert (np.abs(whole - halves).max(axis=(1, 2)) / scale).max() <= 1e-14
+
+
+def _forward_maps(pulse, x0, h, nsteps):
+    """Every step's map as its own Taylor series about the step's start,
+    summed at h from the smallest term up, one recurrence per chunk of
+    ``_CHUNK`` starts to the degree of its largest |B|_1 h: one expansion
+    per step, the oracle of the paired maps."""
+    Bc = coefficient_matrix(0.0, 0.0)
+    maps = []
+    for i in range(0, nsteps, shooting._CHUNK):
+        n = min(shooting._CHUNK, nsteps - i)
+        p0 = sp.grid_potential_jet(pulse, x0 + i * h, h, n, 0)[:, 0]
+        degree = _degree(float(np.maximum(abs(h) * np.abs(Bc[2, 0] + p0),
+                                          abs(h) * shooting._FIXED_NORM).max()))
+        p = sp.grid_potential_jet(pulse, x0 + i * h, h, n, degree - 1)
+        terms = shooting._taylor(Bc, p, np.eye(4)[:, None], degree, h)
+        maps.append(terms[::-1].sum(axis=0).swapaxes(0, 1))
+    return np.concatenate(maps)
+
+
+@pytest.mark.parametrize("name, x0, h, nsteps", [
+    ("phi0", -60.0, 0.05, 2400), ("phipi", -60.0, 0.05, 2400),
+    ("snaking", -60.0, 0.05, 2400), ("phipi", -60.0, 0.05, 2401), ("phi0", 1.0, -0.05, 3)])
+def test_paired_maps_are_the_forward_series(request, name, x0, h, nsteps):
+    """Each pair's expansion about its midpoint, summed at +h and, inverted,
+    at -h, gives every step's map within 1e-15 of its largest entry from
+    the step's own forward series (measured 1.9e-16 on phi0 and phipi,
+    7.2e-16 on snaking), and every map is symplectic to 4 eps."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    maps = _step_maps(pulse, 0.0, x0, h, nsteps)
+    oracle = _forward_maps(pulse, x0, h, nsteps)
+    assert maps.shape == oracle.shape == (nsteps, 4, 4)
+    scale = np.abs(oracle).max(axis=(1, 2))
+    assert (np.abs(maps - oracle).max(axis=(1, 2)) / scale).max() <= 1e-15
+    defect = np.swapaxes(maps, 1, 2) @ J4 @ maps - J4
+    assert np.abs(defect).max() <= 4 * np.finfo(float).eps
+
+
+def test_symplectic_inverse_moves_entries_only():
+    """The inverse of a symplectic map is J^T M^T J, its entries moved and
+    negated: bit for bit that product, and the inverse to rounding."""
+    M = expm(coefficient_matrix(0.3, 0.2) * 0.7)[None]
+    inverse = shooting._symplectic_inverse(M, np.empty_like(M))
+    assert np.array_equal(inverse, J4.T @ np.swapaxes(M, 1, 2) @ J4)
+    assert np.abs(inverse @ M - np.eye(4)).max() <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("coefficient, what", [(1e200, "potential"), (1e100, "reach"),
@@ -463,8 +518,9 @@ def test_frame_at_rejects_points_outside_window(traj_phi0):
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
 def test_jet_sums_to_the_transported_plane(request, name):
-    """The Taylor sum of ``jet(x, 9)`` spans the plane ``frame_at`` transports
-    to ``x + h``, on and between the samples."""
+    """The Taylor sum of ``jet(x, 9)`` spans the plane that partial steps of
+    the transport carry from the sample nearest ``x + h`` to it, on and
+    between the samples."""
     traj = request.getfixturevalue(f"traj_{name}")
     worst = 0.0
     for x in (-30.0, -0.63, 0.31, 1.24, 17.58, 40.02):
@@ -473,8 +529,93 @@ def test_jet_sums_to_the_transported_plane(request, name):
         assert np.array_equal(F[0], traj.frame_at(x))
         for h in (0.05, -0.05):
             taylor = np.tensordot(h ** np.arange(10), F, axes=1)
-            worst = max(worst, subspace_angles(taylor, traj.frame_at(x + h)).max())
+            worst = max(worst, subspace_angles(taylor, _partial_step(traj, x + h)).max())
     assert worst <= 1e-11
+
+
+def _partial_step(traj, x):
+    """The frame at ``x`` transported from the nearest sample by partial
+    steps of at most ``MAX_STEP``."""
+    i = round((x - traj.xs[0]) / traj.settings.dx)
+    anchor = float(traj.xs[i])
+    if x == anchor:
+        return traj.frames[i]
+    nsteps = math.ceil(abs(x - anchor) / shooting.MAX_STEP)
+    return _transport(traj.pulse, traj.lam, anchor, (x - anchor) / nsteps, nsteps,
+                      traj.frames[i], every=nsteps)[-1]
+
+
+def test_coarse_frame_at_is_the_default_transport(pulse_phipi, traj_phipi):
+    """At dx = 1 the plane between samples is carried from the nearest one,
+    a transport step at a time, by the step points' series: at every
+    default sample up to the core it spans the default transport's plane
+    within 1e-13."""
+    coarse = integrate_frame(pulse_phipi, settings=ShootingSettings(dx=1.0))
+    upstream = traj_phipi.xs <= 0.0
+    frames = np.stack([coarse.frame_at(x) for x in traj_phipi.xs[upstream]])
+    assert np.abs(plucker(frames) - traj_phipi.plucker[upstream]).max() <= 1e-13
+
+
+def _fresh(traj):
+    """A copy of the trajectory with none of its samples' series computed."""
+    return FrameTrajectory(pulse=traj.pulse, lam=traj.lam, settings=traj.settings,
+                           xs=traj.xs, frames=traj.frames)
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_frame_at_a_sample_is_the_stored_frame(request, name):
+    """At a sample ``frame_at`` and the jet's order 0 are the stored frame,
+    bit for bit, before and after the sample's series is computed."""
+    traj = _fresh(request.getfixturevalue(f"traj_{name}"))
+    for i in (0, 1, 700, 1200, 1201, len(traj.xs) - 1):
+        x = float(traj.xs[i])
+        assert np.array_equal(traj.frame_at(x), traj.frames[i])
+        assert np.array_equal(traj.jet(x, 9)[0], traj.frames[i])
+        traj.frame_at(x + (0.01 if i == 0 else -0.01))
+        assert np.array_equal(traj.frame_at(x), traj.frames[i])
+        assert np.array_equal(traj.jet(x, 3)[0], traj.frames[i])
+
+
+def test_frame_at_and_jet_never_transport(monkeypatch, traj_phipi):
+    """Between the samples the plane is the nearest sample's cached series,
+    summed: no call reaches ``_transport``, at the default spacing or a
+    coarse one, nor in a whole crossing search."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("_transport called")
+
+    coarse = integrate_frame(traj_phipi.pulse, settings=ShootingSettings(dx=1.0))
+    monkeypatch.setattr(shooting, "_transport", refuse)
+    for traj in (_fresh(traj_phipi), coarse):
+        for x in (-30.0, -0.63, 0.31, 17.58, 40.4):
+            assert traj.frame_at(x).shape == (4, 2)
+            assert traj.jet(x, 9).shape == (10, 4, 2)
+        index, records = conjugate_points(traj, trust_horizon(traj.pulse))
+        assert index == 2 and len(records) == 2
+
+
+def test_crossing_search_expands_at_most_two_samples_per_crossing(monkeypatch, traj_phipi):
+    """One crossing search on phipi runs the recurrence for at most two
+    samples per located crossing or dip: the two ends of its bracket."""
+    located = []
+    locate = lagrangian.locate_zeros
+
+    def counting_locate(*args):
+        zeros, dips = locate(*args)
+        located.extend(zeros + dips)
+        return zeros, dips
+
+    expanded = set()
+    taylor = shooting._taylor
+
+    def spy(Bc, p, F0, K, h=1.0):
+        expanded.add(np.asarray(F0).tobytes())
+        return taylor(Bc, p, F0, K, h)
+
+    monkeypatch.setattr(lagrangian, "locate_zeros", counting_locate)
+    monkeypatch.setattr(shooting, "_taylor", spy)
+    index, records = conjugate_points(_fresh(traj_phipi), trust_horizon(traj_phipi.pulse))
+    assert index == 2 and len(records) == 2 and len(located) == 2
+    assert 0 < len(expanded) <= 2 * len(located)
 
 
 def test_tail_oscillation_has_the_predicted_period(traj_phi0):
