@@ -10,7 +10,8 @@ so only the half vector a_0..a_N is stored.  The stationarity condition
     F_k(a) = [-mu - (1 - k^2 pi^2/L_f^2)^2] a_k + nu (a*a)_k - (a*a*a)_k,
 
 with * the truncated convolution over |k_i| <= N.  Newton's method is run
-on the half vector, which removes the translational zero direction.
+on the half vector, which removes the translational zero direction, coarse
+to fine: the leading modes first, then their zero-padded solution at N.
 """
 
 from __future__ import annotations
@@ -192,6 +193,11 @@ def parity_blocks(a: np.ndarray, p: Params, L_f: float) -> tuple[np.ndarray, np.
     return _parity_block(full, p, L_f, +1), _parity_block(full, p, L_f, -1)
 
 
+# The wavenumber a coarse Newton level must still resolve; the linear
+# symbol (1 - k^2)^2 is 225 there.
+COARSE_WAVENUMBER = 4.0
+
+
 def newton_solve(
     seed: FourierPulse,
     tol: float = 1e-12,
@@ -206,11 +212,18 @@ def newton_solve(
     zero mode of the full system.  Convergence is declared on the sup-norm
     of the full residual.
 
+    Coarse to fine (nested iteration): when M = N // 2 modes resolve
+    wavenumber ``COARSE_WAVENUMBER`` (M pi / L_f >= 4), a_0..a_M are solved
+    first by the same rule, and their solution, zero-padded, starts the loop
+    at N (a padded vector that meets `tol` is returned as it is).  A
+    `NewtonError` at a coarse level restarts from the seed at N.  `max_iter`
+    applies to each level.
+
     Parameters
     ----------
     history : list, optional
-        If given, the residual sup-norm of every iterate (including the
-        seed) is appended to it.
+        If given, the residual sup-norm of every iterate of every level,
+        each level's start included, coarsest first, is appended to it.
 
     Raises
     ------
@@ -218,24 +231,42 @@ def newton_solve(
         On a non-finite residual, a singular Newton system, if `max_iter`
         steps do not bring the residual below `tol`, or if the converged
         state is u = 0 (every coefficient within `tol` of zero), which is
-        not a pulse.
+        not a pulse; raised by the loop at N.
     """
-    N = seed.N
-    h = seed.a.copy()
+    h, res_norm = _coarse_to_fine(seed.a.copy(), seed.params, seed.L_f, tol, max_iter, history)
+    return replace(seed, a=h, residual_norm=res_norm)
+
+
+def _coarse_to_fine(h, params, L_f, tol, max_iter, history):
+    """`newton_solve` on the half vector h: (solution, residual sup-norm)."""
+    N = h.size - 1
+    M = N // 2
+    if M * np.pi / L_f >= COARSE_WAVENUMBER:
+        try:
+            coarse, _ = _coarse_to_fine(h[:M + 1], params, L_f, tol, max_iter, history)
+            h = np.concatenate([coarse, np.zeros(N - M)])
+        except NewtonError:
+            pass
+    return _newton(h, params, L_f, tol, max_iter, history)
+
+
+def _newton(h, params, L_f, tol, max_iter, history):
+    """Newton's loop at one level: (solution, residual sup-norm)."""
+    N = h.size - 1
     res_norm = np.inf
     for _ in range(max_iter + 1):
         full = _half_to_full(h)
-        F = residual(full, seed.params, seed.L_f)
+        F = residual(full, params, L_f)
         res_norm = float(np.abs(F).max())
         if history is not None:
             history.append(res_norm)
         if res_norm <= tol:
             if np.abs(h).max() <= tol:
                 raise NewtonError("converged to the trivial state u ≡ 0", res_norm)
-            return replace(seed, a=h, residual_norm=res_norm)
+            return h, res_norm
         if not np.isfinite(res_norm):
             raise NewtonError("non-finite residual: the coefficients overflow", res_norm)
-        even = _parity_block(full, seed.params, seed.L_f, +1)
+        even = _parity_block(full, params, L_f, +1)
         try:
             step = np.linalg.solve(even, -F[N:])
         except np.linalg.LinAlgError as exc:

@@ -65,7 +65,10 @@ def count_unstable(pulse: FourierPulse) -> SpectrumReport:
         raise ValueError(f"the spectrum needs N >= 1 modes, got N = {pulse.N}")
     even, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
     s = np.sqrt(np.r_[1.0, np.full(pulse.N, 2.0)])
-    ev_even = np.linalg.eigvalsh(s[:, None] * even / s[None, :])
+    # in place, the same bits as s[:, None] * even / s[None, :]
+    even *= s[:, None]
+    even /= s
+    ev_even = np.linalg.eigvalsh(even)
     ev_odd = np.linalg.eigvalsh(odd)
     zero_mode = float(ev_odd[np.argmin(np.abs(ev_odd))])
     ev = np.r_[ev_even, ev_odd]

@@ -174,6 +174,125 @@ def test_newton_snaking_pulse_needs_scaled_seed():
     assert sp.evaluate(pulse, 0.0) == pytest.approx(1.098320653147, abs=1e-9)
 
 
+def _single_level(a, p, L_f, tol=1e-12, max_iter=50, history=None):
+    """Newton's loop at the mode count of the half vector a alone, with no
+    coarse level: the oracle of the coarse-to-fine solve."""
+    h = np.array(a, dtype=float)
+    N = h.size - 1
+    for _ in range(max_iter + 1):
+        full = np.concatenate([h[:0:-1], h])
+        F = sp.residual(full, p, L_f)
+        res = float(np.abs(F).max())
+        if history is not None:
+            history.append(res)
+        if res <= tol:
+            return h
+        h = h + np.linalg.solve(sp._parity_block(full, p, L_f, +1), -F[N:])
+    raise AssertionError(f"the oracle did not converge in {max_iter} steps")
+
+
+def _reference_seed(name, N):
+    ref = REFERENCE_PULSES[name]
+    return sp.seed_from_normal_form(ref["params"], ref["phi"], scale=ref["scale"], N=N)
+
+
+@pytest.mark.parametrize("N", [256, 384, 512])
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_coarse_to_fine_is_the_single_level_solve(name, N):
+    seed = _reference_seed(name, N)
+    pulse = sp.newton_solve(seed)
+    assert pulse.residual_norm <= 1e-12
+    assert np.abs(pulse.a - _single_level(seed.a, seed.params, seed.L_f)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N,levels", [(128, [128]), (192, [192]), (248, [248]),
+                                      (264, [132, 264]), (384, [192, 384]),
+                                      (512, [128, 256, 512])])
+def test_coarse_levels_resolve_wavenumber_four(monkeypatch, N, levels):
+    """A level of M = N // 2 modes is solved first exactly when M pi / L_f
+    >= 4 (at L_f = 100: M >= 128), recursively; the Jacobian blocks and the
+    residuals show which mode counts ran, coarsest first."""
+    assert levels == [n for n in (N // 4, N // 2) if n * math.pi / 100.0 >= 4.0] + [N]
+    seed = sp.seed_from_normal_form(P, 0.0, N=N)
+    blocks, residuals = [], []
+    block, residual = sp._parity_block, sp.residual
+
+    def block_spy(a, *args):
+        blocks.append((a.size - 1) // 2)
+        return block(a, *args)
+
+    def residual_spy(a, *args):
+        residuals.append((a.size - 1) // 2)
+        return residual(a, *args)
+
+    monkeypatch.setattr(sp, "_parity_block", block_spy)
+    monkeypatch.setattr(sp, "residual", residual_spy)
+    history = []
+    sp.newton_solve(seed, history=history)
+    assert list(dict.fromkeys(residuals)) == levels
+    assert residuals == sorted(residuals) and len(history) == len(residuals)
+    # every level but a padded vector that already meets tol takes a step
+    assert set(blocks) >= set(levels[:-1])
+
+
+@pytest.mark.parametrize("name,N", [("phi0", 512), ("snaking", 256), ("phipi", 384)])
+def test_coarse_to_fine_history_chains_the_levels(name, N):
+    """Each level is the single-level loop from the zero-padded solution of
+    the level below, and `history` lists every level's iterates in order."""
+    seed = _reference_seed(name, N)
+    history = []
+    pulse = sp.newton_solve(seed, history=history)
+    levels = [n for n in (N // 4, N // 2) if n * math.pi / seed.L_f >= 4.0]
+    want, h = [], seed.a[:levels[0] + 1]
+    for n in levels + [N]:
+        h = _single_level(np.r_[h, np.zeros(n + 1 - h.size)], seed.params, seed.L_f,
+                          history=want)
+    assert np.array_equal(pulse.a, h)
+    assert history == want and history[-1] == pulse.residual_norm <= 1e-12
+    assert len(history) > len(levels) + 1
+
+
+@pytest.mark.parametrize("name,N", [("snaking", 256), ("phi0", 512)])
+def test_failed_coarse_level_restarts_from_the_seed(monkeypatch, name, N):
+    seed = _reference_seed(name, N)
+    fine = sp._coarse_to_fine
+
+    def failing(h, *args):
+        if h.size < N + 1:
+            raise NewtonError("coarse level refused", 1.0)
+        return fine(h, *args)
+
+    monkeypatch.setattr(sp, "_coarse_to_fine", failing)
+    pulse = sp.newton_solve(seed)
+    assert np.array_equal(pulse.a, _single_level(seed.a, seed.params, seed.L_f))
+
+
+def test_coarse_to_fine_errors_keep_their_messages():
+    history = []
+    with pytest.raises(NewtonError, match="trivial state") as exc:
+        sp.newton_solve(make_pulse(np.zeros(257)), history=history)
+    assert exc.value.residual_norm == 0.0
+    assert history == [0.0, 0.0]  # the coarse level's, then the seed's at N
+    history = []
+    with pytest.raises(NewtonError, match=r"no convergence in 2 iterations") as exc:
+        sp.newton_solve(sp.seed_from_normal_form(P, 0.0, N=256), tol=0.0, max_iter=2,
+                        history=history)
+    assert exc.value.residual_norm > 0
+    assert len(history) == 6  # max_iter applies per level
+    assert history[-1] == exc.value.residual_norm
+
+
+# Localized states of the (nu, mu, phi) parameter box, at N = 256
+@pytest.mark.parametrize("nu,mu,phi", [(1.4, 0.03, 0.0), (1.6, 0.08, np.pi),
+                                       (1.8, 0.12, np.pi), (1.8, 0.16, 0.0),
+                                       (2.0, 0.03, 0.0), (2.0, 0.2, np.pi)])
+def test_coarse_to_fine_is_transparent_on_the_parameter_box(nu, mu, phi):
+    seed = sp.seed_from_normal_form(Params(nu=nu, mu=mu), phi, N=256)
+    pulse = sp.newton_solve(seed)
+    assert np.abs(sp.evaluate(pulse, np.array([-60.0, 60.0]))).max() <= 1e-2
+    assert np.abs(pulse.a - _single_level(seed.a, seed.params, seed.L_f)).max() <= 1e-10
+
+
 def test_seed_linearity_and_validation():
     s1 = sp.seed_from_normal_form(P, 0.0, N=32)
     s2 = sp.seed_from_normal_form(P, 0.0, N=32, scale=2.0)

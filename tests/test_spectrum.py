@@ -99,6 +99,25 @@ def _block_eigenvalues(pulse):
     return np.linalg.eigvalsh(s[:, None] * even / s[None, :]), np.linalg.eigvalsh(odd)
 
 
+def test_even_block_is_symmetrized_in_place_bitwise(monkeypatch, pulse_phi0,
+                                                    pulse_phipi, pulse_snaking):
+    """The in-place scaling gives the bits of s[:, None] * even / s[None, :],
+    and so the same eigenvalues."""
+    phipi512 = newton_solve(seed_from_normal_form(Params(nu=1.6, mu=0.05), np.pi, N=512))
+    eigvalsh = np.linalg.eigvalsh
+    for pulse in (pulse_phi0, pulse_phipi, pulse_snaking, phipi512):
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.copy()) or eigvalsh(m))
+        rep = count_unstable(pulse)
+        monkeypatch.undo()
+        even, odd = parity_blocks(pulse.a, pulse.params, pulse.L_f)
+        s = np.sqrt(np.r_[1.0, np.full(pulse.N, 2.0)])
+        expected = s[:, None] * even / s[None, :]
+        assert np.array_equal(seen[0], expected) and np.array_equal(seen[1], odd)
+        ev = np.r_[eigvalsh(expected), eigvalsh(odd)]
+        assert rep.unstable == sorted(ev[ev > rep.noise_floor].tolist())
+
+
 def test_report_invariants(pulse_phi0):
     rep = count_unstable(pulse_phi0)
     assert {f.name for f in fields(rep)} == {"unstable", "zero_mode", "noise_floor"}
