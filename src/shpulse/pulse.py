@@ -98,10 +98,13 @@ class FourierPulse:
 
     @property
     def tail_floor(self) -> float:
-        """Relative size ``|a_N| / max |a_k|`` of the last coefficient (0 for
-        the zero vector)."""
-        peak = float(np.max(np.abs(self.a)))
-        return float(abs(self.a[-1])) / peak if peak > 0 else 0.0
+        """Relative size ``|a_M| / max |a_k|`` of the last nonzero
+        coefficient, the last solved mode of a zero-padded solve (0 for the
+        zero vector)."""
+        nonzero = np.flatnonzero(self.a)
+        if nonzero.size == 0:
+            return 0.0
+        return float(abs(self.a[nonzero[-1]])) / float(np.max(np.abs(self.a)))
 
     def full(self) -> np.ndarray:
         """Full coefficient vector a_{-N}..a_N via the even extension."""
@@ -196,12 +199,13 @@ def parity_blocks(a: np.ndarray, p: Params, L_f: float) -> tuple[np.ndarray, np.
 # The wavenumber a coarse Newton level must still resolve; the linear
 # symbol (1 - k^2)^2 is 225 there.
 COARSE_WAVENUMBER = 4.0
+# Newton steps allowed at each level.
+MAX_ITER = 50
 
 
 def newton_solve(
     seed: FourierPulse,
     tol: float = 1e-12,
-    max_iter: int = 50,
     history: list | None = None,
 ) -> FourierPulse:
     """Refine a seed pulse by Newton's method on the half vector.
@@ -216,8 +220,8 @@ def newton_solve(
     wavenumber ``COARSE_WAVENUMBER`` (M pi / L_f >= 4), a_0..a_M are solved
     first by the same rule, and their solution, zero-padded, starts the loop
     at N (a padded vector that meets `tol` is returned as it is).  A
-    `NewtonError` at a coarse level restarts from the seed at N.  `max_iter`
-    applies to each level.
+    `NewtonError` at a coarse level restarts from the seed at N.  The step
+    limit ``MAX_ITER`` applies to each level.
 
     Parameters
     ----------
@@ -228,33 +232,33 @@ def newton_solve(
     Raises
     ------
     NewtonError
-        On a non-finite residual, a singular Newton system, if `max_iter`
+        On a non-finite residual, a singular Newton system, if ``MAX_ITER``
         steps do not bring the residual below `tol`, or if the converged
         state is u = 0 (every coefficient within `tol` of zero), which is
         not a pulse; raised by the loop at N.
     """
-    h, res_norm = _coarse_to_fine(seed.a.copy(), seed.params, seed.L_f, tol, max_iter, history)
+    h, res_norm = _coarse_to_fine(seed.a.copy(), seed.params, seed.L_f, tol, history)
     return replace(seed, a=h, residual_norm=res_norm)
 
 
-def _coarse_to_fine(h, params, L_f, tol, max_iter, history):
+def _coarse_to_fine(h, params, L_f, tol, history):
     """`newton_solve` on the half vector h: (solution, residual sup-norm)."""
     N = h.size - 1
     M = N // 2
     if M * np.pi / L_f >= COARSE_WAVENUMBER:
         try:
-            coarse, _ = _coarse_to_fine(h[:M + 1], params, L_f, tol, max_iter, history)
+            coarse, _ = _coarse_to_fine(h[:M + 1], params, L_f, tol, history)
             h = np.concatenate([coarse, np.zeros(N - M)])
         except NewtonError:
             pass
-    return _newton(h, params, L_f, tol, max_iter, history)
+    return _newton(h, params, L_f, tol, history)
 
 
-def _newton(h, params, L_f, tol, max_iter, history):
+def _newton(h, params, L_f, tol, history):
     """Newton's loop at one level: (solution, residual sup-norm)."""
     N = h.size - 1
     res_norm = np.inf
-    for _ in range(max_iter + 1):
+    for _ in range(MAX_ITER + 1):
         full = _half_to_full(h)
         F = residual(full, params, L_f)
         res_norm = float(np.abs(F).max())
@@ -272,7 +276,7 @@ def _newton(h, params, L_f, tol, max_iter, history):
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular Newton system: {exc}", res_norm) from exc
         h = h + step
-    raise NewtonError(f"no convergence in {max_iter} iterations", res_norm)
+    raise NewtonError(f"no convergence in {MAX_ITER} iterations", res_norm)
 
 
 def seed_from_normal_form(

@@ -24,13 +24,14 @@ largest step below 2^-53 (10 at the default step), so a map is the product
 of its halves' maps, and symplectic, to rounding: the plane stays
 Lagrangian.
 
-``FrameTrajectory`` runs the same recurrence once per sample it is asked
-about, from the stored frame, and keeps the series: ``frame_at`` and
-``jet`` between the samples are the nearest sample's series shifted to the
-point, so a crossing search that probes one bracket many times expands
-only its two ends.  At a sample spacing above ``MAX_STEP`` the series are
-about the transport's step points instead, each started from the frame
-its neighbour's series carries to it from the nearest sample.
+``FrameTrajectory`` keeps the frame after every transport step and runs
+the same recurrence once per step point it is asked about, from the stored
+frame, and keeps the series: ``frame_at`` and ``jet`` between the step
+points are the nearest one's series shifted to the point, so a crossing
+search that probes one bracket many times expands only its two ends.  The
+samples are every ``_substeps(dx)``-th step point, so the plane family does
+not depend on the sample spacing beyond its steps: at a spacing whose
+sub-step is ``MAX_STEP`` it is the default trajectory's, bit for bit.
 
 The chunks are small (``_CHUNK`` midpoints) so that each one's Taylor stack
 and cosine-series products fit in the memory the last chunk freed, and the
@@ -233,10 +234,10 @@ def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
 
 
 def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
-               nsteps: int, F: np.ndarray, every: int = 1) -> np.ndarray:
-    """Frames after every ``every``-th of ``nsteps`` steps of size ``h``.
+               nsteps: int, F: np.ndarray) -> np.ndarray:
+    """Frames after each of ``nsteps`` steps of size ``h``.
 
-    The result has shape ``(nsteps // every + 1, 4, 2)`` and starts with the
+    The result has shape ``(nsteps + 1, 4, 2)`` and starts with the
     orthonormalized ``F``.  The steps are cut into blocks of
     ``b = ceil(sqrt(nsteps))`` (the last may be shorter), the length that
     makes the ``b - 1 + nsteps / b`` Python-level calls below least:
@@ -246,17 +247,19 @@ def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
        ``k``;
     2. the frame is carried from block start to block start, one
        Gram-Schmidt per block;
-    3. every stored frame is its block's product times its block's start
-       frame, orthonormalized in one stacked call.
+    3. every frame is its block's product times its block's start frame,
+       orthonormalized in one stacked call.
 
-    The blocks are in steps, not in stored samples, so a coarser ``every``
-    stores exactly a subset of the same frames.
+    Raises
+    ------
+    TransportError
+        When a frame is not finite; the message names its step's x.
     """
     maps = _step_maps(pulse, lam, x0, h, nsteps)
     b = math.isqrt(nsteps - 1) + 1
     nblocks = -(-nsteps // b)
     starts = np.empty((nblocks, 4, 2))
-    out = np.empty((nsteps // every + 1, 4, 2))
+    out = np.empty((nsteps + 1, 4, 2))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(1, b):
             np.matmul(maps[i::b], maps[i - 1:nsteps - 1:b], out=maps[i::b])
@@ -264,15 +267,13 @@ def _transport(pulse: FourierPulse, lam: float, x0: float, h: float,
         for j in range(1, nblocks):
             _orthonormalize(maps[j * b - 1] @ starts[j - 1], starts[j])
         out[0] = starts[0]
-        blocks = np.arange(every - 1, nsteps, every) // b
-        _orthonormalize(maps[every - 1::every] @ starts[blocks], out[1:])
+        _orthonormalize(maps @ starts[np.arange(nsteps) // b], out[1:])
         # a frame too large to square comes out of Gram-Schmidt as zeros, a
         # non-finite one as NaN; either way its columns are not unit vectors
         unit = (np.abs((out * out).sum(axis=1) - 1.0) < 0.5).all(axis=1)
     if not unit.all():
         bad = int(np.argmin(unit))
-        raise TransportError(
-            f"the transported frame is not finite at x = {x0 + bad * every * h:.6g}")
+        raise TransportError(f"the transported frame is not finite at x = {x0 + bad * h:.6g}")
     return out
 
 
@@ -289,26 +290,38 @@ class PathSample:
 
 @dataclass(frozen=True, eq=False)
 class FrameTrajectory:
-    """The transported unstable plane, sampled on a uniform grid.
+    """The transported unstable plane, kept at every transport step.
 
-    ``frames`` holds the orthonormal frame at each grid point ``xs`` as one
-    read-only ``(len(xs), 4, 2)`` array; the unit Plücker coordinates
-    ``plucker`` (their ``P14`` column is the crossing detector) and the
-    symplectic-form drift ``omega_drift = |P13 + P24|`` are computed
-    for all samples at once.
+    ``steps`` holds the orthonormal frame after each step of ``_transport``
+    as one read-only array; the samples are every ``_substeps(dx)``-th of
+    them, at ``xs``, with the frames ``frames`` (a view of ``steps``).  The
+    unit Plücker coordinates ``plucker`` of the samples (their ``P14``
+    column is the crossing detector) and the symplectic-form drift
+    ``omega_drift = |P13 + P24|`` are computed for all samples at once.
     ``frame_at`` and ``jet``, the plane family the crossing engine
-    classifies, sum the Taylor series about the nearest of the transport's
-    step points, which are the samples at a spacing up to ``MAX_STEP``.
-    Each point's series runs once, from the stored frame at a sample, and
-    is kept: arbitrary-point evaluation is a shift of a cached series and
-    as accurate as the stored samples.
+    classifies, sum the Taylor series about the nearest step point.  Each
+    point's series runs once, from its stored frame, and is kept:
+    arbitrary-point evaluation is a shift of a cached series and as accurate
+    as the stored steps.
     """
 
     pulse: FourierPulse
     lam: float
     settings: ShootingSettings
-    xs: np.ndarray
-    frames: np.ndarray
+    steps: np.ndarray
+
+    @cached_property
+    def _every(self) -> int:
+        return _substeps(self.settings.dx)
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        nsamples = (len(self.steps) - 1) // self._every
+        return self.settings.window[0] + self.settings.dx * np.arange(nsamples + 1)
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        return self.steps[::self._every]
 
     @cached_property
     def plucker(self) -> np.ndarray:
@@ -332,63 +345,43 @@ class FrameTrajectory:
         return {}
 
     @cached_property
-    def _every(self) -> int:
-        return _substeps(self.settings.dx)
-
-    def _point(self, j: int) -> float:
-        """Step point ``j`` of the transport: the sample ``round(j / every)``,
-        moved by the steps left over."""
-        i = round(j / self._every)
-        return float(self.xs[i]) + (j - i * self._every) * (self.settings.dx / self._every)
+    def _h(self) -> float:
+        return self.settings.dx / self._every
 
     def _nearest(self, x: float) -> tuple[int, float]:
-        """The step point nearest ``x`` and the offset of ``x`` from it, 0
-        within 1e-13 of the point."""
+        """The step point ``j`` nearest ``x`` and the offset of ``x`` from
+        it, 0 within 1e-13 of the point."""
         x = float(x)
         a, b = self.settings.window
         if not self.xs[0] <= x <= self.xs[-1]:
             raise ValueError(
                 f"x = {x:.6g} lies outside the integration window [{a:g}, {b:g}]"
             )
-        i = round((x - a) / self.settings.dx)
-        j = i * self._every + round((x - float(self.xs[i])) * self._every / self.settings.dx)
-        dt = x - self._point(j)
+        j = round((x - a) / self._h)
+        dt = x - (a + j * self._h)
         return j, dt if abs(dt) >= 1e-13 else 0.0
 
     def _expansion(self, j: int, K: int) -> Family:
-        """The plane's Taylor series about step point ``j``, to the degree
-        that sums it to rounding over a step plus ``K``, so that its shift
-        gives orders ``0..K`` anywhere within a step; computed once per
-        point, and again for a higher ``K``.  At a sample it starts from the
-        stored frame; between samples (a spacing above ``MAX_STEP``) from
-        the frame the series of the points between carry there from the
-        nearest sample, one step each."""
+        """The plane's Taylor series about step point ``j``, from its stored
+        frame, to the degree that sums it to rounding over a step plus
+        ``K``, so that its shift gives orders ``0..K`` anywhere within a
+        step; computed once per point, and again for a higher ``K``."""
         known = self._expansions.get(j)
         if known is None or known[0] < K:
-            h = self.settings.dx / self._every
-            r = j - round(j / self._every) * self._every
-            if r:
-                s = 1 if r > 0 else -1
-                for m in range(j - r, j, s):
-                    if m not in self._expansions:
-                        self._expansion(m, 0)
-                F0 = _orthonormalize(self._expansions[j - s][1](s * h, 0)[0], np.empty((4, 2)))
-            else:
-                F0 = self.frames[j // self._every]
-            Bc = coefficient_matrix(0.0, self.lam)
-            x = self._point(j)
+            Bc, h = coefficient_matrix(0.0, self.lam), self._h
+            x = self.settings.window[0] + j * h
             p = grid_potential_jet(self.pulse, x, 0.0, 1, _degree(h * _FIXED_NORM) + K - 1)[0]
             D = _degree(float(_reach(Bc, p[0], h))) + K
             if D > len(p):
                 p = grid_potential_jet(self.pulse, x, 0.0, 1, D - 1)[0]
-            known = self._expansions[j] = (K, polynomial_family(_taylor(Bc, p, F0, D)))
+            known = self._expansions[j] = (K, polynomial_family(_taylor(Bc, p, self.steps[j], D)))
         return known[1]
 
     def frame_at(self, x: float) -> np.ndarray:
-        """Orthonormal frame at ``x`` (a read-only view at a grid point)."""
+        """Orthonormal frame at ``x`` (a read-only view at a step point)."""
         j, dt = self._nearest(x)
-        if dt == 0.0 and j % self._every == 0:
-            return self.frames[j // self._every]
+        if dt == 0.0:
+            return self.steps[j]
         return _orthonormalize(self._expansion(j, 0)(dt, 0)[0], np.empty((4, 2)))
 
     def jet(self, x: float, K: int) -> np.ndarray:
@@ -417,7 +410,8 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
 
     The frame starts at the unstable plane of the constant tail matrix and
     is advanced by steps of the sample spacing ``dx``, or by equal
-    sub-steps of at most ``MAX_STEP`` when ``dx`` is coarser.
+    sub-steps of at most ``MAX_STEP`` when ``dx`` is coarser; the frame
+    after every step is kept.
 
     Raises
     ------
@@ -430,14 +424,12 @@ def integrate_frame(pulse: FourierPulse, lam: float = 0.0,
         raise ValueError(
             f"window [{a:g}, {b:g}] exceeds the pulse's half-period {pulse.L_f:g}"
         )
-    nsamples = int(round((b - a) / settings.dx))
     every = _substeps(settings.dx)
-    frames = _transport(pulse, lam, a, settings.dx / every, nsamples * every,
-                        initial_frame(pulse.params, lam), every=every)
-    frames.setflags(write=False)
-    return FrameTrajectory(pulse=pulse, lam=lam, settings=settings,
-                           xs=a + settings.dx * np.arange(nsamples + 1),
-                           frames=frames)
+    nsteps = int(round((b - a) / settings.dx)) * every
+    steps = _transport(pulse, lam, a, settings.dx / every, nsteps,
+                       initial_frame(pulse.params, lam))
+    steps.setflags(write=False)
+    return FrameTrajectory(pulse=pulse, lam=lam, settings=settings, steps=steps)
 
 
 def write_trajectory(trajectory: FrameTrajectory, destination) -> None:

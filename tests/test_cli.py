@@ -395,16 +395,19 @@ def test_conjugate_report_is_deterministic(phi0_file, capsys):
 
 
 @pytest.mark.parametrize("name, dx", [("phi0", 0.1), ("phi0", 0.2), ("phi0", 0.25),
+                                      ("phipi", 0.1), ("snaking", 0.1),
                                       ("phipi", 0.2), ("snaking", 0.2),
+                                      ("phi0", 0.15), ("snaking", 0.15),
                                       ("phi0", 1.0), ("phipi", 1.0), ("snaking", 1.0),
                                       ("phi0", 3.0), ("phipi", 3.0), ("snaking", 3.0),
                                       ("phipi", 20.0)])
 def test_conjugate_stdout_does_not_depend_on_the_sample_spacing(request, name, dx,
                                                                 tmp_path, capsys):
     """A coarser ``sample_dx`` from a config file prints the default run's
-    bytes: its sub-steps are the default steps, and the crossings are found
-    and classified between the samples, up to 10 from the nearest one at
-    dx = 20, where the plane is carried there one step at a time."""
+    bytes: the transport keeps every one of its steps (the default steps,
+    except at 0.15, whose steps are fl(0.15)/3), and the crossings are
+    found and classified between the samples, up to 10 from the nearest one
+    at dx = 20, from the series of the nearest stored step."""
     path = str(request.getfixturevalue(f"{name}_file"))
     capsys.readouterr()
     assert cli.main(["conjugate", path]) == 0

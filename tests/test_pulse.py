@@ -142,10 +142,11 @@ def test_newton_singular_system():
         sp.newton_solve(seed)
 
 
-def test_newton_nonconvergence_carries_residual():
+def test_newton_nonconvergence_carries_residual(monkeypatch):
     seed = sp.seed_from_normal_form(P, 0.0, N=32)
+    monkeypatch.setattr(sp, "MAX_ITER", 2)
     with pytest.raises(NewtonError) as exc:
-        sp.newton_solve(seed, tol=0.0, max_iter=2)
+        sp.newton_solve(seed, tol=0.0)
     assert exc.value.residual_norm > 0
 
 
@@ -267,19 +268,34 @@ def test_failed_coarse_level_restarts_from_the_seed(monkeypatch, name, N):
     assert np.array_equal(pulse.a, _single_level(seed.a, seed.params, seed.L_f))
 
 
-def test_coarse_to_fine_errors_keep_their_messages():
+def test_coarse_to_fine_errors_keep_their_messages(monkeypatch):
     history = []
     with pytest.raises(NewtonError, match="trivial state") as exc:
         sp.newton_solve(make_pulse(np.zeros(257)), history=history)
     assert exc.value.residual_norm == 0.0
     assert history == [0.0, 0.0]  # the coarse level's, then the seed's at N
     history = []
+    monkeypatch.setattr(sp, "MAX_ITER", 2)
     with pytest.raises(NewtonError, match=r"no convergence in 2 iterations") as exc:
-        sp.newton_solve(sp.seed_from_normal_form(P, 0.0, N=256), tol=0.0, max_iter=2,
-                        history=history)
+        sp.newton_solve(sp.seed_from_normal_form(P, 0.0, N=256), tol=0.0, history=history)
     assert exc.value.residual_norm > 0
-    assert len(history) == 6  # max_iter applies per level
+    assert len(history) == 6  # MAX_ITER applies per level
     assert history[-1] == exc.value.residual_norm
+
+
+def test_tail_floor_reads_the_last_nonzero_coefficient():
+    """The tail is |a_M| / max |a_k| at the last nonzero coefficient a_M:
+    a_N unless the solve returned a zero-padded coarse level, where it is
+    that level's last mode (phi0 and phipi at N = 512 stop at 256)."""
+    assert make_pulse([2.0, -1.0, 1e-3]).tail_floor == 1e-3 / 2.0
+    assert make_pulse([2.0, -1.0, 1e-3, 0.0, 0.0]).tail_floor == 1e-3 / 2.0
+    assert make_pulse([-2.0, 0.0, 1e-3, 0.0]).tail_floor == 1e-3 / 2.0
+    assert make_pulse(np.zeros(5)).tail_floor == 0.0
+    for name in ("phi0", "phipi"):
+        pulse = sp.newton_solve(_reference_seed(name, 512))
+        assert not pulse.a[257:].any() and pulse.a[256] != 0.0
+        assert pulse.tail_floor == abs(pulse.a[256]) / np.abs(pulse.a).max()
+        assert 1e-15 < pulse.tail_floor < 1e-14
 
 
 # Localized states of the (nu, mu, phi) parameter box, at N = 256

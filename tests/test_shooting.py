@@ -167,8 +167,8 @@ def test_coarse_sampling_takes_sub_steps(pulse_phi0, traj_phi0):
 
 
 def test_coarse_frame_at_keeps_the_transport_tables(pulse_phi0):
-    """Between the samples of dx = 0.2, ``frame_at`` expands the step
-    points between, each from the potential's jet at its one point.  Such a
+    """Between the samples of dx = 0.2, ``frame_at`` expands the nearest
+    stored step, from the potential's jet at its one point.  Such a
     short grid shares the series' zero-offset table, so 40 calls add at most
     that table to the cache, and the next default transport finds its own
     tables there."""
@@ -190,15 +190,14 @@ def _gram_schmidt(M):
     return np.column_stack((a, b / math.sqrt(b @ b)))
 
 
-def _step_loop(pulse, x0, h, nsteps, F, every=1):
+def _step_loop(pulse, x0, h, nsteps, F):
     """The textbook transport: one ``Phi @ F`` and a fresh Gram-Schmidt per
-    step, every ``every``-th frame kept."""
+    step, every frame kept."""
     F = _gram_schmidt(F)
     kept = [F]
-    for k, Phi in enumerate(_step_maps(pulse, 0.0, x0, h, nsteps), start=1):
+    for Phi in _step_maps(pulse, 0.0, x0, h, nsteps):
         F = _gram_schmidt(Phi @ F)
-        if k % every == 0:
-            kept.append(F)
+        kept.append(F)
     return np.stack(kept)
 
 
@@ -230,26 +229,26 @@ def test_blocked_transport_is_the_step_loop_plane(request, name):
     assert np.abs(R[:, 1, 0]).max() <= 1e-13 * np.abs(R).max()
 
 
-@pytest.mark.parametrize("nsteps, every", [(7, 1), (7, 3), (2400, 2), (2401, 1)])
-def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps, every):
+@pytest.mark.parametrize("nsteps", [7, 2400, 2401])
+def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps):
     """Step counts with a short last block (7 in blocks of 3, 2400 in blocks
-    of 49) and without one (2401 = 49 * 49), every frame kept or a subset:
-    the planes of the step loop to 1e-13 up to the core."""
+    of 49) and without one (2401 = 49 * 49), every step's frame: the planes
+    of the step loop to 1e-13 up to the core."""
     x0, h = -60.0, 0.05
     F = initial_frame(pulse_phi0.params)
-    blocked = _transport(pulse_phi0, 0.0, x0, h, nsteps, F, every=every)
-    loop = _step_loop(pulse_phi0, x0, h, nsteps, F, every=every)
-    assert blocked.shape == loop.shape == (nsteps // every + 1, 4, 2)
+    blocked = _transport(pulse_phi0, 0.0, x0, h, nsteps, F)
+    loop = _step_loop(pulse_phi0, x0, h, nsteps, F)
+    assert blocked.shape == loop.shape == (nsteps + 1, 4, 2)
     _assert_orthonormal(blocked)
-    upstream = x0 + every * h * np.arange(len(loop)) <= 0.0
+    upstream = x0 + h * np.arange(len(loop)) <= 0.0
     assert np.abs(plucker(blocked[upstream]) - plucker(loop[upstream])).max() <= 1e-13
 
 
 def test_frame_at_midpoint_is_the_step_loop_plane(pulse_phi0, traj_phi0):
-    """``frame_at`` between samples sums the nearest step point's series:
-    the sample's at dx = 0.05, and at dx = 0.2 that of a point the series
-    between carry there from the sample, a 0.05 step each.  Both are the
-    planes of the step loop from that sample."""
+    """``frame_at`` between samples sums the nearest step point's series,
+    started from that point's stored frame: the sample's at dx = 0.05, and
+    at dx = 0.2 that of a stored step between the samples, 0.05 apart.  Both
+    are the planes of the step loop from the sample."""
     coarse = integrate_frame(pulse_phi0,
                              settings=ShootingSettings(window=(-4.0, 4.0), dx=0.2))
     for traj, offset, nsteps in ((traj_phi0, 0.02, 1), (coarse, 0.075, 2)):
@@ -459,26 +458,28 @@ def test_reach_refuses_the_first_step_beyond_it():
 def test_overflow_inside_a_block_raises_transport_error(monkeypatch):
     """Finite step maps whose product grows past the square root of the
     largest float partway through the first block stop the transport at
-    that step's frame, not at a later block start.  A map within the reach
-    grows a frame by at most e^(2 pi) ~ 535, and no pulse has been seen to
-    overflow a block that way, so the maps here are 1e20 times the
+    that step's frame, not at a later block start, nor at the next sample
+    when the step is a sub-step of dx = 0.1.  A map within the reach grows
+    a frame by at most e^(2 pi) ~ 535, and no pulse has been seen to
+    overflow a block that way, so the maps here are 1e20 or 1e25 times the
     identity."""
-    def growing_maps(pulse, lam, x0, h, nsteps):
-        return np.broadcast_to(1e20 * np.eye(4), (nsteps, 4, 4)).copy()
+    for dx, growth, odd in ((0.05, 1e20, False), (0.1, 1e25, True)):
+        def growing_maps(pulse, lam, x0, h, nsteps, growth=growth):
+            return np.broadcast_to(growth * np.eye(4), (nsteps, 4, 4)).copy()
 
-    monkeypatch.setattr(shooting, "_step_maps", growing_maps)
-    settings = ShootingSettings(window=(-5.0, 5.0))
-    x0, h, nsteps = -5.0, settings.dx, 200
-    F = initial_frame(P05)
-    with np.errstate(over="ignore"):
-        for k, Phi in enumerate(growing_maps(None, 0.0, x0, h, nsteps), start=1):
-            F = Phi @ F
-            if not np.all(np.isfinite(np.sum(F * F, axis=0))):
-                break
-    assert 1 < k < math.isqrt(nsteps - 1) + 1
-    with pytest.raises(TransportError,
-                       match=re.escape(f"frame is not finite at x = {x0 + k * h:.6g}")):
-        integrate_frame(zero_pulse(P05), settings=settings)
+        monkeypatch.setattr(shooting, "_step_maps", growing_maps)
+        settings = ShootingSettings(window=(-5.0, 5.0), dx=dx)
+        x0, h, nsteps = -5.0, 0.05, 200
+        F = initial_frame(P05)
+        with np.errstate(over="ignore"):
+            for k, Phi in enumerate(growing_maps(None, 0.0, x0, h, nsteps), start=1):
+                F = Phi @ F
+                if not np.all(np.isfinite(np.sum(F * F, axis=0))):
+                    break
+        assert 1 < k < math.isqrt(nsteps - 1) + 1 and k % 2 == odd
+        with pytest.raises(TransportError,
+                           match=re.escape(f"frame is not finite at x = {x0 + k * h:.6g}")):
+            integrate_frame(zero_pulse(P05), settings=settings)
 
 
 def test_frame_at_anchor_and_midpoint(traj_phi0):
@@ -542,24 +543,42 @@ def _partial_step(traj, x):
         return traj.frames[i]
     nsteps = math.ceil(abs(x - anchor) / shooting.MAX_STEP)
     return _transport(traj.pulse, traj.lam, anchor, (x - anchor) / nsteps, nsteps,
-                      traj.frames[i], every=nsteps)[-1]
+                      traj.frames[i])[-1]
 
 
 def test_coarse_frame_at_is_the_default_transport(pulse_phipi, traj_phipi):
-    """At dx = 1 the plane between samples is carried from the nearest one,
-    a transport step at a time, by the step points' series: at every
-    default sample up to the core it spans the default transport's plane
-    within 1e-13."""
+    """At dx = 1 the plane between samples is the nearest stored step's, or
+    its series: at every default sample up to the core it spans the
+    default transport's plane within 1e-13."""
     coarse = integrate_frame(pulse_phipi, settings=ShootingSettings(dx=1.0))
     upstream = traj_phipi.xs <= 0.0
     frames = np.stack([coarse.frame_at(x) for x in traj_phipi.xs[upstream]])
     assert np.abs(plucker(frames) - traj_phipi.plucker[upstream]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("name", ["phi0", "phipi"])
+@pytest.mark.parametrize("dx", [0.1, 0.2])
+def test_plane_family_does_not_depend_on_the_sample_spacing(request, name, dx):
+    """At dx = 0.1 and 0.2 the sub-step is exactly the default step, so
+    ``frame_at`` and ``jet`` are the default trajectory's, bit for bit, at
+    the crossings, at the steps between the samples and at random points."""
+    traj = request.getfixturevalue(f"traj_{name}")
+    coarse = integrate_frame(traj.pulse, settings=ShootingSettings(dx=dx))
+    assert np.array_equal(coarse.steps, traj.steps)
+    _, records = conjugate_points(traj, trust_horizon(traj.pulse))
+    rng = np.random.default_rng(28)
+    points = ([r.x_star for r in records] + [float(coarse.xs[300]) + 0.05 * k for k in range(4)]
+              + list(rng.uniform(-60.0, 60.0, 20)))
+    fine = _fresh(traj)
+    for x in points:
+        assert np.array_equal(coarse.frame_at(x), fine.frame_at(x))
+        assert np.array_equal(coarse.jet(x, 9), fine.jet(x, 9))
+
+
 def _fresh(traj):
     """A copy of the trajectory with none of its samples' series computed."""
     return FrameTrajectory(pulse=traj.pulse, lam=traj.lam, settings=traj.settings,
-                           xs=traj.xs, frames=traj.frames)
+                           steps=traj.steps)
 
 
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
