@@ -229,11 +229,13 @@ def test_blocked_transport_is_the_step_loop_plane(request, name):
     assert np.abs(R[:, 1, 0]).max() <= 1e-13 * np.abs(R).max()
 
 
-@pytest.mark.parametrize("nsteps", [7, 2400, 2401])
-def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps):
+@pytest.mark.parametrize("nsteps, every", [(7, 1), (7, 3), (2400, 2), (2401, 1)])
+def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps, every):
     """Step counts with a short last block (7 in blocks of 3, 2400 in blocks
     of 49) and without one (2401 = 49 * 49), every step's frame: the planes
-    of the step loop to 1e-13 up to the core."""
+    of the step loop to 1e-13 up to the core.  Every ``every``-th of them,
+    as a sample spacing of ``every`` steps keeps them, is the step loop's
+    frame at that step, from the first step to the last whole stride."""
     x0, h = -60.0, 0.05
     F = initial_frame(pulse_phi0.params)
     blocked = _transport(pulse_phi0, 0.0, x0, h, nsteps, F)
@@ -242,6 +244,11 @@ def test_blocked_transport_on_any_step_count(pulse_phi0, nsteps):
     _assert_orthonormal(blocked)
     upstream = x0 + h * np.arange(len(loop)) <= 0.0
     assert np.abs(plucker(blocked[upstream]) - plucker(loop[upstream])).max() <= 1e-13
+    kept, xs = blocked[::every], x0 + every * h * np.arange(nsteps // every + 1)
+    assert kept.shape == (nsteps // every + 1, 4, 2)
+    assert np.array_equal(kept[-1], blocked[nsteps - nsteps % every])
+    assert np.abs(plucker(kept[xs <= 0.0])
+                  - plucker(loop[::every][xs <= 0.0])).max() <= 1e-13
 
 
 def test_frame_at_midpoint_is_the_step_loop_plane(pulse_phi0, traj_phi0):
