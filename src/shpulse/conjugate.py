@@ -46,13 +46,13 @@ from .spectrum import count_unstable
 SIMPLICITY_THRESHOLD = 1e-3
 
 
-def trust_horizon(pulse: FourierPulse, lam: float = 0.0) -> float:
-    """Forward position beyond which the transported plane is untrustworthy.
+def trust_horizon(pulse: FourierPulse) -> float:
+    """Forward position beyond which the plane at ``lam = 0`` is untrustworthy.
 
     Uses the larger of the pulse's relative Fourier-tail floor and the
     transport's noise level ``TRANSPORT_NOISE`` as the effective noise level.
     """
-    data = asymptotic_frames(lam, pulse.params)
+    data = asymptotic_frames(0.0, pulse.params)
     alpha, beta = data.gamma1.real, data.gamma1.imag
     eps = max(pulse.tail_floor, TRANSPORT_NOISE)
     return float(np.log(1.0 / eps) / (2.0 * alpha) - 2.0 * np.pi / beta)
@@ -177,7 +177,7 @@ def stability_report(pulse: FourierPulse, trajectory: FrameTrajectory) -> Stabil
         raise ValueError("the trajectory was transported along another pulse")
     spectral = count_unstable(pulse)
 
-    horizon = trust_horizon(pulse, trajectory.lam)
+    horizon = trust_horizon(pulse)
     clipped = bool(trajectory.xs[-1] > horizon)
     index, records = conjugate_points(trajectory, horizon)
 

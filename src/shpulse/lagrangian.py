@@ -47,7 +47,6 @@ detector and trajectory export.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -598,19 +597,6 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``C(m, i)`` and ``max(m - i, 0)`` for ``i, m < n``, the Taylor shift's
-    weights and powers, read-only: a trajectory builds a family per sample
-    it expands, of a handful of sizes."""
-    m = np.arange(n)
-    binom = np.array([[math.comb(j, i) for j in m] for i in m], dtype=float)
-    shift = np.maximum(m[None, :] - m[:, None], 0)
-    binom.setflags(write=False)
-    shift.setflags(write=False)
-    return binom, shift
-
-
 def polynomial_family(coeffs) -> Family:
     """The family ``t -> sum_m coeffs[m] t^m`` (``coeffs`` of shape
     ``(d+1, 4, 2)``) as an exact jet, the Taylor shift
@@ -618,7 +604,9 @@ def polynomial_family(coeffs) -> Family:
     array ``t`` gives one jet per entry: ``path(ts, 0)[:, 0]`` samples a grid.
     """
     P = _frame_matrix(coeffs, (len(coeffs), 4, 2)).reshape(len(coeffs), 8)
-    binom, shift = _shift_tables(len(P))
+    m = np.arange(len(P))
+    binom = np.array([[math.comb(j, i) for j in m] for i in m], dtype=float)
+    shift = np.maximum(m[None, :] - m[:, None], 0)
 
     def jet(t, K: int) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None, None]

@@ -26,12 +26,12 @@ Lagrangian.
 
 ``FrameTrajectory`` keeps the frame after every transport step and runs
 the same recurrence once per step point it is asked about, from the stored
-frame, and keeps the series: ``frame_at`` and ``jet`` between the step
-points are the nearest one's series shifted to the point, so a crossing
-search that probes one bracket many times expands only its two ends.  The
-samples are every ``_substeps(dx)``-th step point, so the plane family does
-not depend on the sample spacing beyond its steps: at a spacing whose
-sub-step is ``MAX_STEP`` it is the default trajectory's, bit for bit.
+frame, and keeps the series: ``frame_at`` between the step points sums
+the nearest one's at the point, so a crossing search that probes one
+bracket many times expands only its two ends; ``jet`` runs it at the point
+itself.  The samples are every ``_substeps(dx)``-th step point, so the
+plane family does not depend on the sample spacing beyond its steps: at a
+spacing whose sub-step is ``MAX_STEP`` it is the default's, bit for bit.
 
 The chunks are small (``_CHUNK`` midpoints) so that each one's Taylor stack
 and cosine-series products fit in the memory the last chunk freed, and the
@@ -67,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lagrangian import Family, _orthonormal, _orthonormalize, plucker, polynomial_family
+from .lagrangian import _orthonormal, _orthonormalize, plucker
 from .model import Params, asymptotic_frames, coefficient_matrix
 from .pulse import FourierPulse, grid_potential_jet
 
@@ -183,48 +183,60 @@ def _symplectic_inverse(M: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _series_potential(pulse: FourierPulse, Bc: np.ndarray, c: float, step: float,
+                      n: int, h: float) -> tuple[np.ndarray, int]:
+    """The potential's coefficients at the expansion points ``c + i step``,
+    ``i < n``, and the degree ``_degree(|B|_1 h)`` of their series over a
+    step ``h``, ``|B|_1`` the largest at the points: evaluated at the degree
+    of ``_FIXED_NORM``, the least any step takes, and again at a higher one.
+
+    Raises
+    ------
+    TransportError
+        When a point's potential is not finite, or its ``|B|_1 h`` exceeds
+        ``_REACH``; the message names the point, or the step ending there.
+    """
+    K = _degree(abs(h) * _FIXED_NORM)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = grid_potential_jet(pulse, c, step, n, K - 1)
+    reach = _reach(Bc, p[:, 0], h)
+    top = reach.max()
+    if not top <= _REACH:
+        i = int(np.argmax(~(reach <= _REACH)))
+        x = c + i * step
+        raise TransportError(
+            f"the potential f'(phi(x)) is not finite at x = {x:.6g}"
+            if not np.isfinite(reach[i]) else
+            f"the step at x = {x - h:.6g} has |B|_1 h = {reach[i]:.3g}, beyond "
+            f"the reach {_REACH:.3g} of its Taylor series")
+    degree = _degree(top)
+    if degree > K:
+        p = grid_potential_jet(pulse, c, step, n, degree - 1)
+    return p, degree
+
+
 def _step_maps(pulse: FourierPulse, lam: float, x0: float, h: float,
                nsteps: int) -> np.ndarray:
     """Maps of the steps ``[s, s + h]`` from the starts ``s = x0 + j h``,
     ``j < nsteps``, two steps from each expansion.  ``_taylor`` runs from
     ``F_0 = I`` about every midpoint ``c = x0 + (2k + 1) h`` of a pair of
-    steps, one call per chunk of ``_CHUNK`` midpoints, to
-    ``_degree(|B|_1 h)`` with ``|B|_1`` the largest at the chunk's midpoints.
-    Summed at ``h`` the series is the map of ``[c, c + h]``; summed with
-    alternating signs it is the map back from ``c`` to ``c - h``, whose
-    symplectic inverse is the map of ``[c - h, c]``.  An odd step count
-    drops the last pair's forward map.  The potential at the midpoints comes
-    with the degree of ``_FIXED_NORM``, the least any step takes; a chunk
-    whose potential raises the norm sums its grid again to its own degree.
+    steps, one call per chunk of ``_CHUNK`` midpoints, to the chunk's
+    ``_series_potential`` degree.  Summed at ``h`` the series is the map of
+    ``[c, c + h]``; summed with alternating signs it is the map back from
+    ``c`` to ``c - h``, whose symplectic inverse is the map of
+    ``[c - h, c]``.  An odd step count drops the last pair's forward map.
 
     Raises
     ------
     TransportError
-        When the potential at a midpoint is not finite, or a pair's
-        ``|B|_1 h`` exceeds ``_REACH``; the message names the pair's start.
+        From ``_series_potential``, at a midpoint.
     """
     Bc = coefficient_matrix(0.0, lam)
-    K = _degree(abs(h) * _FIXED_NORM)
     npairs = -(-nsteps // 2)
     maps = np.empty((2 * npairs, 4, 4))
     for i in range(0, npairs, _CHUNK):
         n = min(_CHUNK, npairs - i)
-        c = x0 + (2 * i + 1) * h
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = grid_potential_jet(pulse, c, 2 * h, n, K - 1)
-        reach = _reach(Bc, p[:, 0], h)
-        top = reach.max()
-        if not top <= _REACH:
-            j = int(np.argmax(~(reach <= _REACH)))
-            x = x0 + 2 * (i + j) * h
-            raise TransportError(
-                f"the potential f'(phi(x)) is not finite at x = {x + h:.6g}"
-                if not np.isfinite(reach[j]) else
-                f"the step at x = {x:.6g} has |B|_1 h = {reach[j]:.3g}, beyond "
-                f"the reach {_REACH:.3g} of its Taylor series")
-        degree = _degree(top)
-        if degree > K:
-            p = grid_potential_jet(pulse, c, 2 * h, n, degree - 1)
+        p, degree = _series_potential(pulse, Bc, x0 + (2 * i + 1) * h, 2 * h, n, h)
         terms = _taylor(Bc, p, _IDENTITY, degree, h)
         # the series is summed from its smallest terms up, at h and at -h
         maps[2 * i + 1:2 * (i + n):2] = terms[::-1].sum(axis=0).swapaxes(0, 1)
@@ -298,11 +310,10 @@ class FrameTrajectory:
     unit Plücker coordinates ``plucker`` of the samples (their ``P14``
     column is the crossing detector) and the symplectic-form drift
     ``omega_drift = |P13 + P24|`` are computed for all samples at once.
-    ``frame_at`` and ``jet``, the plane family the crossing engine
-    classifies, sum the Taylor series about the nearest step point.  Each
-    point's series runs once, from its stored frame, and is kept:
-    arbitrary-point evaluation is a shift of a cached series and as accurate
-    as the stored steps.
+    ``frame_at`` and ``jet`` are the plane family the crossing engine
+    classifies: ``frame_at`` sums the nearest step point's Taylor series,
+    run once from its stored frame and kept, and ``jet`` runs the recurrence
+    at the point from that frame; both are as accurate as the stored steps.
     """
 
     pulse: FourierPulse
@@ -341,7 +352,7 @@ class FrameTrajectory:
                                      self.plucker, self.omega_drift))
 
     @cached_property
-    def _expansions(self) -> dict[int, tuple[int, Family]]:
+    def _expansions(self) -> dict[int, np.ndarray]:
         return {}
 
     @cached_property
@@ -361,41 +372,35 @@ class FrameTrajectory:
         dt = x - (a + j * self._h)
         return j, dt if abs(dt) >= 1e-13 else 0.0
 
-    def _expansion(self, j: int, K: int) -> Family:
-        """The plane's Taylor series about step point ``j``, from its stored
-        frame, to the degree that sums it to rounding over a step plus
-        ``K``, so that its shift gives orders ``0..K`` anywhere within a
-        step; computed once per point, and again for a higher ``K``."""
-        known = self._expansions.get(j)
-        if known is None or known[0] < K:
+    def _expansion(self, j: int) -> np.ndarray:
+        """The plane's Taylor coefficients about step point ``j``, from its
+        stored frame, to the degree that sums them to rounding over a step,
+        as one ``(D+1, 8)`` array; computed once per point."""
+        S = self._expansions.get(j)
+        if S is None:
             Bc, h = coefficient_matrix(0.0, self.lam), self._h
-            x = self.settings.window[0] + j * h
-            p = grid_potential_jet(self.pulse, x, 0.0, 1, _degree(h * _FIXED_NORM) + K - 1)[0]
-            D = _degree(float(_reach(Bc, p[0], h))) + K
-            if D > len(p):
-                p = grid_potential_jet(self.pulse, x, 0.0, 1, D - 1)[0]
-            known = self._expansions[j] = (K, polynomial_family(_taylor(Bc, p, self.steps[j], D)))
-        return known[1]
+            p, D = _series_potential(self.pulse, Bc, self.settings.window[0] + j * h, 0.0, 1, h)
+            S = self._expansions[j] = _taylor(Bc, p[0], self.steps[j], D).reshape(D + 1, 8)
+        return S
 
     def frame_at(self, x: float) -> np.ndarray:
         """Orthonormal frame at ``x`` (a read-only view at a step point)."""
         j, dt = self._nearest(x)
         if dt == 0.0:
             return self.steps[j]
-        return _orthonormalize(self._expansion(j, 0)(dt, 0)[0], np.empty((4, 2)))
+        S = self._expansion(j)
+        return _orthonormalize((dt ** np.arange(len(S)) @ S).reshape(4, 2), np.empty((4, 2)))
 
     def jet(self, x: float, K: int) -> np.ndarray:
         """Taylor coefficients ``F_0..F_K``, shape ``(K+1, 4, 2)``, at ``x`` of
         the solution of ``F' = B F`` through ``frame_at(x)``: the plane's jet,
-        the nearest step point's series shifted to ``x`` and re-based by the
-        inverse of the triangular factor of its order-0 Gram-Schmidt."""
+        the recurrence run at ``x`` itself from that frame and the
+        potential's coefficients there."""
         F = self.frame_at(x)
-        j, dt = self._nearest(x)
-        S = self._expansion(j, K)(dt, K)
-        if dt != 0.0 and K:
-            S[1:] = S[1:] @ np.linalg.inv(np.triu(F.T @ S[0]))
-        S[0] = F
-        return S
+        if K == 0:
+            return F[None]
+        p = grid_potential_jet(self.pulse, x, 0.0, 1, K - 1)[0]
+        return _taylor(coefficient_matrix(0.0, self.lam), p, F, K)
 
 
 def _substeps(dx: float) -> int:

@@ -326,7 +326,7 @@ def check_robustness(bundles: dict[str, PulseBundle]) -> CheckResult:
     variants = {
         "dx=0.025": ShootingSettings(dx=0.025),
         "dx=0.04": ShootingSettings(dx=0.04),
-        "dx=0.1": ShootingSettings(dx=0.1),
+        "dx=0.15": ShootingSettings(dx=0.15),
         "window=80": ShootingSettings(window=(-80.0, 80.0)),
     }
     worst, ok = 0.0, True

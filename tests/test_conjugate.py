@@ -40,7 +40,7 @@ class _StubTrajectory:
 
 
 def _points(traj):
-    return conjugate_points(traj, trust_horizon(traj.pulse, traj.lam))
+    return conjugate_points(traj, trust_horizon(traj.pulse))
 
 
 def test_scan_finds_the_single_crossing(traj_phi0):

@@ -462,6 +462,21 @@ def test_reach_refuses_the_first_step_beyond_it():
         integrate_frame(zero_pulse(Params(nu=1.6, mu=126.0)), settings=window)
 
 
+def test_frame_at_between_steps_refuses_a_step_beyond_the_reach():
+    """The series about a step point takes the step maps' degree rule and
+    its refusal: over a zero pulse with mu = 200 (|B|_1 h = 10 > 2 pi) a
+    trajectory built by hand from the tail plane keeps its stored steps,
+    and ``frame_at`` between them is a TransportError, not a frame."""
+    pulse = zero_pulse(Params(nu=1.6, mu=200.0))
+    steps = np.broadcast_to(initial_frame(pulse.params), (41, 4, 2))
+    traj = FrameTrajectory(pulse=pulse, lam=0.0,
+                           settings=ShootingSettings(window=(-1.0, 1.0)), steps=steps)
+    assert np.array_equal(traj.frame_at(0.0), steps[20])
+    with pytest.raises(TransportError, match=re.escape(
+            "the step at x = -0.05 has |B|_1 h = 10.1, beyond the reach 6.28")):
+        traj.frame_at(0.02)
+
+
 def test_overflow_inside_a_block_raises_transport_error(monkeypatch):
     """Finite step maps whose product grows past the square root of the
     largest float partway through the first block stop the transport at
@@ -539,6 +554,46 @@ def test_jet_sums_to_the_transported_plane(request, name):
             taylor = np.tensordot(h ** np.arange(10), F, axes=1)
             worst = max(worst, subspace_angles(taylor, _partial_step(traj, x + h)).max())
     assert worst <= 1e-11
+
+
+def _shifted_jet(traj, x, K):
+    """The jet as the nearest step point's series to ``K`` orders beyond the
+    step's degree, shifted to ``x`` by ``polynomial_family``'s Taylor shift
+    and re-based by the inverse of the triangular factor of the order-0
+    Gram-Schmidt."""
+    j, dt = traj._nearest(x)
+    h = traj._h
+    Bc = coefficient_matrix(0.0, traj.lam)
+    xj = traj.settings.window[0] + j * h
+    p0 = sp.grid_potential_jet(traj.pulse, xj, 0.0, 1, 0)[0, 0]
+    D = _degree(float(shooting._reach(Bc, p0, h))) + K
+    p = sp.grid_potential_jet(traj.pulse, xj, 0.0, 1, D - 1)[0]
+    S = lagrangian.polynomial_family(shooting._taylor(Bc, p, traj.steps[j], D))(dt, K)
+    F = traj.frame_at(x)
+    if dt != 0.0:
+        S[1:] = S[1:] @ np.linalg.inv(np.triu(F.T @ S[0]))
+    S[0] = F
+    return S
+
+
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_jet_is_the_shifted_series(request, name):
+    """``jet(x, 9)``, the recurrence run at ``x`` from ``frame_at(x)``, is the
+    nearest step point's series shifted to ``x`` and re-based: order n
+    within 1e-13 times ``|B(x)|_1^n / n!``, the size the recurrence gives a
+    coefficient of an orthonormal frame, at the crossings and at random
+    points."""
+    traj = request.getfixturevalue(f"traj_{name}")
+    _, records = conjugate_points(traj, trust_horizon(traj.pulse))
+    rng = np.random.default_rng(30)
+    points = [r.x_star for r in records] + list(rng.uniform(-60.0, 60.0, 40))
+    factorial = np.array([math.factorial(n) for n in range(10)], dtype=float)
+    for x in points:
+        jet = traj.jet(x, 9)
+        p0 = sp.grid_potential_jet(traj.pulse, x, 0.0, 1, 0)[0, 0]
+        norm = np.abs(coefficient_matrix(p0, traj.lam)).sum(axis=0).max()
+        error = np.abs(jet - _shifted_jet(traj, x, 9)).max(axis=(1, 2))
+        assert np.all(error <= 1e-13 * norm ** np.arange(10) / factorial)
 
 
 def _partial_step(traj, x):
@@ -620,8 +675,10 @@ def test_frame_at_and_jet_never_transport(monkeypatch, traj_phipi):
 
 
 def test_crossing_search_expands_at_most_two_samples_per_crossing(monkeypatch, traj_phipi):
-    """One crossing search on phipi runs the recurrence for at most two
-    samples per located crossing or dip: the two ends of its bracket."""
+    """One crossing search on phipi runs the recurrence from at most two
+    stored steps per located crossing or dip: the two ends of its bracket.
+    The jets at the crossings run it from ``frame_at(x*)``, which is no
+    stored step, and are not counted."""
     located = []
     locate = lagrangian.locate_zeros
 
@@ -632,14 +689,16 @@ def test_crossing_search_expands_at_most_two_samples_per_crossing(monkeypatch, t
 
     expanded = set()
     taylor = shooting._taylor
+    traj = _fresh(traj_phipi)
 
     def spy(Bc, p, F0, K, h=1.0):
-        expanded.add(np.asarray(F0).tobytes())
+        if np.shares_memory(F0, traj.steps):
+            expanded.add(np.asarray(F0).tobytes())
         return taylor(Bc, p, F0, K, h)
 
     monkeypatch.setattr(lagrangian, "locate_zeros", counting_locate)
     monkeypatch.setattr(shooting, "_taylor", spy)
-    index, records = conjugate_points(_fresh(traj_phipi), trust_horizon(traj_phipi.pulse))
+    index, records = conjugate_points(traj, trust_horizon(traj.pulse))
     assert index == 2 and len(records) == 2 and len(located) == 2
     assert 0 < len(expanded) <= 2 * len(located)
 
