@@ -32,7 +32,10 @@ every orthonormal frame comes from the transport's Gram-Schmidt
 * crossing search: :func:`locate_zeros` finds the zeros and the
   sign-preserving dips of a sampled crossing detector, and :func:`_itp`
   locates both a sign change of the detector and one of its slope across a
-  dip, where an even-order crossing touches zero;
+  dip, where an even-order crossing touches zero; an end of the interval or
+  the bottom of a dip is a crossing exactly when the crossing kernel
+  (:func:`intersection_basis`) is not empty there, so every point the
+  search keeps can be classified;
 * Maslov index: each isolated crossing contributes the signature of its
   first nondegenerate form when that order is odd, nothing when it is even,
   and boundary crossings are weighted by one half.  The same computation
@@ -491,11 +494,11 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-# Relative size of |det| that counts as a crossing, relative size below
-# which a local minimum of |det| is searched for an even-order touch (a
-# sign change of the detector's slope), and the location accuracy of both
-# the zero search and the slope search.
-DET_TOL = 1e-8
+# Relative size of |det| below which a local minimum of |det| is searched
+# for an even-order touch (a sign change of the detector's slope), and the
+# location accuracy of both the zero search and the slope search.  Whether
+# an end or a touch meets the reference is the kernel test of
+# :func:`intersection_basis`, with ``KERNEL_TOL``.
 DIP_TOL = 1e-6
 REFINE_TOL = 1e-10
 
@@ -522,8 +525,11 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     each dip below ``DIP_TOL`` (relative to the largest sample) the
     detector's slope, from the order-1 jet ``path(t, 1)``, is searched by
     :func:`_itp` for a sign change between the dip's neighbouring samples;
-    the point found is kept when ``|det|`` there is below ``DET_TOL``.  An
-    end sample below ``DET_TOL`` is an endpoint crossing.
+    the point found is kept when :func:`intersection_basis` finds the plane
+    there meeting the reference, the kernel test that :func:`crossing_form`
+    applies.  An end sample is an endpoint crossing by the same test, made
+    only where ``|det|``, the product of the two sines, is at most
+    ``KERNEL_TOL``.
     Each crossing is classified with :func:`crossing_form`; interior
     crossings of odd order contribute their signature, interior even-order
     crossings contribute nothing, and endpoint crossings contribute half
@@ -555,15 +561,17 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
         )
 
     zeros, dips = locate_zeros(ts, dets, det_fn, REFINE_TOL, DIP_TOL * scale)
-    crossing_ts = [t for t, d in ((a, dets[0]), (b, dets[-1]))
-                   if abs(d) < DET_TOL * scale] + zeros
+    # |det| is the product of the two sines, so an end with |det| > KERNEL_TOL
+    # cannot meet the reference and needs no kernel test
+    crossing_ts = [t for t, F, d in ((a, frames[0], dets[0]), (b, frames[-1], dets[-1]))
+                   if abs(d) <= KERNEL_TOL and intersection_basis(F, reference).shape[1]] + zeros
     for t in dips:
         i = int(np.searchsorted(ts, t))
         lo, hi = float(ts[i - 1]), float(ts[i + 1])
         slo, shi = slope_fn(lo), slope_fn(hi)
         if np.sign(slo) * np.sign(shi) < 0:
             touch = _itp(slope_fn, lo, hi, slo, shi, REFINE_TOL)
-            if abs(det_fn(touch)) < DET_TOL * scale:
+            if intersection_basis(_jet(path, touch, 0)[0], reference).shape[1]:
                 crossing_ts.append(touch)
 
     crossing_ts.sort()

@@ -140,11 +140,15 @@ def _linear_symbol(N: int, p: Params, L_f: float) -> np.ndarray:
 
 def residual(a: np.ndarray, p: Params, L_f: float) -> np.ndarray:
     """Stationarity residual F(a) on the full coefficient vector (non-finite,
-    without a warning, where the coefficients overflow)."""
+    without a warning, where the coefficients overflow).  The self-convolution
+    ``a*a`` is formed once and gives both :func:`convolve2` and
+    :func:`convolve3`, with their bits."""
     a = np.asarray(a, dtype=float)
     N = (a.size - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        return _linear_symbol(N, p, L_f) * a + p.nu * convolve2(a) - convolve3(a)
+        aa = np.convolve(a, a)
+        return (_linear_symbol(N, p, L_f) * a + p.nu * aa[N : 3 * N + 1]
+                - np.convolve(aa, a)[2 * N : 4 * N + 1])
 
 
 def _half_to_full(h: np.ndarray) -> np.ndarray:

@@ -594,23 +594,48 @@ def test_maslov_even_order_crossing_contributes_nothing(num):
     assert abs(result.crossings[0].t) <= lg.REFINE_TOL
 
 
-@pytest.mark.parametrize("eps, touches", [(1e-7, 0), (1e-10, 1)])
-def test_maslov_dip_is_a_touch_only_below_det_tol(eps, touches):
-    """The graph of diag(t^4 + eps, 1) over span{e1, e2} dips towards the
-    reference between two samples of a 1000-point grid, without a sign
-    change.  The slope search finds the bottom at t = 0, and it is a
-    crossing (an order-4 touch, contributing nothing) only when |det|
-    there, about eps / sqrt(2), is below DET_TOL.  Minimising |det| locates
-    this bottom only to about 1e-7: |det| is flat to rounding there."""
+@pytest.mark.parametrize("eps, dips, touches",
+                         [(1e-7, 1, 0), (1e-10, 1, 1), (1e-5, 2, 0), (1e-10, 2, 1)])
+def test_maslov_dip_is_a_touch_only_where_the_kernel_is_not_empty(eps, dips, touches):
+    """The graph of diag(t^4 + eps, 1) over span{e1, e2} (``dips = 1``), or
+    of (t^4 + eps) I (``dips = 2``), dips towards the reference between two
+    samples of a 1000-point grid, without a sign change.  The slope search
+    finds the bottom at t = 0, and it is a crossing (an order-4 touch with a
+    ``dips``-dimensional kernel, contributing nothing) only when
+    :func:`intersection_basis` finds a kernel there: when the principal-angle
+    sine eps / sqrt(1 + eps^2) is at most KERNEL_TOL.  With (t^4 + 1e-5) I,
+    |det| = 1e-10 at the bottom is far below 1e-8 times its largest sample
+    while both sines are 1e-5: a test on |det| would keep a point that
+    :func:`crossing_form` refuses.  Minimising |det| locates this bottom only
+    to about 1e-7: |det| is flat to rounding there."""
     coeffs = np.zeros((5, 4, 2))
     coeffs[0] = HORIZONTAL
     coeffs[0, 2, 0] = eps
-    coeffs[0, 3, 1] = 1.0
+    coeffs[0, 3, 1] = eps if dips == 2 else 1.0
     coeffs[4, 2, 0] = 1.0
+    coeffs[4, 3, 1] = 1.0 if dips == 2 else 0.0
     result = _maslov(lg.polynomial_family(coeffs), HORIZONTAL, num=1000)
     assert result.index == 0
-    assert [(c.order, c.kernel_dim) for c in result.crossings] == [(4, 1)] * touches
+    assert [(c.order, c.kernel_dim) for c in result.crossings] == [(4, dips)] * touches
     assert all(abs(c.t) <= lg.REFINE_TOL for c in result.crossings)
+
+
+@pytest.mark.parametrize("delta, crossings", [(1e-5, 0), (1e-9, 1)])
+def test_maslov_end_is_a_crossing_only_where_the_kernel_is_not_empty(delta, crossings):
+    """The graph of (t + delta) I over span{e1, e2} on [0, 1] starts at
+    the sines delta / sqrt(1 + delta^2) from the reference.  The left end is
+    a crossing, with a 2-dimensional kernel and the order-1 form 2 I giving
+    half of +2, only when those sines are at most KERNEL_TOL; with
+    delta = 1e-5 the end's |det| = 1e-10 is far below 1e-8 times its largest
+    sample, yet the planes are transverse there."""
+    coeffs = np.zeros((2, 4, 2))
+    coeffs[0] = HORIZONTAL
+    coeffs[0, 2:] = delta * np.eye(2)
+    coeffs[1, 2:] = np.eye(2)
+    result = _maslov(lg.polynomial_family(coeffs), HORIZONTAL, a=0.0, b=1.0, num=101)
+    assert result.index == crossings
+    assert [(c.t, c.endpoint, c.order, c.kernel_dim, c.signature, c.contribution)
+            for c in result.crossings] == [(0.0, "left", 1, 2, 2, 1.0)] * crossings
 
 
 def test_maslov_endpoint_crossings_count_half():

@@ -95,6 +95,23 @@ def test_residual_zero_and_linear_coefficients():
     assert G[32] == pytest.approx(-0.05 * eps - 3 * eps**3, abs=1e-18)
 
 
+@pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
+def test_residual_is_bitwise_the_two_convolutions(request, name):
+    """residual shares one self-convolution between its quadratic and cubic
+    terms; it must keep the bits of the formula with convolve2 and convolve3,
+    on the reference pulse, on a perturbed iterate and zero-padded to N = 512."""
+    pulse = request.getfixturevalue(f"pulse_{name}")
+    a = pulse.full()
+    pad = np.zeros(2 * 512 + 1)
+    pad[512 - pulse.N : 512 + pulse.N + 1] = a
+    noisy = a + 1e-3 * np.random.default_rng(7).standard_normal(a.size)
+    for v in (a, noisy, pad):
+        N = (v.size - 1) // 2
+        old = (sp._linear_symbol(N, pulse.params, pulse.L_f) * v
+               + pulse.params.nu * sp.convolve2(v) - sp.convolve3(v))
+        assert np.array_equal(sp.residual(v, pulse.params, pulse.L_f), old)
+
+
 def test_jacobian_at_zero_is_diagonal():
     even, odd = sp.parity_blocks(np.zeros(5), P, 100.0)
     k = np.arange(5)
