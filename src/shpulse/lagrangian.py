@@ -527,9 +527,11 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     :func:`_itp` for a sign change between the dip's neighbouring samples;
     the point found is kept when :func:`intersection_basis` finds the plane
     there meeting the reference, the kernel test that :func:`crossing_form`
-    applies.  An end sample is an endpoint crossing by the same test, made
-    only where ``|det|``, the product of the two sines, is at most
-    ``KERNEL_TOL``.
+    applies.  An end sample is an endpoint crossing by the same test, so an
+    end whose smaller sine is above ``KERNEL_TOL`` is not counted, even
+    where symmetry makes it an exact crossing: at the x = 0 corner of a
+    half-line count the transported plane's error, not the geometry,
+    decides whether the corner's half is in the index.
     Each crossing is classified with :func:`crossing_form`; interior
     crossings of odd order contribute their signature, interior even-order
     crossings contribute nothing, and endpoint crossings contribute half
@@ -561,10 +563,8 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
         )
 
     zeros, dips = locate_zeros(ts, dets, det_fn, REFINE_TOL, DIP_TOL * scale)
-    # |det| is the product of the two sines, so an end with |det| > KERNEL_TOL
-    # cannot meet the reference and needs no kernel test
-    crossing_ts = [t for t, F, d in ((a, frames[0], dets[0]), (b, frames[-1], dets[-1]))
-                   if abs(d) <= KERNEL_TOL and intersection_basis(F, reference).shape[1]] + zeros
+    crossing_ts = [t for t, F in ((a, frames[0]), (b, frames[-1]))
+                   if intersection_basis(F, reference).shape[1]] + zeros
     for t in dips:
         i = int(np.searchsorted(ts, t))
         lo, hi = float(ts[i - 1]), float(ts[i + 1])

@@ -111,26 +111,30 @@ class FourierPulse:
         return _half_to_full(self.a)
 
 
+def _convolve_powers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a*a)_k and (a*a*a)_k for |k| <= N from one self-convolution.
+
+    The self-convolution is kept at full length for the cubic term:
+    truncating it would drop pairs whose partial sum leaves [-N, N] even
+    though the triple sum returns to range.
+    """
+    a = np.asarray(a, dtype=float)
+    n = (a.size - 1) // 2
+    aa = np.convolve(a, a)
+    return aa[n : 3 * n + 1], np.convolve(aa, a)[2 * n : 4 * n + 1]
+
+
 def convolve2(a: np.ndarray) -> np.ndarray:
     """(a*a)_k = sum_{k1+k2=k} a_{k1} a_{k2} for |k|, |k_i| <= N.
 
     `a` is a full coefficient vector of odd length 2N+1.
     """
-    a = np.asarray(a, dtype=float)
-    n = (a.size - 1) // 2
-    return np.convolve(a, a)[n : 3 * n + 1]
+    return _convolve_powers(a)[0]
 
 
 def convolve3(a: np.ndarray) -> np.ndarray:
-    """(a*a*a)_k, the triple sum over k1+k2+k3 = k with all |k_i| <= N.
-
-    The intermediate product is kept at full length: truncating it would
-    drop pairs whose partial sum leaves [-N, N] even though the triple
-    sum returns to range.
-    """
-    a = np.asarray(a, dtype=float)
-    n = (a.size - 1) // 2
-    return np.convolve(np.convolve(a, a), a)[2 * n : 4 * n + 1]
+    """(a*a*a)_k, the triple sum over k1+k2+k3 = k with all |k_i| <= N."""
+    return _convolve_powers(a)[1]
 
 
 def _linear_symbol(N: int, p: Params, L_f: float) -> np.ndarray:
@@ -140,15 +144,14 @@ def _linear_symbol(N: int, p: Params, L_f: float) -> np.ndarray:
 
 def residual(a: np.ndarray, p: Params, L_f: float) -> np.ndarray:
     """Stationarity residual F(a) on the full coefficient vector (non-finite,
-    without a warning, where the coefficients overflow).  The self-convolution
-    ``a*a`` is formed once and gives both :func:`convolve2` and
-    :func:`convolve3`, with their bits."""
+    without a warning, where the coefficients overflow).  Its quadratic and
+    cubic terms are those of :func:`convolve2` and :func:`convolve3`, from
+    one self-convolution."""
     a = np.asarray(a, dtype=float)
     N = (a.size - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        aa = np.convolve(a, a)
-        return (_linear_symbol(N, p, L_f) * a + p.nu * aa[N : 3 * N + 1]
-                - np.convolve(aa, a)[2 * N : 4 * N + 1])
+        quadratic, cubic = _convolve_powers(a)
+        return _linear_symbol(N, p, L_f) * a + p.nu * quadratic - cubic
 
 
 def _half_to_full(h: np.ndarray) -> np.ndarray:

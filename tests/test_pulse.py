@@ -98,8 +98,9 @@ def test_residual_zero_and_linear_coefficients():
 @pytest.mark.parametrize("name", ["phi0", "phipi", "snaking"])
 def test_residual_is_bitwise_the_two_convolutions(request, name):
     """residual shares one self-convolution between its quadratic and cubic
-    terms; it must keep the bits of the formula with convolve2 and convolve3,
-    on the reference pulse, on a perturbed iterate and zero-padded to N = 512."""
+    terms; it must keep the bits of the formula with two independent
+    convolutions, and its terms must be convolve2's and convolve3's, on the
+    reference pulse, on a perturbed iterate and zero-padded to N = 512."""
     pulse = request.getfixturevalue(f"pulse_{name}")
     a = pulse.full()
     pad = np.zeros(2 * 512 + 1)
@@ -107,8 +108,12 @@ def test_residual_is_bitwise_the_two_convolutions(request, name):
     noisy = a + 1e-3 * np.random.default_rng(7).standard_normal(a.size)
     for v in (a, noisy, pad):
         N = (v.size - 1) // 2
+        square = np.convolve(v, v)[N : 3 * N + 1]
+        cube = np.convolve(np.convolve(v, v), v)[2 * N : 4 * N + 1]
+        assert np.array_equal(sp.convolve2(v), square)
+        assert np.array_equal(sp.convolve3(v), cube)
         old = (sp._linear_symbol(N, pulse.params, pulse.L_f) * v
-               + pulse.params.nu * sp.convolve2(v) - sp.convolve3(v))
+               + pulse.params.nu * square - cube)
         assert np.array_equal(sp.residual(v, pulse.params, pulse.L_f), old)
 
 

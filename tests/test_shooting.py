@@ -703,6 +703,27 @@ def test_crossing_search_expands_at_most_two_samples_per_crossing(monkeypatch, t
     assert 0 < len(expanded) <= 2 * len(located)
 
 
+def test_half_line_corner_above_the_kernel_tol_is_not_counted():
+    """Pins a known miscount until the corner is counted by rule.  On
+    x <= 0 the odd pulse's unstable plane at nu = 1.4, mu = 0.03 meets
+    span{e3, e4} at the corner x = 0 exactly, by symmetry, but the
+    transported plane's smaller sine there is about 5e-8, above
+    ``KERNEL_TOL``.  So ``maslov_index`` keeps no endpoint crossing and the
+    odd index reads 1, the interior crossings alone, where the corner's
+    half would make it an integer plus one half."""
+    pulse = sp.newton_solve(sp.seed_from_normal_form(Params(nu=1.4, mu=0.03), np.pi, N=192))
+    traj = integrate_frame(pulse)
+    upstream = traj.xs <= 0.0
+    xs, frames = traj.xs[upstream], traj.frames[upstream]
+    assert xs[-1] == 0.0
+    sines = np.linalg.svd(frames[-1][:2], compute_uv=False)
+    assert lagrangian.KERNEL_TOL < sines.min() < 1e-6
+    result = lagrangian.maslov_index(traj.jet, np.eye(4)[:, 2:], xs, frames)
+    assert result.index == 1
+    assert len(result.crossings) == 5
+    assert all(c.endpoint is None for c in result.crossings)
+
+
 def test_tail_oscillation_has_the_predicted_period(traj_phi0):
     """Far from the pulse the detA samples oscillate with period pi/Im(gamma)."""
     xs, d = traj_phi0.xs, traj_phi0.plucker[:, 2]
