@@ -32,7 +32,8 @@ every orthonormal frame comes from the transport's Gram-Schmidt
 * crossing search: :func:`locate_zeros` finds the zeros and the
   sign-preserving dips of a sampled crossing detector, and :func:`_itp`
   locates both a sign change of the detector and one of its slope across a
-  dip, where an even-order crossing touches zero; an end of the interval or
+  dip, where the detector touches zero (an even-order crossing, or a
+  regular one with a two-dimensional kernel); an end of the interval or
   the bottom of a dip is a crossing exactly when the crossing kernel
   (:func:`intersection_basis`) is not empty there, so every point the
   search keeps can be classified;
@@ -470,10 +471,14 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
     most one probe more than bisection (30 from a 0.05 bracket to 1e-10,
     also where the detector vanishes like (t - c)^3, (t - c)^5, ... at a
     degenerate crossing) and a handful on a simple zero.  ``dips`` holds the
-    interior samples where ``|value|`` has a local minimum below
-    ``dip_level`` without a sign change across it: candidate even-order
-    touches, which contribute nothing to a count and which
-    :func:`maslov_index` locates by the sign change of the detector's slope.
+    interior samples where ``|value|`` has a local minimum without a sign
+    change across it that is below ``dip_level`` or at most a quarter of its
+    larger neighbour: candidate touches, which :func:`maslov_index` locates
+    by the sign change of the detector's slope.  A touch of order 2m between
+    two samples leaves the nearer one at most 3^(-2m) <= 1/9 of the sample
+    beyond it, however far above ``dip_level`` it is: a regular crossing
+    with a two-dimensional kernel, where the detector (the product of the
+    two principal-angle sines) touches zero quadratically, is one.
     """
     zeros: list[float] = []
     for i in np.where(values == 0.0)[0]:
@@ -484,7 +489,8 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
 
     absd, sign = np.abs(values), np.sign(values)
     mid = absd[1:-1]
-    dip = ((mid < dip_level) & (mid <= absd[:-2]) & (mid <= absd[2:])
+    low = (mid < dip_level) | (mid <= 0.25 * np.maximum(absd[:-2], absd[2:]))
+    dip = (low & (mid <= absd[:-2]) & (mid <= absd[2:])
            & (sign[:-2] == sign[2:]) & (values[1:-1] != 0.0))
     return sorted(zeros), np.asarray(ts, dtype=float)[1:-1][dip].tolist()
 
@@ -495,7 +501,7 @@ def locate_zeros(ts: np.ndarray, values: np.ndarray,
 
 
 # Relative size of |det| below which a local minimum of |det| is searched
-# for an even-order touch (a sign change of the detector's slope), and the
+# for a touch (a sign change of the detector's slope), and the
 # location accuracy of both the zero search and the slope search.  Whether
 # an end or a touch meets the reference is the kernel test of
 # :func:`intersection_basis`, with ``KERNEL_TOL``.
@@ -507,8 +513,14 @@ REFINE_TOL = 1e-10
 class MaslovResult:
     """Maslov index with a per-crossing ledger."""
 
-    index: float
     crossings: tuple[Crossing, ...]
+
+    @property
+    def index(self) -> int | float:
+        """The sum of the crossings' contributions, an int when it is whole.
+        Every contribution is a multiple of 1/2, so the sum is exact."""
+        total = sum(c.contribution for c in self.crossings)
+        return int(total) if float(total).is_integer() else total
 
 
 def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
@@ -521,9 +533,12 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     orthonormal frames and so the signed product of the sines of the
     principal angles, is evaluated on that stack and searched by
     :func:`locate_zeros`: its zeros are located to ``REFINE_TOL`` through
-    ``path``.  Even-order crossings touch zero without a sign change, so at
-    each dip below ``DIP_TOL`` (relative to the largest sample) the
-    detector's slope, from the order-1 jet ``path(t, 1)``, is searched by
+    ``path``.  The detector touches zero without a sign change at an
+    even-order crossing, and at a regular crossing with a two-dimensional
+    kernel (a product of two sines that each change sign), so at each dip
+    (a local minimum of ``|det|`` below ``DIP_TOL`` relative to the largest
+    sample, or at most a quarter of its larger neighbour) the detector's
+    slope, from the order-1 jet ``path(t, 1)``, is searched by
     :func:`_itp` for a sign change between the dip's neighbouring samples;
     the point found is kept when :func:`intersection_basis` finds the plane
     there meeting the reference, the kernel test that :func:`crossing_form`
@@ -582,7 +597,6 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
             merged.append(min(max(t, a), b))
 
     records: list[Crossing] = []
-    total = 0.0
     for t in merged:
         cf = crossing_form(path, t, reference)
         sig = cf.signature
@@ -592,12 +606,8 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
         else:
             endpoint = None
             contribution = float(sig) if cf.order % 2 else 0.0
-        total += contribution
         records.append(replace(cf, contribution=contribution, endpoint=endpoint))
-
-    if abs(total - round(total)) < 1e-9:
-        total = int(round(total))
-    return MaslovResult(index=total, crossings=tuple(records))
+    return MaslovResult(crossings=tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,10 @@ class NewtonError(RuntimeError):
 class FourierPulse:
     """Truncated, even Fourier representation of a stationary profile.
 
+    A pulse is its coefficients: the truncation order ``N`` and the
+    residual sup-norm ``residual_norm`` are derived from the fields, so a
+    pulse cannot carry another pulse's residual.
+
     Attributes
     ----------
     params : Params
@@ -66,35 +70,36 @@ class FourierPulse:
         Phase tag of the underlying profile family (0 or pi).
     L_f : float
         Half-period; the profile lives on [-L_f, L_f].
-    N : int
-        Truncation order.
     a : ndarray, shape (N+1,)
-        Half coefficient vector a_0..a_N; the full vector is the even
-        extension a_{-k} = a_k.
-    residual_norm : float
-        Sup-norm of F at these coefficients.
+        Half coefficient vector a_0..a_N, non-empty and finite; the full
+        vector is the even extension a_{-k} = a_k.
     """
 
     params: Params
     phi: float
     L_f: float
-    N: int
     a: np.ndarray
-    residual_norm: float
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        if self.N < 0:
-            raise ValueError(f"N must be non-negative, got {self.N}")
-        if a.shape != (self.N + 1,):
-            raise ValueError(
-                f"expected {self.N + 1} coefficients a_0..a_N, got shape {a.shape}"
-            )
+        if a.ndim != 1 or a.size == 0:
+            raise ValueError("expected a 1-D vector a_0..a_N with N non-negative, "
+                             f"got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "a", a)
         if not (np.isfinite(self.L_f) and self.L_f > 0):
             raise ValueError("L_f must be positive and finite")
+
+    @property
+    def N(self) -> int:
+        """Truncation order, ``a.size - 1``."""
+        return self.a.size - 1
+
+    @functools.cached_property
+    def residual_norm(self) -> float:
+        """Sup-norm of the stationarity residual F at these coefficients."""
+        return float(np.abs(residual(self.full(), self.params, self.L_f)).max())
 
     @property
     def tail_floor(self) -> float:
@@ -244,17 +249,17 @@ def newton_solve(
         state is u = 0 (every coefficient within `tol` of zero), which is
         not a pulse; raised by the loop at N.
     """
-    h, res_norm = _coarse_to_fine(seed.a.copy(), seed.params, seed.L_f, tol, history)
-    return replace(seed, a=h, residual_norm=res_norm)
+    h = _coarse_to_fine(seed.a.copy(), seed.params, seed.L_f, tol, history)
+    return replace(seed, a=h)
 
 
 def _coarse_to_fine(h, params, L_f, tol, history):
-    """`newton_solve` on the half vector h: (solution, residual sup-norm)."""
+    """`newton_solve` on the half vector h: its solution."""
     N = h.size - 1
     M = N // 2
     if M * np.pi / L_f >= COARSE_WAVENUMBER:
         try:
-            coarse, _ = _coarse_to_fine(h[:M + 1], params, L_f, tol, history)
+            coarse = _coarse_to_fine(h[:M + 1], params, L_f, tol, history)
             h = np.concatenate([coarse, np.zeros(N - M)])
         except NewtonError:
             pass
@@ -262,7 +267,7 @@ def _coarse_to_fine(h, params, L_f, tol, history):
 
 
 def _newton(h, params, L_f, tol, history):
-    """Newton's loop at one level: (solution, residual sup-norm)."""
+    """Newton's loop at one level: its solution."""
     N = h.size - 1
     res_norm = np.inf
     for _ in range(MAX_ITER + 1):
@@ -274,7 +279,7 @@ def _newton(h, params, L_f, tol, history):
         if res_norm <= tol:
             if np.abs(h).max() <= tol:
                 raise NewtonError("converged to the trivial state u ≡ 0", res_norm)
-            return h, res_norm
+            return h
         if not np.isfinite(res_norm):
             raise NewtonError("non-finite residual: the coefficients overflow", res_norm)
         even = _parity_block(full, params, L_f, +1)
@@ -315,15 +320,7 @@ def seed_from_normal_form(
     u[0] = 0.5 * (u[0] + u[-1])
     a = np.fft.rfft(u[:-1])[: N + 1].real / (4 * N)
     a[1::2] = -a[1::2]
-    res = residual(_half_to_full(a), p, L_f)
-    return FourierPulse(
-        params=p,
-        phi=float(phi),
-        L_f=float(L_f),
-        N=int(N),
-        a=a,
-        residual_norm=float(np.abs(res).max()),
-    )
+    return FourierPulse(params=p, phi=float(phi), L_f=float(L_f), a=a)
 
 
 # Points per anchor of a uniform grid, the width of ``_series_jet``'s offset
@@ -469,10 +466,12 @@ def _is_number(value) -> bool:
 def load(path) -> FourierPulse:
     """Read a pulse file written by `save`, validating all invariants.
 
-    The residual of the stored coefficients is evaluated again: a finite
-    sup-norm above ``max(RESIDUAL_SLACK * residual_norm, RESIDUAL_FLOOR)``
-    is a `PulseFileError`, since the coefficients then are not the pulse
-    the file claims.
+    The file's ``N`` must be its coefficient count less one.  The pulse's
+    residual, derived from the coefficients, is compared with the file's
+    ``residual_norm``: a finite sup-norm above
+    ``max(RESIDUAL_SLACK * residual_norm, RESIDUAL_FLOOR)`` is a
+    `PulseFileError`, since the coefficients then are not the pulse the
+    file claims.
     """
     with open(path) as fh:
         text = fh.read()
@@ -506,23 +505,24 @@ def load(path) -> FourierPulse:
         N = doc["N"]
         if N < 1:
             raise ValueError(f"N must be at least 1, got {N}")
+        if len(coefficients) != N + 1:
+            raise ValueError(f"N = {N} needs {N + 1} coefficients a_0..a_N, "
+                             f"the file has {len(coefficients)}")
         pulse = FourierPulse(
             params=Params(nu=scalars["nu"], mu=scalars["mu"]),
             phi=scalars["phi"],
             L_f=scalars["L_f"],
-            N=N,
             a=np.asarray(coefficients, dtype=float),
-            residual_norm=scalars["residual_norm"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise PulseFileError(f"{path}: {exc}") from exc
-    recomputed = float(np.abs(residual(pulse.full(), pulse.params, pulse.L_f)).max())
-    bound = max(RESIDUAL_SLACK * pulse.residual_norm, RESIDUAL_FLOOR)
+    stored = scalars["residual_norm"]
+    bound = max(RESIDUAL_SLACK * stored, RESIDUAL_FLOOR)
     # a residual that overflows is not compared here: the spectrum and the
     # transport each report those coefficients with their own typed error
-    if np.isfinite(recomputed) and recomputed > bound:
+    if np.isfinite(pulse.residual_norm) and pulse.residual_norm > bound:
         raise PulseFileError(
             f"{path}: the coefficients do not solve the equation: residual "
-            f"sup-norm {recomputed:.3e}, stored {pulse.residual_norm:.3e} "
+            f"sup-norm {pulse.residual_norm:.3e}, stored {stored:.3e} "
             f"(bound {bound:.1e})")
     return pulse

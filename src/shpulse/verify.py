@@ -177,8 +177,8 @@ def check_fixtures() -> CheckResult:
     ts, lams = lg.eigenvalue_motion(ell2, 0.0, sand)
     errs["branch"] = float(np.max(np.abs(lams[:, 0] + ts**3 / 3.0)))
 
-    # fully degenerate k = 2 crossings: the graph of t^k diag(1, 2) over the
-    # sandwich plane is first nondegenerate at order k, with signature -2
+    # k = 2 crossings: the graph of t^k diag(1, 2) over the sandwich plane is
+    # first nondegenerate at order k, with signature -2
     def graph(k):
         return lg.polynomial_family([sand] + [0 * sand] * (k - 1) + [J4 @ sand @ np.diag([1, 2])])
 
@@ -189,11 +189,17 @@ def check_fixtures() -> CheckResult:
     errs["maslov"] = max(abs(m1.index - (-1)), abs(m2.index - (-1)))
     for k, m in zip(orders, graphs):
         errs["k=2 maslov" if k == 3 else f"t^{k} maslov"] = abs(m.index - (-2 if k % 2 else 0))
-    classified = [[(c.order, c.kernel_dim, c.signature) for c in m.crossings] for m in graphs]
+    # on 1000 points the regular crossing of t diag(1, 2) lies between two
+    # samples, where the detector touches zero: only the dip search finds it
+    line, between = graph(1), np.linspace(-1.0, 1.0, 1000)
+    touch = lg.maslov_index(line, sand, between, line(between, 0)[:, 0])
+    errs["t maslov"] = abs(touch.index - (-2))
+    classified = [[(c.order, c.kernel_dim, c.signature) for c in m.crossings]
+                  for m in (*graphs, touch)]
 
     worst = max(errs.values())
     ok = (worst < tol and cf2.order == 3 and cf1.order == 1
-          and classified == [[(k, 2, -2)] for k in orders])
+          and classified == [[(k, 2, -2)] for k in (*orders, 1)])
     detail = ", ".join(f"{k} err {v:.1e}" for k, v in errs.items())
     return CheckResult("worked-examples", ok, detail + f" (tol {tol:g})")
 
@@ -306,8 +312,7 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
 
 def check_constant_coefficient_oracle() -> CheckResult:
     p = Params(nu=1.6, mu=0.05)
-    pulse = FourierPulse(params=p, phi=0.0, L_f=100.0, N=8,
-                         a=np.zeros(9), residual_norm=0.0)
+    pulse = FourierPulse(params=p, phi=0.0, L_f=100.0, a=np.zeros(9))
     traj = integrate_frame(pulse, settings=ShootingSettings(window=(-10.0, 10.0)))
     # the zero pulse's B is the constant tail matrix, whose unstable plane F0
     # is invariant, so expm(B (x + 10)) F0 spans F0 itself; against the

@@ -10,32 +10,35 @@ over, producing spurious train crossings (N = 128 puts one at x ~ 37 for
 the mu = 0.20 pulse and one at x ~ 78 for the mu = 0.05 pulses).
 """
 
-import numpy as np
 import pytest
 
-from shpulse.model import Params
 from shpulse.pulse import newton_solve, seed_from_normal_form
 from shpulse.shooting import integrate_frame
+from shpulse.verify import REFERENCE_PULSES
+
+
+def _reference(name):
+    ref = REFERENCE_PULSES[name]
+    return newton_solve(seed_from_normal_form(
+        ref["params"], ref["phi"], scale=ref["scale"], N=ref["N"]))
 
 
 @pytest.fixture(scope="session")
 def pulse_phi0():
     """phi = 0 pulse at (nu, mu) = (1.6, 0.05): one unstable eigenvalue."""
-    return newton_solve(seed_from_normal_form(Params(nu=1.6, mu=0.05), 0.0, N=192))
+    return _reference("phi0")
 
 
 @pytest.fixture(scope="session")
 def pulse_phipi():
     """phi = pi pulse at (nu, mu) = (1.6, 0.05): two unstable eigenvalues."""
-    return newton_solve(seed_from_normal_form(Params(nu=1.6, mu=0.05), np.pi, N=192))
+    return _reference("phipi")
 
 
 @pytest.fixture(scope="session")
 def pulse_snaking():
     """phi = 0 pulse at (nu, mu) = (1.6, 0.20), seeded at 3x: stable."""
-    return newton_solve(
-        seed_from_normal_form(Params(nu=1.6, mu=0.20), 0.0, scale=3.0, N=256)
-    )
+    return _reference("snaking")
 
 
 @pytest.fixture(scope="session")

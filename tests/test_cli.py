@@ -598,6 +598,29 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert pulse.params.nu == 1.6 and pulse.params.mu == 0.05
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file"),
+    ("{N: 64}", "config file is not valid JSON"),
+    ("[64]", "config file must hold a JSON object"),
+], ids=["unreadable", "not-json", "not-an-object"])
+def test_config_file_errors_exit_two(tmp_path, capsys, content, message):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    rc = cli.main(["conjugate", "whatever.json", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+
+def test_zero_modes_exit_two(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    rc = cli.main(["pulse", "--nu", "1.6", "--mu", "0.05", "--phi", "0", "--N", "0",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "usage error: N must be at least 1\n"
+    assert not out.exists()
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"window": 60}))

@@ -224,6 +224,22 @@ def test_report_counts_zero_zero(pulse_snaking, traj_snaking):
     assert any("trust horizon" in w for w in rep.warnings)
 
 
+def test_report_warns_of_crossings_below_the_simplicity_threshold(
+        pulse_phipi, traj_phipi, monkeypatch):
+    """Each crossing whose simplicity is at most the threshold is named in
+    one warning; at the published threshold there is none."""
+    rep = stability_report(pulse_phipi, trajectory=traj_phipi)
+    assert not any("simplicity" in w for w in rep.warnings)
+    norms = [r.simplicity_norm for r in rep.conjugate_points]
+    threshold = (min(norms) + max(norms)) / 2
+    monkeypatch.setattr("shpulse.conjugate.SIMPLICITY_THRESHOLD", threshold)
+    rep = stability_report(pulse_phipi, trajectory=traj_phipi)
+    weak = [r.x_star for r in rep.conjugate_points if r.simplicity_norm <= threshold]
+    assert len(weak) == 1
+    assert (f"crossing(s) below the simplicity threshold {threshold:g} at {weak[0]:.4f}"
+            in rep.warnings)
+
+
 def test_every_accepted_crossing_is_positive(pulse_phi0, traj_phi0,
                                              pulse_phipi, traj_phipi):
     for pulse, traj in ((pulse_phi0, traj_phi0), (pulse_phipi, traj_phipi)):

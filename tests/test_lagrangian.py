@@ -296,6 +296,8 @@ def test_form_rejects_vector_outside_plane():
         lg.quadratic_form(ell1, 0.0, basis(2), 1)
     with pytest.raises(ValueError, match="order"):
         lg.quadratic_form(ell1, 0.0, V1_AT_0, 0)
+    with pytest.raises(ValueError, match="vector must have length 4"):
+        lg.quadratic_form(ell1, 0.0, V1_AT_0[:3], 1)
 
 
 def test_form_independent_of_complement():
@@ -420,19 +422,45 @@ def _sandwich_graph(k):
 
 
 @pytest.mark.parametrize("num", [1000, 1001])
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_fully_degenerate_crossing_of_any_order(k, num):
     """The graph of t^k diag(1, 2) crosses with a two-dimensional kernel
     whose forms vanish below order k; the order-k form has eigenvalues
     -k! (2, 1).  On 1000 samples the crossing lies between two samples and
     only the dip search finds it, a little off zero, where the lower-order
-    Taylor coefficients are small but not zero."""
+    Taylor coefficients are small but not zero.  At k = 1 the crossing is
+    regular, but the detector, the product of the two sines, still touches
+    zero quadratically without a sign change."""
     result = _maslov(_sandwich_graph(k), lg.sandwich_plane(), num=num)
     (c,) = result.crossings
     assert (c.order, c.kernel_dim, c.signature) == (k, 2, -2)
     assert result.index == (-2 if k % 2 else 0)
     assert c.value == pytest.approx(-2.0 * math.factorial(k), rel=1e-9)
     assert abs(c.t) <= lg.REFINE_TOL
+
+
+def _sandwich_series(*diagonals):
+    """The graph of sum_m t^(m+1) diag(diagonals[m]) over the sandwich plane."""
+    sand = lg.sandwich_plane()
+    return lg.polynomial_family([sand] + [(J4 @ sand) @ np.diag(d) for d in diagonals])
+
+
+@pytest.mark.parametrize("num", [1000, 100, 40])
+@pytest.mark.parametrize("diagonals, index, crossings", [
+    ([(1.0, 2.0)], -2, [(0.0, 1, 2, -2)]),
+    ([(1.0, 2.0), (3.0, 6.0)], 0, [(-1 / 3, 1, 2, 2), (0.0, 1, 2, -2)]),
+    ([(1.0, 2.0), (0.0, 5.0)], -1, [(-0.4, 1, 1, 1), (0.0, 1, 2, -2)]),
+], ids=["t*diag(1,2)", "(t+3t^2)diag(1,2)", "t*diag(1,2)+t^2*diag(0,5)"])
+def test_regular_two_dimensional_crossing_between_samples(diagonals, index, crossings, num):
+    """A regular crossing with a two-dimensional kernel at t = 0, between two
+    samples of every grid here, next to another crossing of the same family:
+    the detector touches zero there, so only the dip search finds it."""
+    result = _maslov(_sandwich_series(*diagonals), lg.sandwich_plane(), num=num)
+    assert result.index == index
+    assert len(result.crossings) == len(crossings)
+    for c, (t, order, dim, signature) in zip(result.crossings, crossings):
+        assert (c.order, c.kernel_dim, c.signature) == (order, dim, signature)
+        assert c.t == pytest.approx(t, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +771,8 @@ def _loop_dips(ts, values, dip_level):
     """The per-sample dip test, kept as the oracle of the vectorized one."""
     absd = np.abs(values)
     return [float(ts[i]) for i in range(1, len(values) - 1)
-            if absd[i] < dip_level and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1]
+            if (absd[i] < dip_level or absd[i] <= 0.25 * max(absd[i - 1], absd[i + 1]))
+            and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1]
             and np.sign(values[i - 1]) == np.sign(values[i + 1]) and values[i] != 0.0]
 
 

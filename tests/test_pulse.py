@@ -19,10 +19,7 @@ P = Params(nu=1.6, mu=0.05)
 
 
 def make_pulse(a_half, p=P, phi=0.0, L_f=100.0):
-    a_half = np.asarray(a_half, dtype=float)
-    return FourierPulse(
-        params=p, phi=phi, L_f=L_f, N=a_half.size - 1, a=a_half, residual_norm=np.nan
-    )
+    return FourierPulse(params=p, phi=phi, L_f=L_f, a=a_half)
 
 
 def brute_convolve2(a):
@@ -656,9 +653,11 @@ def test_load_rechecks_the_residual(tmp_path):
         sp.load(path)
     # the seed's residual (4e-3) against the slack factor on its stored value
     true = seed.residual_norm
+    sp.save(seed, path)
+    doc = json.loads(path.read_text())
     for stored, ok in ((true / 1.9, True), (true / 2.1, False)):
-        sp.save(FourierPulse(params=P, phi=0.0, L_f=seed.L_f, N=seed.N, a=seed.a,
-                             residual_norm=stored), path)
+        doc["residual_norm"] = stored
+        path.write_text(json.dumps(doc))
         if ok:
             sp.load(path)
         else:
@@ -673,6 +672,13 @@ def test_load_rejects_truncated_file(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(PulseFileError, match="line"):
+        sp.load(path)
+
+
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "pulse.json"
+    path.write_text(json.dumps([1.6, 0.05]))
+    with pytest.raises(PulseFileError, match="expected a JSON object at top level"):
         sp.load(path)
 
 
@@ -717,6 +723,8 @@ def test_load_rejects_degenerate_mode_count(tmp_path, N, coefficients):
 
 
 def test_load_rejects_wrong_coefficient_count(tmp_path):
+    """N is derived from the coefficients, so `load` checks the file's N
+    against their count itself and names both counts."""
     doc = {
         "nu": 1.6,
         "mu": 0.05,
@@ -727,9 +735,12 @@ def test_load_rejects_wrong_coefficient_count(tmp_path):
         "residual_norm": 0.0,
     }
     path = tmp_path / "pulse.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(PulseFileError):
-        sp.load(path)
+    for count in (2, 6):
+        doc["coefficients"] = [0.0] * count
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PulseFileError,
+                           match=f"N = 4 needs 5 coefficients a_0..a_N, the file has {count}"):
+            sp.load(path)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -803,9 +814,9 @@ def test_load_rejects_integer_beyond_float_range(tmp_path):
 def test_pulse_validation():
     with pytest.raises(ValueError):
         make_pulse([0.0, 0.0], L_f=-1.0)
-    with pytest.raises(ValueError):
-        FourierPulse(params=P, phi=0.0, L_f=100.0, N=3, a=np.zeros(2), residual_norm=0.0)
+    with pytest.raises(ValueError, match=r"1-D"):
+        FourierPulse(params=P, phi=0.0, L_f=100.0, a=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         make_pulse([0.0, np.nan])
     with pytest.raises(ValueError, match="non-negative"):
-        FourierPulse(params=P, phi=0.0, L_f=100.0, N=-1, a=np.zeros(0), residual_norm=0.0)
+        FourierPulse(params=P, phi=0.0, L_f=100.0, a=np.zeros(0))

@@ -32,8 +32,7 @@ P05 = Params(nu=1.6, mu=0.05)
 
 
 def zero_pulse(p: Params) -> FourierPulse:
-    return FourierPulse(params=p, phi=0.0, L_f=100.0, N=8,
-                        a=np.zeros(9), residual_norm=0.0)
+    return FourierPulse(params=p, phi=0.0, L_f=100.0, a=np.zeros(9))
 
 
 def test_settings_validation():
@@ -443,7 +442,7 @@ def test_overflow_raises_transport_error(coefficient, what):
     NaN trajectory; the refusal names the step and its |B|_1 h."""
     a = np.zeros(9)
     a[3] = coefficient
-    pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, N=8, a=a, residual_norm=0.0)
+    pulse = FourierPulse(params=P05, phi=0.0, L_f=100.0, a=a)
     match = {"potential": r"the potential f'\(phi\(x\)\) is not finite at x = ",
              "reach": r"the step at x = \S+ has \|B\|_1 h = \S+, beyond the reach 6.28 "}[what]
     with pytest.raises(TransportError, match=match):

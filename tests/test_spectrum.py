@@ -59,8 +59,7 @@ def test_parity_blocks_of_reference_pulses_bitwise(pulse_phi0, pulse_phipi,
 def test_parity_blocks_split_the_full_spectrum(monkeypatch):
     rng = np.random.default_rng(7)
     p, L_f, N = Params(nu=1.6, mu=0.05), 20.0, 12
-    seed = FourierPulse(params=p, phi=0.0, L_f=L_f, N=N,
-                        a=rng.normal(scale=0.3, size=N + 1), residual_norm=np.nan)
+    seed = FourierPulse(params=p, phi=0.0, L_f=L_f, a=rng.normal(scale=0.3, size=N + 1))
     even, odd = parity_blocks(seed.a, p, L_f)
     assert even.shape == (N + 1, N + 1) and odd.shape == (N, N)
     s = np.sqrt(np.r_[1.0, np.full(N, 2.0)])
@@ -119,6 +118,12 @@ def test_even_block_is_symmetrized_in_place_bitwise(monkeypatch, pulse_phi0,
         assert rep.unstable == sorted(ev[ev > rep.noise_floor].tolist())
 
 
+def test_a_constant_state_has_no_spectrum_to_count():
+    pulse = FourierPulse(params=Params(nu=1.6, mu=0.05), phi=0.0, L_f=20.0, a=[0.5])
+    with pytest.raises(ValueError, match="the spectrum needs N >= 1 modes, got N = 0"):
+        count_unstable(pulse)
+
+
 def test_report_invariants(pulse_phi0):
     rep = count_unstable(pulse_phi0)
     assert {f.name for f in fields(rep)} == {"unstable", "zero_mode", "noise_floor"}
@@ -162,8 +167,7 @@ def test_positive_translation_eigenvalue_is_never_counted():
     p, L_f, N = Params(nu=1.6, mu=0.05), 20.0, 12
     positive = 0
     for _ in range(8):
-        pulse = FourierPulse(params=p, phi=0.0, L_f=L_f, N=N,
-                             a=rng.normal(scale=0.3, size=N + 1), residual_norm=np.nan)
+        pulse = FourierPulse(params=p, phi=0.0, L_f=L_f, a=rng.normal(scale=0.3, size=N + 1))
         rep = count_unstable(pulse)
         ev_even, ev_odd = _block_eigenvalues(pulse)
         ev = np.r_[ev_even, ev_odd]
