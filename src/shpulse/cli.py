@@ -132,7 +132,10 @@ def cmd_pulse(args: argparse.Namespace) -> int:
     if missing:
         raise UsageError(
             "pulse needs --" + ", --".join(missing) + " (flag or config file)")
-    params = Params(nu=cfg.nu, mu=cfg.mu)
+    try:
+        params = Params(nu=cfg.nu, mu=cfg.mu)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     seed = seed_from_normal_form(params, cfg.phi, L_f=cfg.L_f, N=cfg.N,
                                  scale=cfg.scale)
     solved = newton_solve(seed, tol=cfg.newton_tol)

@@ -37,10 +37,15 @@ every orthonormal frame comes from the transport's Gram-Schmidt
   the bottom of a dip is a crossing exactly when the crossing kernel
   (:func:`intersection_basis`) is not empty there, so every point the
   search keeps can be classified;
-* Maslov index: each isolated crossing contributes the signature of its
-  first nondegenerate form when that order is odd, nothing when it is even,
-  and boundary crossings are weighted by one half.  The same computation
-  counts the conjugate points of a pulse (:mod:`shpulse.conjugate`).
+* Maslov index: by one rule, each isolated crossing contributes half the
+  signs of its first nondegenerate form just after it, where the interval
+  goes on, minus half its signs just before it, where the interval came
+  from; the form of order m and signature sigma leaves with sigma and
+  arrives with (-1)^m sigma.  So an interior crossing gives sigma at odd
+  order and nothing at even order, a left end sigma/2, and a right end
+  sigma/2 at odd order and -sigma/2 at even order, and the index over
+  [a, b] is the index over [a, c] plus the index over [c, b].  The same
+  computation counts the conjugate points of a pulse (:mod:`shpulse.conjugate`).
 
 A crossing, classified on its own or inside a Maslov index, is one
 :class:`Crossing` record.
@@ -305,13 +310,11 @@ def intersection_basis(frame, reference) -> np.ndarray:
     return _intersection(frame, reference)[0]
 
 
-def _crossing_kernel(F0, t0: float, reference, purpose: str) -> tuple[np.ndarray, float]:
+def _crossing_kernel(F0, t0: float, reference) -> tuple[np.ndarray, float]:
     """Crossing kernel of the plane ``F0`` at ``t0`` and the larger principal-angle sine."""
     U, sines = _intersection(F0, reference)
     if U.shape[1] == 0:
-        raise NotACrossingError(
-            f"the planes are transverse at t = {t0:.6g}; there is no {purpose}"
-        )
+        raise NotACrossingError(f"the planes are transverse at t = {t0:.6g}: no crossing there")
     return U, float(sines[0])
 
 
@@ -319,16 +322,18 @@ def _crossing_kernel(F0, t0: float, reference, purpose: str) -> tuple[np.ndarray
 class Crossing:
     """One isolated crossing, classified by its first nondegenerate form.
 
-    ``value`` is the form evaluated on the unit kernel vector when the
-    kernel is one dimensional, otherwise the extreme eigenvalue of the form
-    matrix.  ``lower_orders`` records the largest absolute form eigenvalue
-    for each order j below the reported one (each at most ``j!`` times the
+    ``value`` is the extreme eigenvalue of the form matrix, on a
+    one-dimensional kernel the form evaluated on the unit kernel vector.
+    ``lower_orders`` records the largest absolute form eigenvalue for each
+    order j below the reported one (each at most ``j!`` times the
     degeneracy tolerance by construction).  ``largest_sine`` is the larger
     sine of the two principal angles between the plane and the reference:
     it vanishes when the whole plane lies in the reference.
     :func:`maslov_index` fills in ``contribution``, the crossing's share of
-    the index, and ``endpoint`` ("left" or "right" for a crossing at an end
-    of the interval); both stay None on a crossing classified alone.
+    the index (``signature / 2`` where the interval goes on after it, minus
+    ``(-1)^order signature / 2`` where the interval came before it), and
+    ``endpoint`` ("left" or "right" for a crossing at an end of the
+    interval); both stay None on a crossing classified alone.
     """
 
     t: float
@@ -362,7 +367,7 @@ def crossing_form(path: Family, t0: float, reference) -> Crossing:
     through ``MAX_FORM_ORDER``.
     """
     F = _jet(path, t0, MAX_FORM_ORDER)
-    U, largest_sine = _crossing_kernel(F[0], t0, reference, "crossing form to evaluate")
+    U, largest_sine = _crossing_kernel(F[0], t0, reference)
     k = U.shape[1]
     forms = _graph_forms(F, J4 @ F[0], U, t0)
 
@@ -382,7 +387,7 @@ def crossing_form(path: Family, t0: float, reference) -> Crossing:
                 f"form is nondegenerate on only part of the {k}-dimensional kernel, "
                 "which the signature calculus does not cover"
             )
-        value = float(G[0, 0]) if k == 1 else float(eigenvalues[np.argmax(np.abs(eigenvalues))])
+        value = float(eigenvalues[np.argmax(np.abs(eigenvalues))])
         return Crossing(
             t=float(t0), order=order, value=value, kernel_dim=k, positive=p,
             negative=q, lower_orders=tuple(lower), largest_sine=largest_sine,
@@ -404,7 +409,7 @@ def eigenvalue_motion(path: Family, t0: float, reference,
     signs and derivatives the crossing forms summarize.
     """
     F0 = _jet(path, t0, 0)[0]
-    U, _ = _crossing_kernel(F0, t0, reference, "eigenvalue branch to track")
+    U, _ = _crossing_kernel(F0, t0, reference)
     W = J4 @ F0
     ts = np.linspace(t0 - half_width, t0 + half_width, num)
     lams = np.empty((num, U.shape[1]))
@@ -547,10 +552,13 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     where symmetry makes it an exact crossing: at the x = 0 corner of a
     half-line count the transported plane's error, not the geometry,
     decides whether the corner's half is in the index.
-    Each crossing is classified with :func:`crossing_form`; interior
-    crossings of odd order contribute their signature, interior even-order
-    crossings contribute nothing, and endpoint crossings contribute half
-    their one-sided spectral flow.
+    Each crossing is classified with :func:`crossing_form` and contributes
+    half its form's signs just after it minus half its signs just before
+    it, each side counted only where it lies in the interval: of order m
+    and signature sigma, ``sigma (after - (-1)^m before) / 2``.  An
+    interior crossing gives sigma at odd order and 0 at even order, a left
+    end sigma/2, and a right end (-1)^(m+1) sigma/2, so the index is
+    additive: splitting the grid at one of its samples splits the index.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0):
@@ -599,13 +607,14 @@ def maslov_index(path: Family, reference, ts, frames) -> MaslovResult:
     records: list[Crossing] = []
     for t in merged:
         cf = crossing_form(path, t, reference)
-        sig = cf.signature
-        if abs(t - a) <= merge_tol or abs(t - b) <= merge_tol:
-            endpoint = "left" if abs(t - a) <= merge_tol else "right"
-            contribution = 0.5 * sig
-        else:
-            endpoint = None
-            contribution = float(sig) if cf.order % 2 else 0.0
+        endpoint = ("left" if abs(t - a) <= merge_tol else
+                    "right" if abs(t - b) <= merge_tol else None)
+        # half the form's signs just after the crossing, where the interval
+        # goes on, minus half its signs just before, where it came from: the
+        # order-m eigenvalues leave with the signature's signs and arrive
+        # with (-1)^m times them
+        after, before = endpoint != "right", endpoint != "left"
+        contribution = cf.signature * (after - (-1) ** cf.order * before) / 2
         records.append(replace(cf, contribution=contribution, endpoint=endpoint))
     return MaslovResult(crossings=tuple(records))
 

@@ -105,7 +105,8 @@ class ShootingSettings:
     """Numerical policy for the frame transport: window and sample spacing.
 
     The window length must be a positive integer multiple of ``dx``; a
-    window within rounding of zero steps is refused.
+    window within rounding of zero steps is refused, and so is one whose
+    step count overflows a float.
     """
 
     window: tuple[float, float] = (-60.0, 60.0)
@@ -118,7 +119,11 @@ class ShootingSettings:
         object.__setattr__(self, "window", (a, b))
         if not 0 < self.dx < np.inf:
             raise ValueError("dx must be positive and finite")
-        nsteps = round((b - a) / self.dx)
+        steps = (b - a) / self.dx
+        if not np.isfinite(steps):
+            raise ValueError(
+                f"window [{a:g}, {b:g}] holds more steps of dx = {self.dx:g} than a float counts")
+        nsteps = round(steps)
         if abs(a + nsteps * self.dx - b) > 1e-9 * max(1.0, abs(b)):
             raise ValueError(
                 f"window [{a:g}, {b:g}] of length {b - a:g} is not an integer "

@@ -194,6 +194,12 @@ def check_fixtures() -> CheckResult:
     line, between = graph(1), np.linspace(-1.0, 1.0, 1000)
     touch = lg.maslov_index(line, sand, between, line(between, 0)[:, 0])
     errs["t maslov"] = abs(touch.index - (-2))
+    # the index adds up: split at the order-2 crossing of t^2 diag(1, 2), the
+    # halves give +1 (a right end of even order) and -1, the index 0 on [-1, 1]
+    square = graph(2)
+    halves = [lg.maslov_index(square, sand, ts, square(ts, 0)[:, 0]).index
+              for ts in (np.linspace(-1.0, 0.0, 501), np.linspace(0.0, 1.0, 501))]
+    errs["split maslov"] = max(abs(halves[0] - 1), abs(halves[1] - (-1)))
     classified = [[(c.order, c.kernel_dim, c.signature) for c in m.crossings]
                   for m in (*graphs, touch)]
 

@@ -18,7 +18,9 @@ fixtures          1e-8 (Q1 = −4, slope −4/5, Q3 = −2, branch −t³/3,
                   Maslov −1 twice, and −2, −2, 0, −2 for the k = 2
                   crossings of tᵏ·diag(1, 2), k = 3, 5, 6, 7, each at
                   order k with signature −2; −2 for t·diag(1, 2) on 1000
-                  points, one crossing at order 1 with signature −2)
+                  points, one crossing at order 1 with signature −2;
+                  +1 and −1 for t²·diag(1, 2) on [−1, 0] and [0, 1],
+                  501 points each, adding up to its index 0 on [−1, 1])
 invariants        drift 1e-8, Plücker 1e-12, Jacobian-FD 1e-6,
                   convolution 1e-13, form invariance 1e-7, pulse Q1 = a² 1e-9
 oracle            subspace angle 1e-8 over a window of 20

@@ -182,6 +182,17 @@ def test_pulse_overflowing_seed_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mu", ["0", "-1"])
+def test_pulse_nonpositive_mu_exits_two(tmp_path, capsys, mu):
+    out = tmp_path / "never.json"
+    rc = cli.main(["pulse", "--nu", "1.6", "--mu", mu, "--phi", "0", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: mu must be positive (got mu={float(mu)})\n"
+    assert not out.exists()
+
+
 def test_pulse_trivial_state_exits_one(tmp_path, capsys):
     # at mu = 0.26 the phi = 0 seed decays onto u = 0, which is no pulse
     out = tmp_path / "trivial.json"
@@ -658,11 +669,22 @@ def test_window_not_a_multiple_of_dx_exits_two(tmp_path, capsys, flags, config):
     assert err.startswith("usage error:") and "not an integer multiple of dx" in err
 
 
-def test_window_without_a_step_exits_two(phi0_file, capsys):
-    rc = cli.main(["plucker", str(phi0_file), "--Lcp", "1e-11"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "usage error: window [-1e-11, 1e-11] holds no step of dx = 0.05\n")
+def test_window_without_a_step_exits_two(phi0_file, tmp_path, capsys):
+    """A window of no step, or of more steps than a float counts, is one
+    usage-error line, by flag or by config file."""
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"sample_dx": 1e-320}))
+    for flags, err in [
+        (["--Lcp", "1e-11"], "window [-1e-11, 1e-11] holds no step of dx = 0.05"),
+        (["--Lcp", "1e308"],
+         "window [-1e+308, 1e+308] holds more steps of dx = 0.05 than a float counts"),
+        (["--config", str(cfg)],
+         # the subnormal 1e-320 prints as 9.99989e-321
+         f"window [-60, 60] holds more steps of dx = {1e-320:g} than a float counts"),
+    ]:
+        rc = cli.main(["plucker", str(phi0_file), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"usage error: {err}\n"
 
 
 @pytest.mark.parametrize("entry", [{"N": 64.5}, {"N": True}, {"nu": "abc"},

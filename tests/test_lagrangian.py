@@ -677,6 +677,65 @@ def test_maslov_endpoint_crossings_count_half():
     assert right.crossings[0].endpoint == "right"
 
 
+def _sandwich_touch(shift):
+    """The graph of diag(t^2 + shift, 1) over the sandwich plane; at shift 0
+    an order-2 touch at t = 0 with a one-dimensional kernel and signature -1."""
+    sand = lg.sandwich_plane()
+    J = J4 @ sand
+    return lg.polynomial_family([sand + J @ np.diag([shift, 1.0]), 0 * sand,
+                                 J @ np.diag([1.0, 0.0])])
+
+
+# family and its index on [-1, 1]; every crossing is at t = 0
+SPLIT_FAMILIES = {
+    "ell1": (lambda: lg.fixture_paths()[0], -1),
+    "ell2": (lambda: lg.fixture_paths()[1], -1),
+    **{f"t^{k}*diag(1,2)": (lambda k=k: _sandwich_graph(k), -2 if k % 2 else 0)
+       for k in range(1, 8)},
+    "diag(t^2,1)": (lambda: _sandwich_touch(0.0), 0),
+}
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("name", list(SPLIT_FAMILIES))
+def test_maslov_index_adds_up_over_a_split_interval(name, c):
+    """The index over [-1, 1] is the index over [-1, c] plus the index over
+    [c, 1], with c a sample of both halves and of the whole grid.  At c = 0
+    the crossing is the right end of one half and the left end of the
+    other: its order-m form arrives with (-1)^m times its signature and
+    leaves with the signature, so a right end of even order gives minus
+    half the signature and the halves cancel."""
+    make, index = SPLIT_FAMILIES[name]
+    path, sand = make(), lg.sandwich_plane()
+    left, right = np.linspace(-1.0, c, 501), np.linspace(c, 1.0, 501)
+    whole, lo, hi = (lg.maslov_index(path, sand, ts, path(ts, 0)[:, 0])
+                     for ts in (np.concatenate([left, right[1:]]), left, right))
+    assert whole.index == index
+    assert len(whole.crossings) == 1
+    assert lo.index + hi.index == index
+    if c == 0.0:
+        (end,), (start,) = lo.crossings, hi.crossings
+        assert (end.endpoint, start.endpoint) == ("right", "left")
+        assert start.contribution == start.signature / 2
+        assert end.contribution == (-1) ** (end.order + 1) * end.signature / 2
+
+
+def test_a_right_end_touch_is_the_limit_of_its_neighbours():
+    """On [-1, 0] the touch diag(t^2, 1) ends at its crossing, an order-2
+    right end of signature -1, which gives 1/2: between the index 0 of
+    diag(t^2 + 1e-4, 1), which never meets the reference, and the index 1
+    of diag(t^2 - 1e-4, 1), which crosses once, at t = -0.01."""
+    sand = lg.sandwich_plane()
+    touch, above, below = (_maslov(_sandwich_touch(shift), sand, b=0.0)
+                           for shift in (0.0, 1e-4, -1e-4))
+    assert [(c.order, c.signature, c.endpoint) for c in touch.crossings] == [(2, -1, "right")]
+    assert (touch.index, above.index, below.index) == (0.5, 0, 1)
+    assert above.crossings == ()
+    (c,) = below.crossings
+    assert (c.order, c.signature, c.endpoint) == (1, 1, None)
+    assert c.t == pytest.approx(-0.01, abs=1e-8)
+
+
 def test_maslov_without_crossings():
     ell1, _ = lg.fixture_paths()
     result = _maslov(ell1, lg.sandwich_plane(), a=0.2, b=1.0)

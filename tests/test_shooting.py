@@ -46,6 +46,12 @@ def test_settings_validation():
     with pytest.raises(ValueError, match=re.escape("window [-1e-11, 1e-11] holds no step "
                                                    "of dx = 0.05")):
         ShootingSettings(window=(-1e-11, 1e-11))
+    # a step count that overflows to infinity has no integer to round to
+    with pytest.raises(ValueError, match=re.escape("window [-1e+308, 1e+308] holds more "
+                                                   "steps of dx = 0.05 than a float counts")):
+        ShootingSettings(window=(-1e308, 1e308))
+    with pytest.raises(ValueError, match="than a float counts"):
+        ShootingSettings(dx=1e-320)
     assert ShootingSettings(window=(0.0, 0.05)).window == (0.0, 0.05)
 
 
