@@ -688,11 +688,10 @@ def _sandwich_touch(shift):
 
 # family and its index on [-1, 1]; every crossing is at t = 0
 SPLIT_FAMILIES = {
-    "ell1": (lambda: lg.fixture_paths()[0], -1),
-    "ell2": (lambda: lg.fixture_paths()[1], -1),
-    **{f"t^{k}*diag(1,2)": (lambda k=k: _sandwich_graph(k), -2 if k % 2 else 0)
-       for k in range(1, 8)},
-    "diag(t^2,1)": (lambda: _sandwich_touch(0.0), 0),
+    "ell1": (lg.fixture_paths()[0], -1),
+    "ell2": (lg.fixture_paths()[1], -1),
+    **{f"t^{k}*diag(1,2)": (_sandwich_graph(k), -2 if k % 2 else 0) for k in range(1, 8)},
+    "diag(t^2,1)": (_sandwich_touch(0.0), 0),
 }
 
 
@@ -705,8 +704,7 @@ def test_maslov_index_adds_up_over_a_split_interval(name, c):
     other: its order-m form arrives with (-1)^m times its signature and
     leaves with the signature, so a right end of even order gives minus
     half the signature and the halves cancel."""
-    make, index = SPLIT_FAMILIES[name]
-    path, sand = make(), lg.sandwich_plane()
+    (path, index), sand = SPLIT_FAMILIES[name], lg.sandwich_plane()
     left, right = np.linspace(-1.0, c, 501), np.linspace(c, 1.0, 501)
     whole, lo, hi = (lg.maslov_index(path, sand, ts, path(ts, 0)[:, 0])
                      for ts in (np.concatenate([left, right[1:]]), left, right))
