@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .conjugate import format_report, stability_report
-from .lagrangian import CrossingError, TransversalityError
+from .lagrangian import CrossingError
 from .model import Params
 from .pulse import (NewtonError, PulseFileError, evaluate, load, newton_solve,
                     save, seed_from_normal_form)
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NewtonError, PulseFileError, TransportError, CrossingError,
-            TransversalityError, OSError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,13 @@ meets the sandwich plane ``span{e2, e3}``.  The geometric count is the
 Maslov index of the transported plane against that reference, computed by
 :func:`shpulse.lagrangian.maslov_index` on the trajectory's own samples:
 the detector's zeros are located, and so are its touches at dips, by the
-sign change of its slope; each crossing contributes the signature of its
-first nondegenerate crossing form when that form has odd order.  A regular
-crossing (order 1, ``Q1 > 0``) counts once; a fully degenerate one, such
-as a two-dimensional intersection whose third-order form is definite,
+sign change of its slope; each crossing contributes its share by the one
+rule of :func:`~shpulse.lagrangian.maslov_index`, from the signature sigma
+and order m of its first nondegenerate crossing form: sigma inside the
+window at odd order and nothing at even order, and sigma/2 at a left end
+(at a right end sigma/2 at odd order and -sigma/2 at even order).  A
+regular crossing (order 1, ``Q1 > 0``) counts once; a fully degenerate one,
+such as a two-dimensional intersection whose third-order form is definite,
 contributes its signature instead of being skipped.
 
 The total is compared against the number of unstable eigenvalues of the

@@ -28,7 +28,11 @@ every orthonormal frame comes from the transport's Gram-Schmidt
   ``d^j/dt^j pairing(A(t) V, V)`` at ``t0`` (no factorial normalisation),
   exactly ``j!`` times the j-th Taylor coefficient of ``A``, which one
   power-series solve gives from the family's jet at ``t0``, for every order
-  at once;
+  at once.  The complement is transverse when the smallest singular value
+  of the two planes' orthonormal frames side by side exceeds ``KERNEL_TOL``,
+  and a vector lies in the plane when its distance from it is at most
+  ``KERNEL_TOL`` times its length, so both tests, like the forms, see the
+  planes and not the frames that span them;
 * crossing search: :func:`locate_zeros` finds the zeros and the
   sign-preserving dips of a sampled crossing detector, and :func:`_itp`
   locates both a sign change of the detector and one of its slope across a
@@ -63,10 +67,6 @@ from typing import Callable
 import numpy as np
 
 from .model import J4
-
-
-class TransversalityError(RuntimeError):
-    """Graph coordinates broke down: the complement is nearly tangent."""
 
 
 class CrossingError(RuntimeError):
@@ -104,12 +104,16 @@ def _frame_matrix(frames, shape=(4, 2)) -> np.ndarray:
 # Symplectic pairing with a reference plane
 # ---------------------------------------------------------------------------
 
-# Largest sine of a principal angle between a plane and the reference that
-# still counts as an intersection direction, an angle of 1e-8 rad (the same
-# cut on the singular values of the stacked 4-by-4 [A | -B], relative to the
-# largest, allows about 2e-8 rad), the largest |<r1, J r2>| of an
-# orthonormal reference that still counts as Lagrangian, and the largest
-# ratio of a frame's singular values that still counts as rank-deficient.
+# The one tolerance of every incidence question, each asked of orthonormal
+# frames so that no answer depends on a frame's scale.  At most KERNEL_TOL:
+# the sine of a principal angle between a plane and the reference along an
+# intersection direction (an angle of 1e-8 rad); |<r1, J r2>| of an
+# orthonormal reference that counts as Lagrangian; the ratio of a
+# rank-deficient frame's singular values; the distance of a vector in the
+# plane from it, relative to its length; and the smallest singular value of
+# a plane's and a complement's orthonormal frames side by side when the
+# complement meets the plane, sqrt(2) sin(theta / 2) for their smallest
+# principal angle theta.
 KERNEL_TOL = 1e-8
 
 
@@ -224,9 +228,6 @@ def sandwich_plane() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Largest condition number of the graph-coordinate system that still counts
-# as transverse.
-MAX_CONDITION = 1e10
 # Crossing-form eigenvalues divided by the order's factorial, the Taylor
 # coefficients of the form, at or below this size count as zero.
 FORM_DEGENERACY_TOL = 1e-6
@@ -248,14 +249,12 @@ def _graph_forms(F: np.ndarray, W: np.ndarray, U: np.ndarray, t: float) -> np.nd
     ``[F(s) | -W] (c(s); w(s)) = v``.  By powers of ``s - t``,
     ``S_0 z_0 = U`` and ``S_0 z_n = -sum_{i=1..n} F_i c_{n-i}`` with the one
     matrix ``S_0 = [F_0 | -W]``, and the order-j form is ``j! pairing(W w_j, U)``.
+    A complement that meets the plane (``KERNEL_TOL``) is a ValueError.
     """
+    if np.linalg.svd(np.hstack([_orthonormal(F[0]), _orthonormal(W)]),
+                     compute_uv=False)[-1] <= KERNEL_TOL:
+        raise ValueError(f"the complement meets the plane at t = {t:.6g}")
     S = np.hstack([F[0], -W])
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise TransversalityError(
-            f"graph coordinates break down at t = {t:.6g}: "
-            f"condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
-        )
     c, forms = [], []
     for j in range(len(F)):
         z = np.linalg.solve(S, -sum(F[i] @ c[j - i] for i in range(1, j + 1)) if j else U)
@@ -267,8 +266,13 @@ def _graph_forms(F: np.ndarray, W: np.ndarray, U: np.ndarray, t: float) -> np.nd
 def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
     """Raw crossing form ``Q_order(v) = d^order/dt^order <v, J A(t) v>``.
 
-    ``v`` must lie in the plane at ``t0``; it is used as given, without
-    normalisation.  The derivative is exact: ``order!`` times a Taylor
+    ``v`` must lie in the plane at ``t0``: its distance ``|v - Q Q^T v|``
+    from the plane, for an orthonormal frame ``Q`` of it, is at most
+    ``KERNEL_TOL |v|``.  It is used as given, without normalisation.  ``W``
+    must meet the plane only at 0: the smallest singular value of the two
+    orthonormal frames side by side exceeds ``KERNEL_TOL``.  Either failure
+    is a ValueError, and neither test depends on the scale of ``v`` or of
+    ``W``.  The derivative is exact: ``order!`` times a Taylor
     coefficient of the graph map, solved from the family's jet at ``t0``.
     The value is invariant under symplectic transformations of the whole
     picture (path, vector and complement together).  The first-order form
@@ -285,8 +289,8 @@ def quadratic_form(path: Family, t0: float, v, order: int, W=None) -> float:
     if v.shape != (4,):
         raise ValueError("vector must have length 4")
     W = J4 @ F[0] if W is None else _frame_matrix(W)
-    coeff, *_ = np.linalg.lstsq(F[0], v, rcond=None)
-    if np.linalg.norm(F[0] @ coeff - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
+    Q = _orthonormal(F[0])
+    if np.linalg.norm(v - Q @ (Q.T @ v)) > KERNEL_TOL * np.linalg.norm(v):
         raise ValueError("vector does not lie in the plane at t0")
     return float(_graph_forms(F, W, v[:, None], t0)[order, 0, 0])
 

@@ -128,8 +128,12 @@ def asymptotic_frames(lam: float, p: Params) -> AsymptoticData:
 def lambda_infinity_bound(potential_samples) -> float:
     """Upper bound for eigenvalues of the half-line operator: max f'(phi(x)) plus margin.
 
-    The +1.0 margin keeps the top of the spectral window strictly above every
-    eigenvalue, so a grid over [0, bound] brackets all of them.
+    The linearization is ``-(1 + d^2/dx^2)^2 + f'(phi(x))`` and its
+    fourth-order part is nonpositive, so every eigenvalue lies at or below
+    the largest value of the potential; the +1.0 margin covers what the
+    samples miss of it.  The conjugate report prints the bound as the top of
+    the interval ``[0, bound]`` that holds every unstable eigenvalue; the
+    counts themselves come from the eigensolve and the ``lam = 0`` transport.
     """
     samples = np.asarray(potential_samples, dtype=float)
     if samples.size == 0:

@@ -106,7 +106,8 @@ class ShootingSettings:
 
     The window length must be a positive integer multiple of ``dx``; a
     window within rounding of zero steps is refused, and so is one whose
-    step count overflows a float.
+    step count overflows a float, and a ``dx`` so fine that
+    :func:`_substeps` gives it no transport step.
     """
 
     window: tuple[float, float] = (-60.0, 60.0)
@@ -130,6 +131,8 @@ class ShootingSettings:
                 f"multiple of dx = {self.dx:g}")
         if nsteps == 0:
             raise ValueError(f"window [{a:g}, {b:g}] holds no step of dx = {self.dx:g}")
+        if _substeps(self.dx) == 0:
+            raise ValueError(f"dx = {self.dx:g} is too fine for the transport to step")
 
 
 def initial_frame(p: Params, lam: float = 0.0) -> np.ndarray:

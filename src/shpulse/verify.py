@@ -290,12 +290,15 @@ def check_invariants(bundles: dict[str, PulseBundle]) -> CheckResult:
         abs(lg.quadratic_form(pushforward(ell2), 0.0, Psi @ v2, 3, W=W2) - base2),
     )
     # the first-order form accepts any transverse complement; higher orders
-    # need a Lagrangian one that does not mix the kernel directions
+    # need a Lagrangian one that does not mix the kernel directions.  A form
+    # depends on the complement's plane alone, so a rescaled frame of it
+    # gives the same value
     W_gen = np.array([[1.0, 0.3], [0.0, -0.2], [0.4, 1.0], [-0.1, 0.2]])
     W_diag = np.array([[0.25, 0.0], [0.0, 0.4], [1.0, 0.0], [0.0, 1.0]])
     w_err = max(
         abs(lg.quadratic_form(ell1, 0.0, v1, 1, W=W_gen) - base1),
         abs(lg.quadratic_form(ell1, 0.0, v1, 1, W=W_diag) - base1),
+        abs(lg.quadratic_form(ell1, 0.0, v1, 1, W=1e11 * W_diag) - base1),
         abs(lg.quadratic_form(ell2, 0.0, v2, 3, W=W_diag) - base2),
     )
     ok &= max(inv_err, w_err) < 1e-7

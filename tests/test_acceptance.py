@@ -22,7 +22,8 @@ fixtures          1e-8 (Q1 = −4, slope −4/5, Q3 = −2, branch −t³/3,
                   +1 and −1 for t²·diag(1, 2) on [−1, 0] and [0, 1],
                   501 points each, adding up to its index 0 on [−1, 1])
 invariants        drift 1e-8, Plücker 1e-12, Jacobian-FD 1e-6,
-                  convolution 1e-13, form invariance 1e-7, pulse Q1 = a² 1e-9
+                  convolution 1e-13, form invariance 1e-7 (also under a
+                  complement rescaled by 1e11), pulse Q1 = a² 1e-9
 oracle            subspace angle 1e-8 over a window of 20
 robustness        counts equal, location drift < 1e-4
 """

@@ -22,7 +22,7 @@ import pytest
 from shpulse import cli
 from shpulse.cli import RunConfig, UsageError, build_config
 from shpulse.conjugate import trust_horizon
-from shpulse.lagrangian import CrossingError, TransversalityError
+from shpulse.lagrangian import CrossingError
 from shpulse.pulse import load
 
 EXPECTED_HEADER = "x,detA,P12,P13,P14,P23,P24,P34,omega_drift"
@@ -478,7 +478,8 @@ def test_conjugate_step_beyond_the_reach_exits_one(phi0_file, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("error", [CrossingError, TransversalityError])
+# a complement that meets the plane is a ValueError of the form calculus
+@pytest.mark.parametrize("error", [CrossingError, ValueError])
 def test_conjugate_crossing_failure_exits_one(phi0_file, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("crossing at t = 1.24 is degenerate")
@@ -670,10 +671,13 @@ def test_window_not_a_multiple_of_dx_exits_two(tmp_path, capsys, flags, config):
 
 
 def test_window_without_a_step_exits_two(phi0_file, tmp_path, capsys):
-    """A window of no step, or of more steps than a float counts, is one
-    usage-error line, by flag or by config file."""
+    """A window of no step, or of more steps than a float counts, or a
+    spacing too fine to step, is one usage-error line, by flag or by
+    config file."""
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps({"sample_dx": 1e-320}))
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps({"sample_dx": 1e-12}))
     for flags, err in [
         (["--Lcp", "1e-11"], "window [-1e-11, 1e-11] holds no step of dx = 0.05"),
         (["--Lcp", "1e308"],
@@ -681,6 +685,7 @@ def test_window_without_a_step_exits_two(phi0_file, tmp_path, capsys):
         (["--config", str(cfg)],
          # the subnormal 1e-320 prints as 9.99989e-321
          f"window [-60, 60] holds more steps of dx = {1e-320:g} than a float counts"),
+        (["--config", str(fine)], "dx = 1e-12 is too fine for the transport to step"),
     ]:
         rc = cli.main(["plucker", str(phi0_file), *flags])
         assert rc == 2

@@ -263,7 +263,7 @@ def test_graph_matrix_tangent_complement_fails():
     # a complement that meets the base plane makes the coordinates singular
     # near t0, which is exactly where the graph map is defined
     ell1, _ = lg.fixture_paths()
-    with pytest.raises(lg.TransversalityError, match="condition number"):
+    with pytest.raises(ValueError, match="complement meets the plane at t = 0"):
         lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=frame(ell1, 0.0))
 
 
@@ -294,6 +294,10 @@ def test_form_rejects_vector_outside_plane():
     ell1, _ = lg.fixture_paths()
     with pytest.raises(ValueError, match="does not lie"):
         lg.quadratic_form(ell1, 0.0, basis(2), 1)
+    # membership is the vector's distance from the plane relative to its
+    # length, so a short vector off the plane is refused too
+    with pytest.raises(ValueError, match="does not lie in the plane"):
+        lg.quadratic_form(ell1, 0.0, 1e-9 * basis(0), 1)
     with pytest.raises(ValueError, match="order"):
         lg.quadratic_form(ell1, 0.0, V1_AT_0, 0)
     with pytest.raises(ValueError, match="vector must have length 4"):
@@ -316,6 +320,12 @@ def test_form_independent_of_complement():
     q3_skew = lg.quadratic_form(ell2, 0.0, e2, 3, W=skew)
     assert abs(q3_default - q3_skew) < 1e-7
     assert q3_default == pytest.approx(-2.0, abs=1e-8)
+    # transversality is a test of the complement's plane, not of its frame's
+    # scale: rescaled copies of the default complement give the same forms
+    W1, W2 = J4 @ frame(ell1, 0.0), J4 @ frame(ell2, 0.0)
+    for c in (1e-11, 1e11):
+        assert lg.quadratic_form(ell1, 0.0, V1_AT_0, 1, W=c * W1) == pytest.approx(-4.0, abs=1e-10)
+    assert lg.quadratic_form(ell2, 0.0, e2, 3, W=1e11 * W2) == pytest.approx(-2.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("seed", [2, 7, 19])

@@ -52,6 +52,10 @@ def test_settings_validation():
         ShootingSettings(window=(-1e308, 1e308))
     with pytest.raises(ValueError, match="than a float counts"):
         ShootingSettings(dx=1e-320)
+    # a spacing the sub-step rule gives no step cannot be transported
+    with pytest.raises(ValueError, match=re.escape("dx = 1e-12 is too fine for the "
+                                                   "transport to step")):
+        ShootingSettings(dx=1e-12)
     assert ShootingSettings(window=(0.0, 0.05)).window == (0.0, 0.05)
 
 
